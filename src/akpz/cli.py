@@ -26,14 +26,10 @@ import numpy as np
 
 from . import correlations as corr
 from . import ctmc, lattice, sde
-from .correlations import AccuracyError
-from .lattice import ParameterError, TorusParams, crystalline
-from .sde import ModelError, ModelParams, drift_coeffs, spectral_data
+from .errors import AkpzError, ConfigError, ParameterError
+from .lattice import TorusParams, crystalline
+from .sde import ModelParams, drift_coeffs, spectral_data
 from .specfun import log_qpoch_asymptotic
-
-
-class ConfigError(ValueError):
-    """Malformed experiment configuration."""
 
 
 def _fmt(x):
@@ -436,7 +432,14 @@ def cmd_ctmc(args):
         if None in (args.L, args.N, args.m1, args.m2):
             raise ConfigError("either --start or all of --L/--N/--m1/--m2 are required")
         torus = TorusParams(L=args.L, N=args.N, m1=args.m1, m2=args.m2)
-        start = crystalline(torus) if args.crystalline else lattice.enumerate_configs(torus)[0]
+        if args.crystalline:
+            start = crystalline(torus)
+        else:
+            states = lattice.enumerate_configs(torus)
+            if not states:
+                raise ParameterError(f"no configuration with m1={torus.m1}, m2={torus.m2} "
+                                     f"on the {torus.L}x{torus.N} torus")
+            start = states[0]
     observe = args.observe_every if args.observe_every else args.T
     traj = ctmc.simulate(start, args.q, args.T, seed=args.seed, observe_every=observe)
     rows = []
@@ -452,6 +455,8 @@ def cmd_ctmc(args):
 
 
 def cmd_sde(args):
+    if args.replicas < 1:
+        raise ParameterError(f"--replicas must be >= 1, got {args.replicas}")
     params = ModelParams(C=args.C, D=args.D)
     observe = args.observe_every if args.observe_every else args.T
     rows = []
@@ -680,8 +685,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, ModelError, AccuracyError,
-            FileNotFoundError, OSError) as err:
+    except (AkpzError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -13,19 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (ConfigError, ParameterError, ParticleConfig, _gaps,
-                      enumerate_configs, fourier_modes, neighbor_distances)
-from .sde import symbol_Q
+from .errors import ConfigError, DomainError, ParameterError
+from .lattice import (ParticleConfig, _gaps, enumerate_configs, fourier_modes,
+                      neighbor_distances, validate)
+from .sde import SdeState, _f, shift_field, symbol_Q
 
 
-class DomainError(ValueError):
-    pass
+def _check_q(q):
+    if not 0 <= q < 1:
+        raise DomainError(f"q must lie in [0, 1), got {q}")
 
 
 def log_q_pochhammer(q: float, n: int) -> float:
     """log of (1-q)(1-q^2)...(1-q^n); 0 for n = 0.  Stable for n up to 1e6."""
-    if not 0 <= q < 1:
-        raise DomainError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if n == 0 or q == 0.0:
@@ -112,6 +113,7 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     (including t = 0 and t = T).  debug_validate revalidates the state and
     the incremental rate table after every event.
     """
+    _check_q(q)
     if T < 0:
         raise ParameterError("T must be >= 0")
     torus = config.torus
@@ -168,7 +170,6 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
             events_since_resync = 0
 
         if debug_validate:
-            from .lattice import validate
             report = validate(ParticleConfig(torus, positions))
             if not report.ok:
                 raise ConfigError(f"invalid state after event at t={t}: {report.failures}")
@@ -205,6 +206,7 @@ class GeneratorMatrix:
 
 def build_generator(torus, q) -> GeneratorMatrix:
     """Dense generator over all enumerated configurations of the sector."""
+    _check_q(q)
     states = enumerate_configs(torus)
     if not states:
         raise ParameterError("empty configuration space")
@@ -246,20 +248,17 @@ def gaussian_log_weight(etas, params, m2, mode="direct") -> float:
     evaluates sum_k |hat(eta)_k|^2 Q(k).  The two agree to rounding.
     """
     if isinstance(etas, dict):
-        from .sde import SdeState
         m = int(round(math.sqrt(len(etas))))
         etas = SdeState.from_mapping(etas, m, m2).xi
     etas = np.asarray(etas, dtype=float)
     m = etas.shape[-1]
     if mode == "direct":
-        from .sde import shift_field
-        f = lambda x: math.exp(-x) / -math.expm1(-x)
         gd = etas - shift_field(etas, (1, 0), m2)
         gb = etas - shift_field(etas, (1, -1), m2)
         gc = etas - shift_field(etas, (0, -1), m2)
-        return 0.5 * (f(params.D) * float(np.sum(gd ** 2))
-                      - f(params.B) * float(np.sum(gb ** 2))
-                      - f(params.C) * float(np.sum(gc ** 2)))
+        return 0.5 * (_f(params.D) * float(np.sum(gd ** 2))
+                      - _f(params.B) * float(np.sum(gb ** 2))
+                      - _f(params.C) * float(np.sum(gc ** 2)))
     if mode == "fourier":
         modes = fourier_modes(m, m2)
         eta_hat = modes.field_transform(etas)

@@ -16,20 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, ParameterError, StateSpaceError
+
 Label = tuple
-
-
-class ParameterError(ValueError):
-    """Torus or model parameters outside their admissible range."""
-
-
-class ConfigError(ValueError):
-    """A particle configuration violates a structural constraint."""
-
-
-class StateSpaceError(ValueError):
-    """Exhaustive enumeration requested on a torus that is too large."""
-
 
 # label offsets of the six neighbors, clockwise from the right-hand one
 P1, P2, P3, P4, P5, P6 = (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)
@@ -236,10 +225,14 @@ def sector(config, start_label=(0, 0)):
     the loop closes; independent of the starting particle.
     """
     torus = config.torus
-    rows = _row_positions(config)
+    start = torus.canonical(start_label)
+    return _walk_sector(torus, _row_positions(config), config.positions[start], start[1])
+
+
+def _walk_sector(torus, rows, x0, row0):
+    """Sector of the sorted rows, from the up-right loop through the
+    particle at (x0, row0)."""
     L, N = torus.L, torus.N
-    x0 = config.positions[torus.canonical(start_label)]
-    row0 = torus.canonical(start_label)[1]
     x, row = x0, row0
     steps = 0
     disp = 0
@@ -341,7 +334,7 @@ def enumerate_configs(torus):
                 return
             cfg_rows = [list(r) for r in rows]
             try:
-                sec = _geometric_sector(torus, cfg_rows)
+                sec = _walk_sector(torus, cfg_rows, cfg_rows[0][0], 0)
             except ConfigError:
                 return
             if sec != torus.m2:
@@ -355,29 +348,6 @@ def enumerate_configs(torus):
 
     extend([])
     return out
-
-
-def _geometric_sector(torus, rows):
-    L, N = torus.L, torus.N
-    x0, row0 = rows[0][0], 0
-    x, row = x0, row0
-    steps = disp = 0
-    limit = torus.m1 * N * N + 1
-    while True:
-        y = _up_right(rows, L, x, row)
-        disp += (y - x) % L
-        row = (row + 1) % N
-        x = y
-        steps += 1
-        if (x, row) == (x0, row0):
-            break
-        if steps > limit:
-            raise ConfigError("up-right walk does not close")
-    n_v = steps // N
-    n_h = disp // L
-    if steps % N or disp % L or (torus.m1 * n_h) % n_v:
-        raise ConfigError("fractional winding")
-    return torus.m1 * n_h // n_v
 
 
 @dataclass(frozen=True)

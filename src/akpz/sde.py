@@ -16,11 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import ParameterError, canonicalize
-
-
-class ModelError(ValueError):
-    """A structural property of the limit model failed numerically."""
+from .errors import ModelError, ParameterError
+from .lattice import canonicalize
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,7 @@ class ModelParams:
 
 def speed(params) -> float:
     """Deterministic particle speed (1-e^-B)(1-e^-D)/(1-e^-C)."""
-    B, C, D = params.B, params.C, params.D
-    return -math.expm1(-B) * -math.expm1(-D) / -math.expm1(-C)
+    return speed_from_slopes(params.D, params.C)
 
 
 def _f(x):
@@ -89,7 +85,7 @@ def speed_from_slopes(g1: float, g2: float) -> float:
     """Speed as a function of the two slope arguments (g1, g2) = (D, C)."""
     if g2 <= 0 or g2 >= g1:
         raise ParameterError(f"slopes outside 0 < g2 < g1: ({g1}, {g2})")
-    return (1 - math.exp(g2 - g1)) * -math.expm1(-g1) / -math.expm1(-g2)
+    return -math.expm1(g2 - g1) * -math.expm1(-g1) / -math.expm1(-g2)
 
 
 @dataclass(frozen=True)
@@ -143,14 +139,6 @@ def symbol_A(k, coeffs):
             + coeffs.d2 * np.exp(1j * (k1 - k2))
             - coeffs.d1 * np.exp(-1j * k1)
             + coeffs.d3 * np.exp(-1j * k2))
-
-
-def symbol_A_imag(k, coeffs):
-    """Imaginary (odd) part of the multiplier, as a real array."""
-    k1, k2 = _split_k(k)
-    return (coeffs.d2 * np.sin(k1 - k2)
-            + coeffs.d1 * np.sin(k1)
-            - coeffs.d3 * np.sin(k2))
 
 
 def symbol_R(k, coeffs):
@@ -364,31 +352,21 @@ def euler_maruyama(initial, params, dt, T, seed, m2=None, record_every=None,
 
     xi(t+dt) = xi(t) + A xi(t) dt + sqrt(v dt) * standard normals.  The step
     must satisfy dt * ||A||_inf < 0.1.  Deterministic for a given seed.
-    Returns the list of recorded SdeStates (always including the final one).
+    Returns the list of recorded SdeStates (always including the final one),
+    from the one-replica case of euler_maruyama_ensemble.
     """
     m2 = m2 if m2 is not None else params.m2
     if m2 is None:
         raise ParameterError("quotient twist m2 is required (set it or use params.m2)")
-    coeffs = drift_coeffs(params)
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if dt * coeffs.inf_norm >= 0.1:
-        raise ParameterError(
-            f"stability guard: dt*||A|| = {dt * coeffs.inf_norm:.3g} must stay below 0.1")
-    nsteps = int(round(T / dt))
-    rng = np.random.default_rng(seed)
-    xi = np.array(initial.xi, dtype=float, copy=True)
-    m = xi.shape[-1]
-    sig = math.sqrt(params.v * dt)
-    record_stride = max(1, int(round(record_every / dt))) if record_every else None
-    out = [SdeState(xi=xi.copy(), t=initial.t)]
-    for step in range(1, nsteps + 1):
-        xi = xi + drift_apply(xi, coeffs, m2) * dt
-        if noise:
-            xi = xi + sig * rng.standard_normal(size=xi.shape)
-        if (record_stride and step % record_stride == 0) or step == nsteps:
-            out.append(SdeState(xi=xi.copy(), t=initial.t + step * dt))
-    return out
+    if T < 0:
+        raise ParameterError(f"T must be >= 0, got {T}")
+    # dt <= 0 is rejected by the ensemble; only the step counts need dt > 0 here
+    nsteps = int(round(T / dt)) if dt > 0 else 0
+    stride = max(1, int(round(record_every / dt))) if record_every and dt > 0 else max(nsteps, 1)
+    steps = sorted({*range(0, nsteps, stride), nsteps})
+    snaps = euler_maruyama_ensemble(np.asarray(initial.xi, dtype=float)[None], params, m2,
+                                    dt, nsteps, seed, steps, noise=noise)
+    return [SdeState(xi=snaps[k][0], t=initial.t + k * dt) for k in steps]
 
 
 def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
@@ -397,8 +375,14 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
 
     xi0 is either an (m, m) field shared by all replicas or an (R, m, m)
     batch.  Returns {step: (R, m, m) array} for each requested snapshot step
-    (arrays are copies).  Deterministic for given (seed, replicas).
+    in [0, nsteps] (arrays are copies).  Deterministic for given
+    (seed, replicas).
     """
+    if dt <= 0:
+        raise ParameterError(f"dt must be positive, got {dt}")
+    want = set(snapshot_steps)
+    if nsteps < 0 or not want or min(want) < 0 or max(want) > nsteps:
+        raise ParameterError(f"snapshot steps must lie in [0, {nsteps}], got {snapshot_steps}")
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.ndim == 2:
         if replicas is None:
@@ -408,10 +392,10 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
         xi = xi0.copy()
     coeffs = drift_coeffs(params)
     if dt * coeffs.inf_norm >= 0.1:
-        raise ParameterError("stability guard: dt*||A|| must stay below 0.1")
+        raise ParameterError(
+            f"stability guard: dt*||A|| = {dt * coeffs.inf_norm:.3g} must stay below 0.1")
     rng = np.random.default_rng(seed)
     sig = math.sqrt(params.v * dt)
-    want = set(snapshot_steps)
     out = {}
     if 0 in want:
         out[0] = xi.copy()

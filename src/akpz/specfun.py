@@ -9,11 +9,9 @@ so that the heat-kernel covariance formulas do not depend on scipy.
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 EULER_GAMMA = 0.5772156649015328606065120900824024
-
-
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of a function."""
 
 
 def exp_integral_E1(x: float) -> float:

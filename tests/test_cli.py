@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+from akpz import cli, errors
 from akpz.cli import (ComparisonReport, ConfigError, ExperimentConfig, main,
                       parse_config, run_experiment)
 from akpz.lattice import TorusParams
@@ -194,6 +197,43 @@ def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["cov", "--C", "0.5"])
     assert err.value.code == 2
+
+
+_TORUS = ["--L", "6", "--N", "3", "--m1", "2", "--m2", "1"]
+_SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.01"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctmc", *_TORUS, "--q", "1.5", "--T", "1", "--crystalline"],
+    ["ctmc", *_TORUS, "--q", "-0.5", "--T", "1", "--crystalline"],
+    ["ctmc", "--L", "4", "--N", "3", "--m1", "3", "--m2", "2", "--q", "0.5", "--T", "1"],
+    ["ctmc", "--L", "6", "--N", "5", "--m1", "2", "--m2", "1", "--q", "0.5", "--T", "1"],
+    ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "1", "--q", "1.2"],
+    [*_SDE, "--T", "-1"],
+    [*_SDE, "--T", "0.1", "--replicas", "0"],
+], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
+        "oracle-q-above-1", "sde-negative-T", "sde-no-replicas"])
+def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] != "oracle-stationarity":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                                 if issubclass(c, errors.AkpzError)])
+def test_cli_every_akpz_error_exits_2(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "--C", "0.5", "--D", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_thread_count_does_not_change_results():

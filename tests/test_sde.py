@@ -204,6 +204,27 @@ def test_euler_maruyama_stability_guard():
     initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
     with pytest.raises(ParameterError):
         euler_maruyama(initial, params, dt=0.5, T=1.0, seed=0, m2=2)
+    with pytest.raises(ParameterError):
+        euler_maruyama(initial, params, dt=-1e-3, T=1.0, seed=0, m2=2)
+    with pytest.raises(ParameterError):
+        euler_maruyama_ensemble(initial.xi, params, 2, -1e-3, 10, seed=0,
+                                snapshot_steps=[10], replicas=1)
+    with pytest.raises(ParameterError):
+        euler_maruyama_ensemble(initial.xi, params, 2, 1e-3, -10, seed=0,
+                                snapshot_steps=[-10], replicas=1)
+
+
+def test_euler_maruyama_is_the_one_replica_ensemble():
+    params = ModelParams(C=0.5, D=1.5)
+    xi0 = np.random.default_rng(1).normal(size=(4, 4))
+    states = euler_maruyama(SdeState(xi=xi0, t=0.5), params, dt=1e-2, T=0.37, seed=9, m2=2,
+                            record_every=0.05)
+    steps = [0, 5, 10, 15, 20, 25, 30, 35, 37]
+    snaps = euler_maruyama_ensemble(xi0, params, 2, 1e-2, 37, seed=9, snapshot_steps=steps,
+                                    replicas=1)
+    assert [st.t for st in states] == [0.5 + k * 1e-2 for k in steps]
+    for st, k in zip(states, steps):
+        assert st.xi.tobytes() == snaps[k][0].tobytes()
 
 
 def test_euler_maruyama_deterministic_per_seed():
