@@ -529,6 +529,8 @@ def cmd_she_check(args):
 
 
 def cmd_gff(args):
+    if args.delta <= 0:
+        raise ParameterError(f"--delta must be positive, got {args.delta}")
     params = ModelParams(C=args.C, D=args.D)
     spectral = spectral_data(drift_coeffs(params))
     m2 = args.m2 if args.m2 is not None else args.m // 2
@@ -688,7 +690,3 @@ def main(argv=None) -> int:
     except (AkpzError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

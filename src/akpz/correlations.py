@@ -322,15 +322,10 @@ def _check_mean_zero(phi, delta):
 
 
 def _smoothed_transform(phi, delta, modes):
-    """S(k) = delta^2 sum_p phi(delta p)(e^{i k p} - 1) over centered labels."""
-    m = modes.m
-    p = np.arange(m) - m // 2
-    r = np.arange(-(m // 2), m - m // 2)
-    e1 = np.exp(2j * np.pi / m * np.outer(r, p))
-    twist = np.exp(2j * np.pi * modes.m2 / m ** 2 * np.outer(r, p))
-    a = (e1 @ phi) * twist
-    b = a @ np.exp(2j * np.pi / m * np.outer(p, r))
-    return delta ** 2 * (b.ravel() - float(phi.sum()))
+    """S(k) = delta^2 sum_p phi(delta p)(e^{i k p} - 1) over centered labels
+    p = j - c, c = (m//2, m//2): m e^{-i k c} conj(hat(phi)_k) for real phi."""
+    shift = np.exp(-1j * (modes.m // 2) * modes.k.sum(axis=1))
+    return delta ** 2 * (modes.m * shift * np.conj(modes.field_transform(phi)) - float(phi.sum()))
 
 
 def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:

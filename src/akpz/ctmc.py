@@ -116,6 +116,8 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     _check_q(q)
     if T < 0:
         raise ParameterError("T must be >= 0")
+    if observe_every is not None and observe_every < 0:
+        raise ParameterError(f"observe_every must be >= 0, got {observe_every}")
     torus = config.torus
     labels = torus.labels()
     positions = dict(config.positions)

@@ -18,11 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, StateSpaceError
 
-Label = tuple
-
-# label offsets of the six neighbors, clockwise from the right-hand one
-P1, P2, P3, P4, P5, P6 = (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)
-
 
 def canonicalize(p, m, m2, n=None):
     """Canonical representative of label p: first coordinate in [0, m),
@@ -371,23 +366,23 @@ class FourierModeSet:
 
     def basis_matrix(self):
         """Matrix F[mode, site] = f_k(p) over canonical labels p in [0,m)^2,
-        flattened with p2 fastest."""
+        flattened with p2 fastest: the dense definition of field_transform."""
         m = self.m
         p1, p2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         phase = np.einsum("ki,i...->k...", self.k, np.array([p1, p2]))
         return np.exp(-1j * phase).reshape(len(self.k), m * m) / m
 
     def field_transform(self, xi):
-        """hat(xi)_k = sum_p xi_p f_k(p) for a field xi indexed [p1, p2]."""
+        """hat(xi)_k = sum_p xi_p f_k(p) for fields xi indexed [..., p1, p2]:
+        FFT along p1, the twist exp(-2 pi i m2 r1 p2/m^2), FFT along p2, with
+        r1 signed in [-m/2, m/2) because the twist is not periodic in r1."""
         m = self.m
-        flat = np.asarray(xi, dtype=complex).reshape(*xi.shape[:-2], m * m)
-        return flat @ self.basis_matrix().T
-
-    def field_inverse(self, xi_hat):
-        """xi_p = sum_k hat(xi)_k conj(f_k(p))."""
-        m = self.m
-        out = xi_hat @ np.conj(self.basis_matrix())
-        return out.reshape(*xi_hat.shape[:-1], m, m)
+        xi = np.asarray(xi)
+        r = np.arange(-(m // 2), m - m // 2)
+        a = np.fft.fftshift(np.fft.fft(xi, axis=-2), axes=-2)
+        a = a * np.exp(-2j * np.pi * self.m2 / m ** 2 * np.outer(r, np.arange(m)))
+        a = np.fft.fftshift(np.fft.fft(a, axis=-1), axes=-1)
+        return a.reshape(*xi.shape[:-2], m * m) / m
 
 
 def fourier_modes(m, m2):

@@ -360,6 +360,8 @@ def euler_maruyama(initial, params, dt, T, seed, m2=None, record_every=None,
         raise ParameterError("quotient twist m2 is required (set it or use params.m2)")
     if T < 0:
         raise ParameterError(f"T must be >= 0, got {T}")
+    if record_every is not None and record_every < 0:
+        raise ParameterError(f"record_every must be >= 0, got {record_every}")
     # dt <= 0 is rejected by the ensemble; only the step counts need dt > 0 here
     nsteps = int(round(T / dt)) if dt > 0 else 0
     stride = max(1, int(round(record_every / dt))) if record_every and dt > 0 else max(nsteps, 1)

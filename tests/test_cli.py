@@ -1,7 +1,12 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import akpz
 from akpz import cli, errors
 from akpz.cli import (ComparisonReport, ConfigError, ExperimentConfig, main,
                       parse_config, run_experiment)
@@ -199,6 +204,14 @@ def test_cli_usage_error_exit_2():
     assert err.value.code == 2
 
 
+def test_python_dash_m_akpz_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(akpz.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "akpz", "validate", "--C", "0.5", "--D", "1.5"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "FAIL" not in done.stdout
+
+
 _TORUS = ["--L", "6", "--N", "3", "--m1", "2", "--m2", "1"]
 _SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.01"]
 
@@ -211,8 +224,14 @@ _SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.0
     ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "1", "--q", "1.2"],
     [*_SDE, "--T", "-1"],
     [*_SDE, "--T", "0.1", "--replicas", "0"],
+    ["ctmc", *_TORUS, "--q", "0.5", "--T", "1", "--crystalline", "--observe-every", "-1"],
+    [*_SDE, "--T", "0.1", "--observe-every", "-1"],
+    ["gff", "--delta", "0", "--m", "64"],
+    ["gff", "--delta", "-0.1", "--m", "64"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
-        "oracle-q-above-1", "sde-negative-T", "sde-no-replicas"])
+        "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
+        "ctmc-negative-observe-every", "sde-negative-observe-every",
+        "gff-zero-delta", "gff-negative-delta"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     if argv[0] != "oracle-stationarity":

@@ -11,7 +11,7 @@ from akpz.correlations import (AccuracyError, CovarianceQuery, FourPointQuery,
                                she_covariance, she_scaled_lattice_covariance,
                                stationary_cov_finite, stationary_cov_infinite,
                                two_bump_test_function)
-from akpz.lattice import ParameterError
+from akpz.lattice import ParameterError, fourier_modes
 from akpz.sde import ModelParams, drift_coeffs, euler_maruyama_ensemble, shift_field, spectral_data
 
 PARAMS = ModelParams(C=0.5, D=1.5)
@@ -348,6 +348,19 @@ def _random_sparse_mean_zero(m, rng):
         phi[a, b] += v
     phi -= phi.mean()
     return phi
+
+
+@pytest.mark.parametrize("m, m2", [(6, 2), (7, 3)])
+def test_smoothed_transform_matches_definition(m, m2):
+    from akpz.correlations import _smoothed_transform
+    delta = 0.3
+    modes = fourier_modes(m, m2)
+    phi = np.random.default_rng(m).normal(size=(m, m))
+    p1, p2 = np.meshgrid(np.arange(m) - m // 2, np.arange(m) - m // 2, indexing="ij")
+    p = np.stack([p1.ravel(), p2.ravel()])
+    direct = delta ** 2 * ((np.exp(1j * modes.k @ p) - 1) @ phi.ravel())
+    fast = _smoothed_transform(phi, delta, modes)
+    assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_gff_polarization_identity_exact():

@@ -187,6 +187,21 @@ def test_fourier_modes_zero_mode():
     assert np.allclose(F[modes.zero_index], 0.25)
 
 
+@pytest.mark.parametrize("m, m2", [(2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (7, 3), (16, 5)])
+def test_field_transform_matches_dense_basis(m, m2):
+    modes = fourier_modes(m, m2)
+    F = modes.basis_matrix()
+    rng = np.random.default_rng(m * 100 + m2)
+    real = rng.normal(size=(m, m))
+    batch = rng.normal(size=(3, m, m))
+    cplx = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    for xi in (real, batch, cplx):
+        fast = modes.field_transform(xi)
+        dense = xi.reshape(*xi.shape[:-2], m * m) @ F.T
+        assert fast.shape == dense.shape
+        assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 def test_fourier_modes_well_defined_on_quotient():
     m, m2 = 4, 2
     modes = fourier_modes(m, m2)
