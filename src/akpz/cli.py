@@ -16,6 +16,7 @@ Exit codes: 0 all checks pass, 1 tolerance failure, 2 usage/config error.
 
 import argparse
 import csv
+import inspect
 import math
 import os
 import sys
@@ -63,20 +64,17 @@ _SCHEMA = {
     "D": float,
     "q": float,
     "eps": float,
-    "ell": float,
     "L": int,
     "N": int,
     "m1": int,
     "m": int,
     "m2": int,
     "dt": float,
-    "T": float,
     "t": float,
     "s": float,
     "replicas": int,
     "seed": int,
     "delta": float,
-    "grid": int,
     "tol": float,
     "threads": int,
     "out": str,
@@ -88,18 +86,11 @@ _RANGES = {
     "q": lambda v: 0 <= v < 1,
     "eps": lambda v: v > 0,
     "dt": lambda v: v > 0,
-    "T": lambda v: v >= 0,
     "replicas": lambda v: v >= 1,
     "delta": lambda v: v > 0,
-    "grid": lambda v: v >= 2,
     "tol": lambda v: v > 0,
     "threads": lambda v: v >= 1,
 }
-
-EXPERIMENTS = ("stationarity-oracle", "drift-check", "sde-vs-exact",
-               "cor1-log-growth", "cor2-characteristic", "cor3-she",
-               "gff-variance", "qpoch-asymptotics")
-
 
 @dataclass
 class ExperimentConfig:
@@ -187,34 +178,22 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 # recipes
 
-def _model(cfg, default_C=0.5, default_D=1.5, **extra):
-    return ModelParams(C=cfg.get("C", default_C), D=cfg.get("D", default_D), **extra)
-
-
-def recipe_stationarity_oracle(cfg):
-    torus = TorusParams(L=cfg.get("L", 4), N=cfg.get("N", 3),
-                        m1=cfg.get("m1", 2), m2=cfg.get("m2", 1))
-    tol = cfg.get("tol", 1e-10)
+def recipe_stationarity_oracle(L=4, N=3, m1=2, m2=1, q=None, tol=1e-10, out=None):
+    torus = TorusParams(L=L, N=N, m1=m1, m2=m2)
     report = ComparisonReport("stationarity-oracle")
-    qs = [cfg.get("q")] if cfg.get("q") is not None else [0.0, 0.3, 0.7]
+    qs = [q] if q is not None else [0.0, 0.3, 0.7]
     rows = []
     for q in qs:
         res = ctmc.check_stationarity(torus, q)
         report.add(f"residual q={q:g}", res, 0.0, tol)
         rows.append((q, res))
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["q", "residual"], rows)
+    if out:
+        write_csv(out, ["q", "residual"], rows)
     return report
 
 
-def recipe_drift_check(cfg):
-    eps = cfg.get("eps", 0.01)
-    m = cfg.get("m", 4)
-    m2 = cfg.get("m2", 2)
-    D = cfg.get("D", 1.0)
-    replicas = cfg.get("replicas", 200)
-    seed = cfg.get("seed", 0)
-    threads = cfg.get("threads", 1)
+def recipe_drift_check(eps=0.01, m=4, m2=2, D=1.0, replicas=200, seed=0, threads=1,
+                       tol=0.02, out=None):
     torus = TorusParams.from_scaling(epsilon=eps, ell=D * m, m=m, m2=m2)
     params = ModelParams.from_torus(torus)
     start = crystalline(torus)
@@ -230,23 +209,16 @@ def recipe_drift_check(cfg):
     report = ComparisonReport("drift-check")
     report.add(f"displacement rate vs finite-eps speed v*(1-eps*(f(B)+f(C))) "
                f"({replicas} replicas)",
-               mean_rate, sde.finite_eps_speed(params, eps),
-               cfg.get("tol", 0.02) * params.v)
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["replica", "rate"], list(enumerate(rates)))
+               mean_rate, sde.finite_eps_speed(params, eps), tol * params.v)
+    if out:
+        write_csv(out, ["replica", "rate"], list(enumerate(rates)))
     return report
 
 
-def recipe_sde_vs_exact(cfg):
-    m = cfg.get("m", 4)
-    m2 = cfg.get("m2", 2)
-    params = _model(cfg, default_C=0.75, default_D=1.5)
-    dt = cfg.get("dt", 1e-3)
-    t_end = cfg.get("t", 2.0)
-    replicas = cfg.get("replicas", 10000)
-    seed = cfg.get("seed", 123)
-    threads = cfg.get("threads", 1)
-    nsteps = round(t_end / dt)
+def recipe_sde_vs_exact(C=0.75, D=1.5, m=4, m2=2, dt=1e-3, t=2.0, replicas=10000, seed=123,
+                        threads=1, out=None):
+    params = ModelParams(C=C, D=D)
+    nsteps = round(t / dt)
     chunks = 8
     sizes = [replicas // chunks + (1 if i < replicas % chunks else 0) for i in range(chunks)]
     seeds = np.random.SeedSequence(seed).spawn(chunks)
@@ -266,16 +238,16 @@ def recipe_sde_vs_exact(cfg):
         est = float(z_r.mean())
         se = float(z_r.std(ddof=1)) / math.sqrt(replicas)
         exact = corr.covariance_finite_m(
-            corr.CovarianceQuery(y=y, t=t_end, s=t_end), m, m2, params).value
+            corr.CovarianceQuery(y=y, t=t, s=t), m, m2, params).value
         report.add(f"covariance y={y} (3 MC std errors)", est, exact, 3 * se)
         rows.append((y[0], y[1], est, exact, se))
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["y1", "y2", "mc", "exact", "se"], rows)
+    if out:
+        write_csv(out, ["y1", "y2", "mc", "exact", "se"], rows)
     return report
 
 
-def recipe_cor1_log_growth(cfg):
-    params = _model(cfg)
+def recipe_cor1_log_growth(C=0.5, D=1.5, tol=0.05, out=None):
+    params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     ts = (50.0, 100.0, 200.0, 400.0, 800.0)
     vals = [corr.covariance_quadrature(
@@ -283,21 +255,18 @@ def recipe_cor1_log_growth(cfg):
     slope = float(np.polyfit(np.log(ts), vals, 1)[0])
     target = params.v / (4 * math.pi * spectral.w)
     report = ComparisonReport("cor1-log-growth")
-    report.add("slope of W0(t,t) against log t", slope, target,
-               cfg.get("tol", 0.05) * target)
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["t", "W0"], list(zip(ts, vals)))
+    report.add("slope of W0(t,t) against log t", slope, target, tol * target)
+    if out:
+        write_csv(out, ["t", "W0"], list(zip(ts, vals)))
     return report
 
 
-def recipe_cor2_characteristic(cfg):
-    params = _model(cfg)
+def recipe_cor2_characteristic(C=0.5, D=1.5, t=400.0, s=300.0, seed=11, threads=1, tol=0.10,
+                               out=None):
+    params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
-    t = cfg.get("t", 400.0)
-    gap = t - cfg.get("s", 300.0)
+    gap = t - s
     s = t - gap
-    seed = cfg.get("seed", 11)
-    threads = cfg.get("threads", 1)
     y_char = tuple(int(a) for a in np.floor(spectral.U * gap))
     target = params.v / (4 * math.pi * spectral.w) * math.log((t + s) / (t - s))
     rng = np.random.default_rng(seed)
@@ -314,26 +283,23 @@ def recipe_cor2_characteristic(cfg):
     w_char = w_at(y_char)
     off = thread_map(lambda u: w_at(tuple(int(a) for a in np.floor(u * gap))), dirs, threads)
     report = ComparisonReport("cor2-characteristic")
-    report.add("characteristic W vs log((t+s)/(t-s))", w_char, target,
-               cfg.get("tol", 0.10) * target)
+    report.add("characteristic W vs log((t+s)/(t-s))", w_char, target, tol * target)
     for i, w_off in enumerate(off):
         report.add(f"off-characteristic direction {i} below 25% of characteristic",
                    abs(w_off), 0.0, 0.25 * w_char)
-    if cfg.get("out"):
+    if out:
         rows = [("characteristic", y_char[0], y_char[1], w_char)]
         rows += [(f"off-{i}", *tuple(int(a) for a in np.floor(u * gap)), w)
                  for i, (u, w) in enumerate(zip(dirs, off))]
-        write_csv(cfg.get("out"), ["direction", "y1", "y2", "W"], rows)
+        write_csv(out, ["direction", "y1", "y2", "W"], rows)
     return report
 
 
-def recipe_cor3_she(cfg):
-    params = _model(cfg)
+def recipe_cor3_she(C=0.5, D=1.5, t=4.0, s=2.0, deltas=(1e-1, 1e-2, 1e-3), tol=0.01,
+                    out=None):
+    params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     x, y = (1.0, 0.0), (0.0, 0.0)
-    t = cfg.get("t", 4.0)
-    s = cfg.get("s", 2.0)
-    deltas = cfg.get("deltas") or (1e-1, 1e-2, 1e-3)
     she = corr.she_covariance(x, y, t, s)
     rels = []
     rows = []
@@ -346,29 +312,27 @@ def recipe_cor3_she(cfg):
     for i in range(1, len(rels)):
         report.add(f"relative error decreasing at delta={deltas[i]:g}",
                    rels[i], 0.0, rels[i - 1], passed=rels[i] < rels[i - 1])
-    report.add("final relative error", rels[-1], 0.0, cfg.get("tol", 0.01))
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["delta", "scaled", "she", "rel_err"], rows)
+    report.add("final relative error", rels[-1], 0.0, tol)
+    if out:
+        write_csv(out, ["delta", "scaled", "she", "rel_err"], rows)
     return report
 
 
-def recipe_gff_variance(cfg):
-    params = _model(cfg)
+def recipe_gff_variance(C=0.5, D=1.5, delta=1 / 16, m=256, m2=None, tol=0.05, out=None):
+    params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
-    delta = cfg.get("delta", 1 / 16)
-    m = cfg.get("m", 256)
-    m2 = cfg.get("m2", m // 2)
+    m2 = m // 2 if m2 is None else m2
     phi = corr.two_bump_test_function(delta, m)
     g = corr.gff_smoothed_variance(phi, delta, m, m2, params, spectral)
     report = ComparisonReport("gff-variance")
     report.add("lattice vs continuum variance", g.lattice, g.continuum,
-               cfg.get("tol", 0.05) * abs(g.continuum))
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["lattice", "continuum"], [(g.lattice, g.continuum)])
+               tol * abs(g.continuum))
+    if out:
+        write_csv(out, ["lattice", "continuum"], [(g.lattice, g.continuum)])
     return report
 
 
-def recipe_qpoch_asymptotics(cfg):
+def recipe_qpoch_asymptotics(tol=1e-2, out=None):
     b, x1, x2 = 1.0, 0.0, 10.0
     epss = (1e-2, 1e-3, 1e-4)
     errs = []
@@ -385,9 +349,9 @@ def recipe_qpoch_asymptotics(cfg):
     for i in range(1, len(errs)):
         report.add(f"error decreasing at eps={epss[i]:g}", errs[i], 0.0, errs[i - 1],
                    passed=errs[i] < errs[i - 1])
-    report.add("final error below threshold", errs[-1], 0.0, cfg.get("tol", 1e-2))
-    if cfg.get("out"):
-        write_csv(cfg.get("out"), ["eps", "exact_diff", "asymptotic_diff", "error"], rows)
+    report.add("final error below threshold", errs[-1], 0.0, tol)
+    if out:
+        write_csv(out, ["eps", "exact_diff", "asymptotic_diff", "error"], rows)
     return report
 
 
@@ -401,23 +365,47 @@ _RECIPES = {
     "gff-variance": recipe_gff_variance,
     "qpoch-asymptotics": recipe_qpoch_asymptotics,
 }
+EXPERIMENTS = tuple(_RECIPES)
+
+
+def _recipe_keys(name):
+    """The config keys the recipe `name` takes: its keyword parameters."""
+    return inspect.signature(_RECIPES[name]).parameters.keys()
 
 
 def run_experiment(config) -> ComparisonReport:
-    """Dispatch an ExperimentConfig to its recipe; deterministic per seed."""
+    """Dispatch an ExperimentConfig to its recipe; deterministic per seed.
+    A key the recipe does not take is a ConfigError, raised before any work."""
     if config.experiment not in _RECIPES:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    return _RECIPES[config.experiment](config)
+    unused = sorted(config.values.keys() - _recipe_keys(config.experiment))
+    if unused:
+        raise ConfigError(f"experiment {config.experiment!r} does not take "
+                          f"{', '.join(map(repr, unused))}")
+    return _RECIPES[config.experiment](**config.values)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _threads_from(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("AKPZ_THREADS")
-    return int(env) if env else 1
+def _threads(args):
+    """Worker threads: --threads, else AKPZ_THREADS, else 1."""
+    value = args.threads if args.threads is not None else os.environ.get("AKPZ_THREADS") or "1"
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {value!r}")
+    return threads
+
+
+def _run_recipe(config, threads):
+    """Run `config`, giving `threads` to a recipe that takes it unless the
+    config sets its own."""
+    if "threads" in _recipe_keys(config.experiment):
+        config.values.setdefault("threads", threads)
+    return run_experiment(config)
 
 
 def cmd_ctmc(args):
@@ -479,8 +467,8 @@ def cmd_cov(args):
     query = corr.CovarianceQuery(y=(args.y1, args.y2), t=args.t, s=args.s)
     spectral = spectral_data(drift_coeffs(params))
     if args.method == "finite":
-        if args.infinite or args.m is None:
-            raise ConfigError("--method finite requires --m/--m2 (not --infinite)")
+        if args.infinite or args.m is None or args.m2 is None:
+            raise ConfigError("--method finite requires --m and --m2 (not --infinite)")
         res = corr.covariance_finite_m(query, args.m, args.m2, params)
     elif args.method == "quad":
         res = corr.covariance_quadrature(query, params)
@@ -488,6 +476,9 @@ def cmd_cov(args):
         res = corr.covariance_heat_kernel(query, spectral, params)
     else:
         regimes = corr.corollary_regimes(query, spectral, params)
+        if not regimes:
+            raise ParameterError(f"no asymptotic regime is defined at t={args.t}, s={args.s}, "
+                                 f"y={query.y}")
         applicable = [r for r in regimes if r.applies] or regimes
         res = corr.CovarianceResult(y=query.y, t=query.t, s=query.s,
                                     method=f"asymptotic:{applicable[0].label}",
@@ -500,14 +491,9 @@ def cmd_cov(args):
 
 
 def cmd_validate(args):
-    params = ModelParams(C=args.C, D=args.D)
-    report = sde.validate_symbol_properties(params)
+    report = sde.validate_symbol_properties(ModelParams(C=args.C, D=args.D))
     print("\n".join(report.lines()))
-    u_fd, rel = sde.grad_v_check(params)
-    ok_grad = bool(rel.max() < 1e-6)
-    print(f"{'PASS' if ok_grad else 'FAIL'}  speed_gradient_matches_U           "
-          f"worst={rel.max():.3e}  tol=1.0e-06")
-    return 0 if report.ok and ok_grad else 1
+    return 0 if report.ok else 1
 
 
 def cmd_oracle_stationarity(args):
@@ -518,14 +504,41 @@ def cmd_oracle_stationarity(args):
 
 
 def cmd_she_check(args):
-    values = {"C": args.C, "D": args.D, "out": args.out}
+    extra = {}
     if args.delta_list:
-        if sorted(args.delta_list, reverse=True) != args.delta_list:
-            raise ConfigError("--delta-list must be strictly decreasing")
-        values["deltas"] = tuple(args.delta_list)
-    report = recipe_cor3_she(ExperimentConfig("cor3-she", values))
+        d = args.delta_list
+        if min(d) <= 0 or any(a <= b for a, b in zip(d, d[1:])):
+            raise ConfigError("--delta-list must be positive and strictly decreasing")
+        extra["deltas"] = tuple(d)
+    report = recipe_cor3_she(C=args.C, D=args.D, out=args.out, **extra)
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
+
+
+def _read_phi(path, m):
+    """Test function from 'p1 p2 value' rows with centred labels in [-m/2, m/2)."""
+    phi = np.zeros((m, m))
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.partition("#")[0].split()
+            if not fields:
+                continue
+            try:
+                p1, p2, val = map(float, fields)
+                ok = p1.is_integer() and p2.is_integer() and math.isfinite(val)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"{path} line {lineno}: expected 'p1 p2 value' with integer "
+                                  f"labels, got {raw.strip()!r}")
+            i1, i2 = int(p1) + m // 2, int(p2) + m // 2
+            if not (0 <= i1 < m and 0 <= i2 < m):
+                raise ConfigError(f"{path} line {lineno}: label ({int(p1)}, {int(p2)}) "
+                                  f"outside [-m/2, m/2) for m={m}")
+            phi[i1, i2] = val
+    if not phi.any():
+        raise ConfigError(f"{path}: no nonzero value")
+    return phi
 
 
 def cmd_gff(args):
@@ -535,10 +548,7 @@ def cmd_gff(args):
     spectral = spectral_data(drift_coeffs(params))
     m2 = args.m2 if args.m2 is not None else args.m // 2
     if args.phi:
-        data = np.loadtxt(args.phi)
-        phi = np.zeros((args.m, args.m))
-        for p1, p2, val in data.reshape(-1, 3):
-            phi[int(p1) + args.m // 2, int(p2) + args.m // 2] = val
+        phi = _read_phi(args.phi, args.m)
     else:
         phi = corr.two_bump_test_function(args.delta, args.m)
     g = corr.gff_smoothed_variance(phi, args.delta, args.m, m2, params, spectral)
@@ -553,33 +563,21 @@ def cmd_gff(args):
 
 
 def cmd_run(args):
+    threads = _threads(args)
     with open(args.config) as fh:
         text = fh.read()
-    config = parse_config(text)
-    if args.threads:
-        config.values.setdefault("threads", args.threads)
-    report = run_experiment(config)
+    report = _run_recipe(parse_config(text), threads)
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
 
 
 def cmd_all(args):
-    threads = _threads_from(args)
-    failures = 0
-
-    params = ModelParams(C=0.5, D=1.5)
-    prop = sde.validate_symbol_properties(params)
+    threads = _threads(args)
+    prop = sde.validate_symbol_properties(ModelParams(C=0.5, D=1.5))
     print("\n".join(prop.lines()))
-    failures += 0 if prop.ok else 1
-    _, rel = sde.grad_v_check(params)
-    ok_grad = bool(rel.max() < 1e-6)
-    print(f"{'PASS' if ok_grad else 'FAIL'}  speed_gradient_matches_U           "
-          f"worst={rel.max():.3e}  tol=1.0e-06")
-    failures += 0 if ok_grad else 1
-
+    failures = 0 if prop.ok else 1
     for name in EXPERIMENTS:
-        cfg = ExperimentConfig(name, {"threads": threads})
-        report = run_experiment(cfg)
+        report = _run_recipe(ExperimentConfig(name), threads)
         print("\n".join(report.lines()))
         failures += 0 if report.passed else 1
     print(f"\n{'ALL PASS' if failures == 0 else f'{failures} experiment(s) FAILED'}")

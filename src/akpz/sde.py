@@ -22,15 +22,10 @@ from .lattice import canonicalize
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Limit parameters C < D (B = D - C), optionally tied to a microscopic
-    origin (epsilon, ell, m, m2)."""
+    """Limit parameters C < D (B = D - C)."""
 
     C: float
     D: float
-    epsilon: float = None
-    ell: float = None
-    m: int = None
-    m2: int = None
 
     def __post_init__(self):
         if not 0 < self.C < self.D:
@@ -50,8 +45,7 @@ class ModelParams:
             raise ParameterError("torus carries no scaling parameters")
         D = torus.ell / torus.m1
         C = D * torus.m2 / torus.m1
-        return cls(C=C, D=D, epsilon=torus.epsilon, ell=torus.ell,
-                   m=torus.m1, m2=torus.m2)
+        return cls(C=C, D=D)
 
 
 def speed(params) -> float:
@@ -245,8 +239,9 @@ def validate_symbol_properties(params, grid=512, k_samples=10000, seed=0) -> Pro
     """Numerical check of the structural properties of the drift symbol:
     zero mean, strict negativity of the symmetrization away from k = 0,
     negative definite Hessian with the stated determinant and speed ratio,
-    the normalization of V, the stationary-point discriminant, and exact
-    proportionality of the Gibbs symbol to symbol_R/(2v)."""
+    the normalization of V, the stationary-point discriminant, exact
+    proportionality of the Gibbs symbol to symbol_R/(2v), and the gradient
+    of the speed in its slopes matching U."""
     coeffs = drift_coeffs(params)
     v = params.v
     checks = []
@@ -283,6 +278,9 @@ def validate_symbol_properties(params, grid=512, k_samples=10000, seed=0) -> Pro
     ks = rng.uniform(-np.pi, np.pi, size=(k_samples, 2))
     gibbs_gap = np.abs(symbol_Q(ks, params) - symbol_R(ks, coeffs) / (2 * v))
     add("gibbs_symbol_is_R_over_2v", float(gibbs_gap.max()), 1e-12)
+
+    _, rel = grad_v_check(params)
+    add("speed_gradient_matches_U", float(rel.max()), 1e-6)
 
     return PropertyReport(tuple(checks))
 
@@ -346,8 +344,7 @@ class SdeState:
         return cls(xi=xi, t=t)
 
 
-def euler_maruyama(initial, params, dt, T, seed, m2=None, record_every=None,
-                   noise=True):
+def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None, noise=True):
     """Explicit Euler-Maruyama trajectory of the linear SDE system.
 
     xi(t+dt) = xi(t) + A xi(t) dt + sqrt(v dt) * standard normals.  The step
@@ -355,9 +352,6 @@ def euler_maruyama(initial, params, dt, T, seed, m2=None, record_every=None,
     Returns the list of recorded SdeStates (always including the final one),
     from the one-replica case of euler_maruyama_ensemble.
     """
-    m2 = m2 if m2 is not None else params.m2
-    if m2 is None:
-        raise ParameterError("quotient twist m2 is required (set it or use params.m2)")
     if T < 0:
         raise ParameterError(f"T must be >= 0, got {T}")
     if record_every is not None and record_every < 0:

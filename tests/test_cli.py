@@ -1,3 +1,4 @@
+import functools
 import inspect
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import akpz
 from akpz import cli, errors
+from akpz import correlations as corr
 from akpz.cli import (ComparisonReport, ConfigError, ExperimentConfig, main,
                       parse_config, run_experiment)
 from akpz.lattice import TorusParams
@@ -214,6 +216,7 @@ def test_python_dash_m_akpz_runs_the_cli():
 
 _TORUS = ["--L", "6", "--N", "3", "--m1", "2", "--m2", "1"]
 _SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.01"]
+_COV = ["cov", "--C", "0.5", "--D", "1.5", "--y1", "0", "--y2", "0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,10 +231,15 @@ _SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.0
     [*_SDE, "--T", "0.1", "--observe-every", "-1"],
     ["gff", "--delta", "0", "--m", "64"],
     ["gff", "--delta", "-0.1", "--m", "64"],
+    [*_COV, "--t", "5", "--s", "5", "--method", "finite", "--m", "8"],
+    [*_COV, "--t", "0", "--s", "0", "--method", "asymptotic"],
+    ["she-check", "--delta-list", "0.1", "-0.01"],
+    ["she-check", "--delta-list", "0.1", "0.1"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
-        "gff-zero-delta", "gff-negative-delta"])
+        "gff-zero-delta", "gff-negative-delta", "cov-finite-without-m2",
+        "cov-no-asymptotic-regime", "she-negative-delta", "she-equal-deltas"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     if argv[0] != "oracle-stationarity":
@@ -242,6 +250,141 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0 1\n1000 0 -1\n", "line 3"), ("0 0 1\n-40 0 -1\n", "line 3"),
+    ("0 0 1\n0 0 F\n", "line 3"), ("0 0 1\n0 0\n", "line 3"),
+    ("0 0 1\n0.5 0 1\n", "line 3"), ("0 0 0\n", "no nonzero value"),
+], ids=["label-above-range", "label-below-range", "value-not-numeric", "two-fields",
+        "label-not-integer", "all-zero"])
+def test_cli_gff_phi_bad_file_exit_2_without_traceback(text, message, tmp_path, capsys):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("# p1 p2 value\n" + text)
+    out = tmp_path / "out.csv"
+    assert main(["gff", "--m", "64", "--delta", "0.125", "--phi", str(phi),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_cli_gff_phi_file_matches_the_built_in_test_function(tmp_path, capsys):
+    m, delta = 64, 0.125
+    grid = corr.two_bump_test_function(delta, m)
+    phi = tmp_path / "phi.txt"
+    phi.write_text("".join(f"{p1 - m // 2} {p2 - m // 2} {float(grid[p1, p2])!r}\n"
+                           for p1, p2 in zip(*grid.nonzero())))
+    args = ["gff", "--m", str(m), "--delta", str(delta), "--tol", "0.5"]
+    assert main(args) == 0
+    built_in = capsys.readouterr().out
+    assert main(args + ["--phi", str(phi)]) == 0
+    assert capsys.readouterr().out == built_in
+
+
+def _stub_recipe(monkeypatch, name):
+    """Replace a recipe by one with the same signature that records its calls."""
+    recipe = cli._RECIPES[name]
+    calls = []
+
+    @functools.wraps(recipe)
+    def record(**values):
+        calls.append(values)
+        return ComparisonReport(name)
+
+    monkeypatch.setitem(cli._RECIPES, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("experiment, line, message", [
+    ("drift-check", "C = 0.5", "does not take 'C'"),
+    ("qpoch-asymptotics", "eps = 0.5", "does not take 'eps'"),
+    ("cor1-log-growth", "replicas = 3", "does not take 'replicas'"),
+    ("stationarity-oracle", "seed = 1", "does not take 'seed'"),
+    ("qpoch-asymptotics", "T = 5", "unknown key 'T'"),
+    ("qpoch-asymptotics", "grid = 7", "unknown key 'grid'"),
+    ("qpoch-asymptotics", "ell = 2", "unknown key 'ell'"),
+])
+def test_cli_run_rejects_keys_the_recipe_does_not_take(experiment, line, message, tmp_path,
+                                                       monkeypatch, capsys):
+    calls = _stub_recipe(monkeypatch, experiment)
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"experiment = {experiment}\n{line}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert calls == []
+
+
+def test_every_config_key_is_a_recipe_parameter():
+    taken = set().union(*(cli._recipe_keys(name) for name in cli.EXPERIMENTS))
+    assert set(cli._SCHEMA) - {"experiment"} <= taken
+
+
+def test_readme_config_block_passes_the_key_check(monkeypatch):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().split("### Experiment config files")[1].split("```")[1]
+    config = parse_config(text)
+    calls = _stub_recipe(monkeypatch, config.experiment)
+    run_experiment(config)
+    assert calls == [config.values]
+
+
+def test_readme_lists_the_config_keys_of_each_recipe():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = {}
+    for row in readme.splitlines():
+        cells = row.split("|")
+        if len(cells) == 4 and cells[1].strip(" `") in cli.EXPERIMENTS:
+            listed[cells[1].strip(" `")] = set(cells[2].split("(")[0].strip(" `").split())
+    assert listed == {name: set(cli._recipe_keys(name)) & set(cli._SCHEMA) - {"out"}
+                      for name in cli.EXPERIMENTS}
+
+
+def test_cli_threads_flag_with_a_recipe_without_threads(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("experiment = qpoch-asymptotics\n")
+    assert main(["--threads", "2", "run", str(cfg)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_run_thread_count_precedence(tmp_path, monkeypatch, capsys):
+    # --threads wins over AKPZ_THREADS, and a threads key in the file wins over both
+    seen = []
+    real = cli.thread_map
+
+    def spy(fn, items, threads):
+        seen.append(threads)
+        return real(fn, items, threads)
+
+    monkeypatch.setattr(cli, "thread_map", spy)
+    monkeypatch.setenv("AKPZ_THREADS", "2")
+    base = "experiment = drift-check\nreplicas = 2\n"
+    plain, pinned = tmp_path / "plain.cfg", tmp_path / "pinned.cfg"
+    plain.write_text(base)
+    pinned.write_text(base + "threads = 1\n")
+    for argv in (["run", str(plain)], ["--threads", "3", "run", str(plain)],
+                 ["--threads", "3", "run", str(pinned)]):
+        assert main(argv) in (0, 1)
+    assert seen == [2, 3, 1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("command", ["run", "all"])
+def test_cli_bad_akpz_threads_exit_2_before_any_recipe(command, value, tmp_path, monkeypatch,
+                                                       capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a recipe ran")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.setattr(cli.sde, "validate_symbol_properties", fail)
+    monkeypatch.setenv("AKPZ_THREADS", value)
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("experiment = qpoch-asymptotics\n")
+    assert main([command] + ([str(cfg)] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: threads must be an integer >= 1, got {value!r}\n"
 
 
 @pytest.mark.parametrize("cls", [c for _, c in inspect.getmembers(errors, inspect.isclass)
