@@ -5,9 +5,9 @@ Subcommands:
     akpz sde                 Euler-Maruyama trajectories to CSV
     akpz cov                 covariance queries (finite / quad / kernel / asymptotic)
     akpz validate            structural property report for the drift symbol
-    akpz oracle-stationarity brute-force stationarity residual
-    akpz she-check           scaling limit toward the additive heat equation
-    akpz gff                 smoothed-field variance, lattice vs continuum
+    akpz oracle-stationarity recipe stationarity-oracle, its keys as flags
+    akpz she-check           recipe cor3-she (additive heat equation limit), its keys as flags
+    akpz gff                 recipe gff-variance (lattice vs continuum), its keys as flags
     akpz run                 run a recipe described by a config file
     akpz all                 run the full verification suite
 
@@ -57,28 +57,10 @@ def thread_map(fn, items, threads):
 
 # ---------------------------------------------------------------------------
 # experiment configuration files
-
-_SCHEMA = {
-    "experiment": str,
-    "C": float,
-    "D": float,
-    "q": float,
-    "eps": float,
-    "L": int,
-    "N": int,
-    "m1": int,
-    "m": int,
-    "m2": int,
-    "dt": float,
-    "t": float,
-    "s": float,
-    "replicas": int,
-    "seed": int,
-    "delta": float,
-    "tol": float,
-    "threads": int,
-    "out": str,
-}
+#
+# A config key is a keyword parameter of some recipe, and its annotation is
+# its type (`_SCHEMA`, built below the recipes); a `tuple` value is a list of
+# space-separated floats.
 
 _RANGES = {
     "C": lambda v: v > 0,
@@ -88,6 +70,7 @@ _RANGES = {
     "dt": lambda v: v > 0,
     "replicas": lambda v: v >= 1,
     "delta": lambda v: v > 0,
+    "delta_list": lambda v: len(v) > 0 and min(v) > 0 and all(a > b for a, b in zip(v, v[1:])),
     "tol": lambda v: v > 0,
     "threads": lambda v: v >= 1,
 }
@@ -99,6 +82,20 @@ class ExperimentConfig:
 
     def get(self, key, default=None):
         return self.values.get(key, default)
+
+
+def _parse_value(key, text):
+    """The value of `key` written as `text`, checked against its type and range."""
+    typ = _SCHEMA[key]
+    try:
+        value = tuple(map(float, text.split())) if typ is tuple else typ(text)
+    except ValueError as err:
+        raise ConfigError(f"bad {typ.__name__} value {text!r} for {key!r}") from err
+    if typ is int and not text.lstrip("+-").isdigit():
+        raise ConfigError(f"key {key!r} requires an integer, got {text!r}")
+    if key in _RANGES and not _RANGES[key](value):
+        raise ConfigError(f"value {value} out of range for {key!r}")
+    return value
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -117,16 +114,10 @@ def parse_config(text) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        typ = _SCHEMA[key]
         try:
-            parsed = typ(val) if typ is not str else val
-        except ValueError as err:
-            raise ConfigError(f"line {lineno}: bad {typ.__name__} value {val!r} for {key!r}") from err
-        if typ is int and not val.lstrip("+-").isdigit():
-            raise ConfigError(f"line {lineno}: key {key!r} requires an integer, got {val!r}")
-        if key in _RANGES and not _RANGES[key](parsed):
-            raise ConfigError(f"line {lineno}: value {parsed} out of range for {key!r}")
-        values[key] = parsed
+            values[key] = _parse_value(key, val)
+        except ConfigError as err:
+            raise ConfigError(f"line {lineno}: {err}") from err
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     name = values.pop("experiment")
@@ -178,7 +169,8 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 # recipes
 
-def recipe_stationarity_oracle(L=4, N=3, m1=2, m2=1, q=None, tol=1e-10, out=None):
+def recipe_stationarity_oracle(L: int = 4, N: int = 3, m1: int = 2, m2: int = 1,
+                               q: float = None, tol: float = 1e-10, out: str = None):
     torus = TorusParams(L=L, N=N, m1=m1, m2=m2)
     report = ComparisonReport("stationarity-oracle")
     qs = [q] if q is not None else [0.0, 0.3, 0.7]
@@ -192,8 +184,9 @@ def recipe_stationarity_oracle(L=4, N=3, m1=2, m2=1, q=None, tol=1e-10, out=None
     return report
 
 
-def recipe_drift_check(eps=0.01, m=4, m2=2, D=1.0, replicas=200, seed=0, threads=1,
-                       tol=0.02, out=None):
+def recipe_drift_check(eps: float = 0.01, m: int = 4, m2: int = 2, D: float = 1.0,
+                       replicas: int = 200, seed: int = 0, threads: int = 1,
+                       tol: float = 0.02, out: str = None):
     torus = TorusParams.from_scaling(epsilon=eps, ell=D * m, m=m, m2=m2)
     params = ModelParams.from_torus(torus)
     start = crystalline(torus)
@@ -215,8 +208,9 @@ def recipe_drift_check(eps=0.01, m=4, m2=2, D=1.0, replicas=200, seed=0, threads
     return report
 
 
-def recipe_sde_vs_exact(C=0.75, D=1.5, m=4, m2=2, dt=1e-3, t=2.0, replicas=10000, seed=123,
-                        threads=1, out=None):
+def recipe_sde_vs_exact(C: float = 0.75, D: float = 1.5, m: int = 4, m2: int = 2,
+                        dt: float = 1e-3, t: float = 2.0, replicas: int = 10000,
+                        seed: int = 123, threads: int = 1, out: str = None):
     params = ModelParams(C=C, D=D)
     nsteps = round(t / dt)
     chunks = 8
@@ -246,7 +240,8 @@ def recipe_sde_vs_exact(C=0.75, D=1.5, m=4, m2=2, dt=1e-3, t=2.0, replicas=10000
     return report
 
 
-def recipe_cor1_log_growth(C=0.5, D=1.5, tol=0.05, out=None):
+def recipe_cor1_log_growth(C: float = 0.5, D: float = 1.5, tol: float = 0.05,
+                           out: str = None):
     params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     ts = (50.0, 100.0, 200.0, 400.0, 800.0)
@@ -261,8 +256,9 @@ def recipe_cor1_log_growth(C=0.5, D=1.5, tol=0.05, out=None):
     return report
 
 
-def recipe_cor2_characteristic(C=0.5, D=1.5, t=400.0, s=300.0, seed=11, threads=1, tol=0.10,
-                               out=None):
+def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
+                               s: float = 300.0, seed: int = 11, threads: int = 1,
+                               tol: float = 0.10, out: str = None):
     params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     gap = t - s
@@ -295,22 +291,23 @@ def recipe_cor2_characteristic(C=0.5, D=1.5, t=400.0, s=300.0, seed=11, threads=
     return report
 
 
-def recipe_cor3_she(C=0.5, D=1.5, t=4.0, s=2.0, deltas=(1e-1, 1e-2, 1e-3), tol=0.01,
-                    out=None):
+def recipe_cor3_she(C: float = 0.5, D: float = 1.5, t: float = 4.0, s: float = 2.0,
+                    delta_list: tuple = (1e-1, 1e-2, 1e-3), tol: float = 0.01,
+                    out: str = None):
     params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     x, y = (1.0, 0.0), (0.0, 0.0)
     she = corr.she_covariance(x, y, t, s)
     rels = []
     rows = []
-    for d in deltas:
+    for d in delta_list:
         val = corr.she_scaled_lattice_covariance(x, y, t, s, d, spectral, params)
         rel = abs(val - she) / she
         rels.append(rel)
         rows.append((d, val, she, rel))
     report = ComparisonReport("cor3-she")
     for i in range(1, len(rels)):
-        report.add(f"relative error decreasing at delta={deltas[i]:g}",
+        report.add(f"relative error decreasing at delta={delta_list[i]:g}",
                    rels[i], 0.0, rels[i - 1], passed=rels[i] < rels[i - 1])
     report.add("final relative error", rels[-1], 0.0, tol)
     if out:
@@ -318,21 +315,53 @@ def recipe_cor3_she(C=0.5, D=1.5, t=4.0, s=2.0, deltas=(1e-1, 1e-2, 1e-3), tol=0
     return report
 
 
-def recipe_gff_variance(C=0.5, D=1.5, delta=1 / 16, m=256, m2=None, tol=0.05, out=None):
+def _rel_gap(row):
+    return abs(row.difference) / abs(row.value_b)
+
+
+def _read_phi(path, m):
+    """Test function from 'p1 p2 value' rows with centred labels in [-m/2, m/2)."""
+    phi = np.zeros((m, m))
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.partition("#")[0].split()
+            if not fields:
+                continue
+            try:
+                p1, p2, val = map(float, fields)
+                ok = p1.is_integer() and p2.is_integer() and math.isfinite(val)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"{path} line {lineno}: expected 'p1 p2 value' with integer "
+                                  f"labels, got {raw.strip()!r}")
+            i1, i2 = int(p1) + m // 2, int(p2) + m // 2
+            if not (0 <= i1 < m and 0 <= i2 < m):
+                raise ConfigError(f"{path} line {lineno}: label ({int(p1)}, {int(p2)}) "
+                                  f"outside [-m/2, m/2) for m={m}")
+            phi[i1, i2] = val
+    if not phi.any():
+        raise ConfigError(f"{path}: no nonzero value")
+    return phi
+
+
+def recipe_gff_variance(C: float = 0.5, D: float = 1.5, delta: float = 1 / 16, m: int = 256,
+                        m2: int = None, phi: str = None, tol: float = 0.05, out: str = None):
     params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     m2 = m // 2 if m2 is None else m2
-    phi = corr.two_bump_test_function(delta, m)
-    g = corr.gff_smoothed_variance(phi, delta, m, m2, params, spectral)
+    grid = _read_phi(phi, m) if phi else corr.two_bump_test_function(delta, m)
+    g = corr.gff_smoothed_variance(grid, delta, m, m2, params, spectral)
     report = ComparisonReport("gff-variance")
     report.add("lattice vs continuum variance", g.lattice, g.continuum,
                tol * abs(g.continuum))
     if out:
-        write_csv(out, ["lattice", "continuum"], [(g.lattice, g.continuum)])
+        write_csv(out, ["lattice", "continuum", "rel_gap"],
+                  [(g.lattice, g.continuum, _rel_gap(report.rows[0]))])
     return report
 
 
-def recipe_qpoch_asymptotics(tol=1e-2, out=None):
+def recipe_qpoch_asymptotics(tol: float = 1e-2, out: str = None):
     b, x1, x2 = 1.0, 0.0, 10.0
     epss = (1e-2, 1e-3, 1e-4)
     errs = []
@@ -371,6 +400,10 @@ EXPERIMENTS = tuple(_RECIPES)
 def _recipe_keys(name):
     """The config keys the recipe `name` takes: its keyword parameters."""
     return inspect.signature(_RECIPES[name]).parameters.keys()
+
+
+_SCHEMA = {"experiment": str, **{key: param.annotation for recipe in _RECIPES.values()
+                                 for key, param in inspect.signature(recipe).parameters.items()}}
 
 
 def run_experiment(config) -> ComparisonReport:
@@ -476,10 +509,11 @@ def cmd_cov(args):
         res = corr.covariance_heat_kernel(query, spectral, params)
     else:
         regimes = corr.corollary_regimes(query, spectral, params)
-        if not regimes:
-            raise ParameterError(f"no asymptotic regime is defined at t={args.t}, s={args.s}, "
-                                 f"y={query.y}")
-        applicable = [r for r in regimes if r.applies] or regimes
+        applicable = [r for r in regimes if r.applies]
+        if not applicable:
+            raise ParameterError(f"no asymptotic regime applies at t={args.t}, s={args.s}, "
+                                 f"y={query.y} (evaluated: "
+                                 f"{', '.join(r.label for r in regimes) or 'none'})")
         res = corr.CovarianceResult(y=query.y, t=query.t, s=query.s,
                                     method=f"asymptotic:{applicable[0].label}",
                                     value=applicable[0].value, err_est=float("nan"))
@@ -496,70 +530,33 @@ def cmd_validate(args):
     return 0 if report.ok else 1
 
 
-def cmd_oracle_stationarity(args):
-    torus = TorusParams(L=args.L, N=args.N, m1=args.m1, m2=args.m2)
-    res = ctmc.check_stationarity(torus, args.q)
-    print(f"stationarity residual: {_fmt(res)}")
-    return 0 if res < args.tol else 1
+def _gff_lines(report):
+    row = report.rows[0]
+    return [f"lattice variance:   {_fmt(row.value_a)}",
+            f"continuum variance: {_fmt(row.value_b)}",
+            f"relative gap:       {_fmt(_rel_gap(row))}"]
 
 
-def cmd_she_check(args):
-    extra = {}
-    if args.delta_list:
-        d = args.delta_list
-        if min(d) <= 0 or any(a <= b for a, b in zip(d, d[1:])):
-            raise ConfigError("--delta-list must be positive and strictly decreasing")
-        extra["deltas"] = tuple(d)
-    report = recipe_cor3_she(C=args.C, D=args.D, out=args.out, **extra)
-    print("\n".join(report.lines()))
+# Subcommands that run one recipe with its keys as flags: (recipe, lines it prints).
+_ALIASES = {
+    "oracle-stationarity": ("stationarity-oracle", lambda report: [
+        f"stationarity residual: {_fmt(r.value_a)}" for r in report.rows]),
+    "she-check": ("cor3-she", ComparisonReport.lines),
+    "gff": ("gff-variance", _gff_lines),
+}
+
+
+def _alias_keys(name):
+    return [key for key in _recipe_keys(name) if key != "threads"]
+
+
+def cmd_alias(args):
+    name, lines = _ALIASES[args.command]
+    values = {key: _parse_value(key, " ".join(text) if isinstance(text, list) else text)
+              for key, text in vars(args).items() if key in _alias_keys(name)}
+    report = _run_recipe(ExperimentConfig(name, values), _threads(args))
+    print("\n".join(lines(report)))
     return 0 if report.passed else 1
-
-
-def _read_phi(path, m):
-    """Test function from 'p1 p2 value' rows with centred labels in [-m/2, m/2)."""
-    phi = np.zeros((m, m))
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.partition("#")[0].split()
-            if not fields:
-                continue
-            try:
-                p1, p2, val = map(float, fields)
-                ok = p1.is_integer() and p2.is_integer() and math.isfinite(val)
-            except ValueError:
-                ok = False
-            if not ok:
-                raise ConfigError(f"{path} line {lineno}: expected 'p1 p2 value' with integer "
-                                  f"labels, got {raw.strip()!r}")
-            i1, i2 = int(p1) + m // 2, int(p2) + m // 2
-            if not (0 <= i1 < m and 0 <= i2 < m):
-                raise ConfigError(f"{path} line {lineno}: label ({int(p1)}, {int(p2)}) "
-                                  f"outside [-m/2, m/2) for m={m}")
-            phi[i1, i2] = val
-    if not phi.any():
-        raise ConfigError(f"{path}: no nonzero value")
-    return phi
-
-
-def cmd_gff(args):
-    if args.delta <= 0:
-        raise ParameterError(f"--delta must be positive, got {args.delta}")
-    params = ModelParams(C=args.C, D=args.D)
-    spectral = spectral_data(drift_coeffs(params))
-    m2 = args.m2 if args.m2 is not None else args.m // 2
-    if args.phi:
-        phi = _read_phi(args.phi, args.m)
-    else:
-        phi = corr.two_bump_test_function(args.delta, args.m)
-    g = corr.gff_smoothed_variance(phi, args.delta, args.m, m2, params, spectral)
-    rel = abs(g.lattice - g.continuum) / abs(g.continuum)
-    print(f"lattice variance:   {_fmt(g.lattice)}")
-    print(f"continuum variance: {_fmt(g.continuum)}")
-    print(f"relative gap:       {_fmt(rel)}")
-    if args.out:
-        write_csv(args.out, ["lattice", "continuum", "rel_gap"],
-                  [(g.lattice, g.continuum, rel)])
-    return 0 if rel < args.tol else 1
 
 
 def cmd_run(args):
@@ -642,34 +639,12 @@ def build_parser():
     p.add_argument("--D", type=float, required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("oracle-stationarity", help="brute-force stationarity residual")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_oracle_stationarity)
-
-    p = sub.add_parser("she-check", help="scaling limit toward the heat equation")
-    p.add_argument("--C", type=float, default=0.5)
-    p.add_argument("--D", type=float, default=1.5)
-    p.add_argument("--delta-list", type=float, nargs="+", default=None,
-                   help="decreasing scale parameters (default: 0.1 0.01 0.001)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_she_check)
-
-    p = sub.add_parser("gff", help="smoothed-field variance, lattice vs continuum")
-    p.add_argument("--C", type=float, default=0.5)
-    p.add_argument("--D", type=float, default=1.5)
-    p.add_argument("--delta", type=float, default=1 / 16)
-    p.add_argument("--m", type=int, default=256)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--phi", default=None,
-                   help="optional grid file with 'p1 p2 value' rows (centered labels)")
-    p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gff)
+    for alias, (name, _) in _ALIASES.items():
+        p = sub.add_parser(alias, help=f"run recipe {name}, its keys as flags")
+        for key in _alias_keys(name):
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=argparse.SUPPRESS,
+                           nargs="+" if _SCHEMA[key] is tuple else None)
+        p.set_defaults(func=cmd_alias)
 
     p = sub.add_parser("run", help="run a recipe from a config file")
     p.add_argument("config")

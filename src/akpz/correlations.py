@@ -394,12 +394,13 @@ def gff_smoothed_variance(phi, delta, m, m2, params, spectral=None) -> GffVarian
     return GffVariance(lattice=lattice, continuum=continuum)
 
 
-def two_bump_test_function(delta, m, separation=2.0, radius=1.25, amplitude=1.0):
-    """Mean-zero smooth test function: a compactly supported bump minus a
-    translate of itself, sampled on the centered m x m grid with spacing
-    delta.  The translate is an exact grid shift, so the samples sum to zero
+def two_bump_test_function(delta, m):
+    """Mean-zero smooth test function: a bump of radius 1.25 minus its
+    translate by about 2 along the first axis, sampled on the centered m x m
+    grid with spacing delta.  The translate is an exact grid shift, so the samples sum to zero
     identically."""
-    shift = max(1, int(round(separation / delta)))
+    radius = 1.25
+    shift = max(1, int(round(2.0 / delta)))
     p = (np.arange(m) - m // 2) * delta
     X1, X2 = np.meshgrid(p, p, indexing="ij")
 
@@ -408,7 +409,7 @@ def two_bump_test_function(delta, m, separation=2.0, radius=1.25, amplitude=1.0)
         out = np.zeros_like(rr)
         inside = rr < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - rr[inside]))
-        return amplitude * out
+        return out
 
     base = bump(X1, X2)
     phi = base - np.roll(base, shift, axis=0)

@@ -235,7 +235,7 @@ class PropertyReport:
         return out
 
 
-def validate_symbol_properties(params, grid=512, k_samples=10000, seed=0) -> PropertyReport:
+def validate_symbol_properties(params) -> PropertyReport:
     """Numerical check of the structural properties of the drift symbol:
     zero mean, strict negativity of the symmetrization away from k = 0,
     negative definite Hessian with the stated determinant and speed ratio,
@@ -251,6 +251,7 @@ def validate_symbol_properties(params, grid=512, k_samples=10000, seed=0) -> Pro
 
     add("symbol_A_vanishes_at_zero", abs(symbol_A(np.zeros(2), coeffs)), 1e-14)
 
+    grid = 512
     ax = -np.pi + 2 * np.pi * np.arange(grid) / grid
     kk = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
     rvals = symbol_R(kk, coeffs)
@@ -274,8 +275,7 @@ def validate_symbol_properties(params, grid=512, k_samples=10000, seed=0) -> Pro
 
     add("stationary_point_discriminant", appendix_delta(params), -1e-15)
 
-    rng = np.random.default_rng(seed)
-    ks = rng.uniform(-np.pi, np.pi, size=(k_samples, 2))
+    ks = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(10000, 2))
     gibbs_gap = np.abs(symbol_Q(ks, params) - symbol_R(ks, coeffs) / (2 * v))
     add("gibbs_symbol_is_R_over_2v", float(gibbs_gap.max()), 1e-12)
 
@@ -285,13 +285,12 @@ def validate_symbol_properties(params, grid=512, k_samples=10000, seed=0) -> Pro
     return PropertyReport(tuple(checks))
 
 
-def grad_v_check(params, step=1e-5):
+def grad_v_check(params):
     """Central finite differences of the speed in its two slope arguments at
     (D, C), compared against the characteristic direction U.  Returns
     (U_fd, rel_err) with componentwise relative errors."""
-    coeffs = drift_coeffs(params)
-    U = np.array([coeffs.d1 + coeffs.d2, -(coeffs.d2 + coeffs.d3)])
-    g1, g2 = params.D, params.C
+    U = spectral_data(drift_coeffs(params)).U
+    g1, g2, step = params.D, params.C, 1e-5
     fd1 = (speed_from_slopes(g1 + step, g2) - speed_from_slopes(g1 - step, g2)) / (2 * step)
     fd2 = (speed_from_slopes(g1, g2 + step) - speed_from_slopes(g1, g2 - step)) / (2 * step)
     u_fd = np.array([fd1, fd2])

@@ -1,6 +1,8 @@
+import argparse
 import functools
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -133,7 +135,7 @@ def test_cli_oracle_stationarity(capsys):
     rc = main(["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2",
                "--m2", "1", "--q", "0.7"])
     assert rc == 0
-    assert "residual" in capsys.readouterr().out
+    assert capsys.readouterr().out.count("stationarity residual:") == 1
 
 
 def test_cli_cov_methods(tmp_path, capsys):
@@ -217,6 +219,8 @@ def test_python_dash_m_akpz_runs_the_cli():
 _TORUS = ["--L", "6", "--N", "3", "--m1", "2", "--m2", "1"]
 _SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.01"]
 _COV = ["cov", "--C", "0.5", "--D", "1.5", "--y1", "0", "--y2", "0"]
+_ASYMPTOTIC = ["cov", "--C", "0.5", "--D", "1.5", "--y2", "0", "--method", "asymptotic"]
+_ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -224,7 +228,7 @@ _COV = ["cov", "--C", "0.5", "--D", "1.5", "--y1", "0", "--y2", "0"]
     ["ctmc", *_TORUS, "--q", "-0.5", "--T", "1", "--crystalline"],
     ["ctmc", "--L", "4", "--N", "3", "--m1", "3", "--m2", "2", "--q", "0.5", "--T", "1"],
     ["ctmc", "--L", "6", "--N", "5", "--m1", "2", "--m2", "1", "--q", "0.5", "--T", "1"],
-    ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "1", "--q", "1.2"],
+    [*_ORACLE, "--q", "1.2"],
     [*_SDE, "--T", "-1"],
     [*_SDE, "--T", "0.1", "--replicas", "0"],
     ["ctmc", *_TORUS, "--q", "0.5", "--T", "1", "--crystalline", "--observe-every", "-1"],
@@ -235,16 +239,21 @@ _COV = ["cov", "--C", "0.5", "--D", "1.5", "--y1", "0", "--y2", "0"]
     [*_COV, "--t", "0", "--s", "0", "--method", "asymptotic"],
     ["she-check", "--delta-list", "0.1", "-0.01"],
     ["she-check", "--delta-list", "0.1", "0.1"],
+    [*_ASYMPTOTIC, "--t", "5", "--s", "5", "--y1", "100"],
+    [*_ASYMPTOTIC, "--t", "0", "--s", "0", "--y1", "1"],
+    ["gff", "--m", "1.5"],
+    ["gff", "--tol", "-1"],
+    [*_ORACLE, "--q", "0.7", "--tol", "0"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
         "gff-zero-delta", "gff-negative-delta", "cov-finite-without-m2",
-        "cov-no-asymptotic-regime", "she-negative-delta", "she-equal-deltas"])
+        "cov-no-asymptotic-regime", "she-negative-delta", "she-equal-deltas",
+        "cov-asymptotic-far-off-origin", "cov-asymptotic-spatial-out-of-window",
+        "gff-non-integer-m", "gff-negative-tol", "oracle-zero-tol"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    if argv[0] != "oracle-stationarity":
-        argv = argv + ["--out", str(out)]
-    assert main(argv) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
@@ -280,6 +289,59 @@ def test_cli_gff_phi_file_matches_the_built_in_test_function(tmp_path, capsys):
     built_in = capsys.readouterr().out
     assert main(args + ["--phi", str(phi)]) == 0
     assert capsys.readouterr().out == built_in
+
+
+def _run_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(["run", str(cfg)])
+
+
+def test_she_check_and_run_cor3_she_are_one_path(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    rc = main(["she-check", "--delta-list", "0.2", "0.05", "--out", str(a)])
+    alias_out = capsys.readouterr().out
+    config = f"experiment = cor3-she\ndelta_list = 0.2 0.05\nout = {b}\n"
+    assert _run_config(tmp_path, config) == rc
+    assert capsys.readouterr().out == alias_out
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_gff_and_run_gff_variance_write_the_same_csv(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["gff", "--m", "64", "--delta", "0.125", "--tol", "0.5", "--out", str(a)]) == 0
+    assert _run_config(tmp_path, "experiment = gff-variance\nm = 64\ndelta = 0.125\n"
+                                 f"tol = 0.5\nout = {b}\n") == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().splitlines()[0] == "lattice,continuum,rel_gap"
+    capsys.readouterr()
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_alias_flags_are_the_recipe_keys():
+    parent_flags = {"oracle-stationarity": {"--L", "--N", "--m1", "--m2", "--q", "--tol"},
+                    "she-check": {"--C", "--D", "--delta-list", "--out"},
+                    "gff": {"--C", "--D", "--delta", "--m", "--m2", "--phi", "--tol", "--out"}}
+    subcommands = _subcommands()
+    for alias, (name, _) in cli._ALIASES.items():
+        flags = {f for a in subcommands[alias]._actions for f in a.option_strings}
+        keys = set(cli._recipe_keys(name)) - {"threads"}
+        assert flags - {"-h", "--help"} == {f"--{key.replace('_', '-')}" for key in keys}
+        assert parent_flags[alias] <= flags
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1].replace("\\\n", " ")
+    commands = [line for line in block.splitlines() if line.startswith("akpz ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def _stub_recipe(monkeypatch, name):
@@ -319,6 +381,11 @@ def test_cli_run_rejects_keys_the_recipe_does_not_take(experiment, line, message
 def test_every_config_key_is_a_recipe_parameter():
     taken = set().union(*(cli._recipe_keys(name) for name in cli.EXPERIMENTS))
     assert set(cli._SCHEMA) - {"experiment"} <= taken
+    # each key has one type, the annotation it carries in every recipe that takes it
+    for name in cli.EXPERIMENTS:
+        for key, param in inspect.signature(cli._RECIPES[name]).parameters.items():
+            assert param.annotation in (int, float, str, tuple), (name, key)
+            assert cli._SCHEMA[key] is param.annotation, (name, key)
 
 
 def test_readme_config_block_passes_the_key_check(monkeypatch):
