@@ -48,30 +48,21 @@ def jump_rate(config, p, q: float) -> float:
     return _rate(neighbor_distances(config, p), q)
 
 
-@dataclass(frozen=True)
-class RateTable:
-    rates: dict
-    total: float
-
-
-def rate_table(config, q) -> RateTable:
-    rates = {p: jump_rate(config, p, q) for p in config.torus.labels()}
-    return RateTable(rates=rates, total=sum(rates.values()))
-
-
 def push_set(config, p):
     """Labels moved together with p: follow up-edges while the up-gap f is
     zero, stopping at the first positive gap or on loop closure."""
-    torus = config.torus
-    cur = torus.canonical(p)
-    members = [cur]
-    seen = {cur}
-    while neighbor_distances(config, cur).f == 0:
-        cur = torus.canonical((cur[0], cur[1] + 1))
-        if cur in seen:
+    return _push_set(config.torus, config.positions, config.torus.canonical(p))
+
+
+def _push_set(torus, positions, p):
+    """push_set of the canonical label p."""
+    members = [p]
+    cur = p
+    while _gaps(torus, positions, cur).f == 0:
+        cur = torus.neighbors[cur].up
+        if cur == p:
             break
         members.append(cur)
-        seen.add(cur)
     return frozenset(members)
 
 
@@ -101,7 +92,16 @@ class Trajectory:
     final: ParticleConfig = None
 
 
-_TOUCH = ((0, 0), (-1, 1), (0, 1), (1, 0))  # labels whose rate reads a moved position
+def _observation_times(T, every):
+    """0, every, 2*every, ... (by repeated addition) up to T, then T itself
+    unless the last of them lies within 1e-12 of it; every = 0 gives 0 and T."""
+    t = 0.0
+    yield t
+    while every and t + every <= T + 1e-12:
+        t += every
+        yield t
+    if t < T - 1e-12:
+        yield T
 
 
 def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> Trajectory:
@@ -109,17 +109,18 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     rate, trigger chosen proportionally to individual rates, cascades applied
     atomically.  Deterministic for a given seed.
 
-    observe_every records position snapshots on a regular time grid
-    (including t = 0 and t = T).  debug_validate revalidates the state and
-    the incremental rate table after every event.
+    observe_every records position snapshots on a regular time grid that
+    always holds t = 0 and t = T (only these two when observe_every = 0).
+    debug_validate rechecks the state and the incremental rates after each event.
     """
     _check_q(q)
-    if T < 0:
-        raise ParameterError("T must be >= 0")
-    if observe_every is not None and observe_every < 0:
-        raise ParameterError(f"observe_every must be >= 0, got {observe_every}")
+    if not 0 <= T < math.inf:
+        raise ParameterError(f"T must be finite and >= 0, got {T}")
+    if observe_every is not None and not 0 <= observe_every < math.inf:
+        raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
     labels = torus.labels()
+    neighbors = torus.neighbors
     positions = dict(config.positions)
     rates = {p: _rate(_gaps(torus, positions, p), q) for p in labels}
     total = sum(rates.values())
@@ -127,7 +128,8 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     traj = Trajectory(torus=torus, q=q, T=T, seed=seed,
                       displacement={p: 0 for p in labels})
 
-    next_obs = 0.0 if observe_every else None
+    grid = _observation_times(T, observe_every) if observe_every is not None else iter(())
+    next_obs = next(grid, None)
     t = 0.0
     events_since_resync = 0
     while True:
@@ -135,9 +137,7 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         t_next = t + wait
         while next_obs is not None and next_obs <= min(t_next, T) + 1e-12:
             traj.samples.append((next_obs, dict(positions)))
-            next_obs += observe_every
-            if next_obs > T + 1e-12:
-                next_obs = None
+            next_obs = next(grid, None)
         if t_next > T:
             break
         t = t_next
@@ -153,15 +153,15 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         if trigger is None:  # rounding at the top of the cumulative sum
             trigger = max(labels, key=lambda p: rates[p])
 
-        cfg = ParticleConfig(torus, positions)
-        moved = push_set(cfg, trigger)
+        moved = _push_set(torus, positions, trigger)
         for r in moved:
             positions[r] = (positions[r] + 1) % torus.L
             traj.displacement[r] += 1
         traj.events.append(JumpRecord(time=t, trigger=trigger, pushed=tuple(sorted(moved))))
 
-        touched = {torus.canonical((r[0] + dp[0], r[1] + dp[1]))
-                   for r in moved for dp in _TOUCH}
+        # r and its up-left, up and right neighbours: the labels whose rate reads r
+        touched = {s for r in moved
+                   for s in (r, neighbors[r].up_left, neighbors[r].up, neighbors[r].right)}
         for p in touched:
             old = rates[p]
             rates[p] = _rate(_gaps(torus, positions, p), q)
@@ -175,8 +175,7 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
             report = validate(ParticleConfig(torus, positions))
             if not report.ok:
                 raise ConfigError(f"invalid state after event at t={t}: {report.failures}")
-            fresh = {p: _rate(_gaps(torus, positions, p), q) for p in labels}
-            drift = max(abs(fresh[p] - rates[p]) for p in labels)
+            drift = max(abs(_rate(_gaps(torus, positions, p), q) - rates[p]) for p in labels)
             if drift > 1e-12:
                 raise ConfigError(f"incremental rate table drifted by {drift}")
 

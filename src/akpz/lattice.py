@@ -13,6 +13,7 @@ modulo L, subject to the interlacing constraints between adjacent rows.
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +30,22 @@ def canonicalize(p, m, m2, n=None):
     p1, p2 = p
     j = p2 // n
     return ((p1 + j * m2) % m, p2 - j * n)
+
+
+Neighbors = namedtuple("Neighbors", "right left below_right below up_left up")
+
+# Offsets of the six nearest neighbours that the gaps of a particle read.
+STENCIL = Neighbors(right=(1, 0), left=(-1, 0), below_right=(1, -1), below=(0, -1),
+                    up_left=(-1, 1), up=(0, 1))
+
+
+@lru_cache(maxsize=64)
+def neighbor_index(m1, N, m2, dp):
+    """Index arrays (I1, I2) of shape (m1, N) with (I1[p], I2[p]) the
+    canonical label of p + dp, respecting the twisted vertical wrap."""
+    pairs = [[canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N) for p2 in range(N)]
+             for p1 in range(m1)]
+    return tuple(np.array(pairs, dtype=int).reshape(m1, N, 2).transpose(2, 0, 1).copy())
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,14 @@ class TorusParams:
     def labels(self):
         return [(j, i) for i in range(self.N) for j in range(self.m1)]
 
+    @cached_property
+    def neighbors(self):
+        """Map from each canonical label to the canonical labels of its
+        STENCIL neighbours, built once per torus."""
+        tables = [neighbor_index(self.m1, self.N, self.m2, dp) for dp in STENCIL]
+        return {p: Neighbors(*((int(i1[p]), int(i2[p])) for i1, i2 in tables))
+                for p in self.labels()}
+
     @property
     def ideal_spacing_row(self):
         """Ideal same-row spacing L/m1 (the average of D_p + 1)."""
@@ -97,16 +122,11 @@ class ParticleConfig:
     torus: TorusParams
     positions: dict
 
-    def x(self, p):
-        return self.positions[self.torus.canonical(p)]
-
-    def shifted(self, labels, step=1):
-        """New configuration with the given labels moved right by step."""
-        L = self.torus.L
+    def shifted(self, labels):
+        """New configuration with the given labels moved right by one."""
         new = dict(self.positions)
-        for p in labels:
-            cp = self.torus.canonical(p)
-            new[cp] = (new[cp] + step) % L
+        for p in map(self.torus.canonical, labels):
+            new[p] = (new[p] + 1) % self.torus.L
         return ParticleConfig(self.torus, new)
 
     def occupancy(self):
@@ -118,23 +138,17 @@ Gaps = namedtuple("Gaps", "a b c d e f")
 
 
 def _gaps(torus, positions, p):
+    """Gaps around the canonical label p, without the interlacing check."""
     L = torus.L
-    can = torus.canonical
-    x = positions[can(p)]
-    p1, p2 = p
-    xr = positions[can((p1 + 1, p2))]
-    xl = positions[can((p1 - 1, p2))]
-    xb_r = positions[can((p1 + 1, p2 - 1))]
-    xb = positions[can((p1, p2 - 1))]
-    xu_l = positions[can((p1 - 1, p2 + 1))]
-    xu = positions[can((p1, p2 + 1))]
+    n = torus.neighbors[p]
+    x = positions[p]
     return Gaps(
-        a=(xr - x - 1) % L,
-        b=(xb_r - x - 1) % L,
-        c=(x - xb) % L,
-        d=(x - xl - 1) % L,
-        e=(x - xu_l - 1) % L,
-        f=(xu - x) % L,
+        a=(positions[n.right] - x - 1) % L,
+        b=(positions[n.below_right] - x - 1) % L,
+        c=(x - positions[n.below]) % L,
+        d=(x - positions[n.left] - 1) % L,
+        e=(x - positions[n.up_left] - 1) % L,
+        f=(positions[n.up] - x) % L,
     )
 
 
@@ -145,9 +159,10 @@ def neighbor_distances(config, p):
     b, c locate the two interlacing partners in the row below, and
     e, f the two partners in the row above.
     """
+    p = config.torus.canonical(p)
     g = _gaps(config.torus, config.positions, p)
     if g.b > g.a or g.f > g.a or g.c > g.d or g.e > g.d:
-        raise ConfigError(f"interlacing violated at label {config.torus.canonical(p)}")
+        raise ConfigError(f"interlacing violated at label {p}")
     return g
 
 

@@ -12,12 +12,11 @@ where A has the four-point stencil coded in DriftCoeffs and v is the speed.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ModelError, ParameterError
-from .lattice import canonicalize
+from .lattice import canonicalize, neighbor_index
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,8 @@ class ModelParams:
     D: float
 
     def __post_init__(self):
-        if not 0 < self.C < self.D:
-            raise ParameterError(f"need 0 < C < D, got C={self.C}, D={self.D}")
+        if not 0 < self.C < self.D < math.inf:
+            raise ParameterError(f"need 0 < C < D < inf, got C={self.C}, D={self.D}")
 
     @property
     def B(self):
@@ -298,24 +297,11 @@ def grad_v_check(params):
     return u_fd, rel
 
 
-@lru_cache(maxsize=64)
-def _shift_index(m, m2, dp):
-    """Index arrays (I1, I2) with xi[..., I1, I2][p] = xi at canonical(p + dp)."""
-    i1 = np.empty((m, m), dtype=int)
-    i2 = np.empty((m, m), dtype=int)
-    for p1 in range(m):
-        for p2 in range(m):
-            q1, q2 = canonicalize((p1 + dp[0], p2 + dp[1]), m, m2)
-            i1[p1, p2] = q1
-            i2[p1, p2] = q2
-    return i1, i2
-
-
 def shift_field(xi, dp, m2):
     """Field of values xi[canonical(p + dp)], respecting the twisted vertical
     wrap of the quotient labels."""
     m = xi.shape[-1]
-    i1, i2 = _shift_index(m, m2, tuple(dp))
+    i1, i2 = neighbor_index(m, m, m2, tuple(dp))
     return xi[..., i1, i2]
 
 
@@ -351,10 +337,10 @@ def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None, noise=Tr
     Returns the list of recorded SdeStates (always including the final one),
     from the one-replica case of euler_maruyama_ensemble.
     """
-    if T < 0:
-        raise ParameterError(f"T must be >= 0, got {T}")
-    if record_every is not None and record_every < 0:
-        raise ParameterError(f"record_every must be >= 0, got {record_every}")
+    if not 0 <= T < math.inf:
+        raise ParameterError(f"T must be finite and >= 0, got {T}")
+    if record_every is not None and not 0 <= record_every < math.inf:
+        raise ParameterError(f"record_every must be finite and >= 0, got {record_every}")
     # dt <= 0 is rejected by the ensemble; only the step counts need dt > 0 here
     nsteps = int(round(T / dt)) if dt > 0 else 0
     stride = max(1, int(round(record_every / dt))) if record_every and dt > 0 else max(nsteps, 1)
@@ -373,8 +359,8 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     in [0, nsteps] (arrays are copies).  Deterministic for given
     (seed, replicas).
     """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt must be finite and positive, got {dt}")
     want = set(snapshot_steps)
     if nsteps < 0 or not want or min(want) < 0 or max(want) > nsteps:
         raise ParameterError(f"snapshot steps must lie in [0, {nsteps}], got {snapshot_steps}")

@@ -170,6 +170,16 @@ def test_cli_ctmc_csv_deterministic(tmp_path):
     assert header == "time,p1,p2,x_p"
 
 
+def test_cli_ctmc_zero_horizon_writes_the_start_snapshot(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["ctmc", "--L", "6", "--N", "3", "--m1", "2", "--m2", "1", "--q", "0.5",
+                 "--T", "0", "--crystalline", "--out", str(out)]) == 0
+    assert "wrote 6 rows" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert lines[0] == "time,p1,p2,x_p"
+    assert len(lines) == 7 and {ln.split(",")[0] for ln in lines[1:]} == {"0"}
+
+
 def test_cli_sde_csv_deterministic(tmp_path):
     base = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2",
             "--dt", "0.01", "--T", "0.1", "--replicas", "2", "--seed", "3"]
@@ -244,16 +254,24 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
     ["gff", "--m", "1.5"],
     ["gff", "--tol", "-1"],
     [*_ORACLE, "--q", "0.7", "--tol", "0"],
+    ["ctmc", *_TORUS, "--q", "0.5", "--T", "nan", "--crystalline"],
+    ["ctmc", *_TORUS, "--q", "0.5", "--T", "inf", "--crystalline"],
+    ["ctmc", *_TORUS, "--q", "0.5", "--T", "1", "--crystalline", "--observe-every", "nan"],
+    ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "nan", "--T", "0.1"],
+    [*_SDE, "--T", "nan"],
+    ["validate", "--C", "0.5", "--D", "inf"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
         "gff-zero-delta", "gff-negative-delta", "cov-finite-without-m2",
         "cov-no-asymptotic-regime", "she-negative-delta", "she-equal-deltas",
         "cov-asymptotic-far-off-origin", "cov-asymptotic-spatial-out-of-window",
-        "gff-non-integer-m", "gff-negative-tol", "oracle-zero-tol"])
+        "gff-non-integer-m", "gff-negative-tol", "oracle-zero-tol", "ctmc-nan-T",
+        "ctmc-inf-T", "ctmc-nan-observe-every", "sde-nan-dt", "sde-nan-T", "validate-inf-D"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 2
+    # validate writes no file, so it takes no --out
+    assert main(argv + ([] if argv[0] == "validate" else ["--out", str(out)])) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()

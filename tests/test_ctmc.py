@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from akpz.ctmc import (DomainError, apply_jump, build_generator, check_stationarity,
                        gaussian_log_weight, jump_rate, log_q_pochhammer,
-                       log_stationary_weight, push_set, rate_table, simulate,
+                       log_stationary_weight, push_set, simulate,
                        stationary_distribution)
-from akpz.lattice import (ConfigError, ParticleConfig, TorusParams, crystalline,
-                          enumerate_configs, neighbor_distances, sector, validate)
+from akpz.lattice import (ConfigError, ParameterError, ParticleConfig, TorusParams,
+                          crystalline, enumerate_configs, neighbor_distances, sector,
+                          validate)
 from akpz.sde import ModelParams
 
 TORUS = TorusParams(L=4, N=3, m1=2, m2=1)
@@ -273,6 +275,19 @@ def test_simulate_no_events_at_zero_horizon():
     assert traj.final.positions == configs()[0].positions
 
 
+@pytest.mark.parametrize("T, every", [(math.nan, None), (math.inf, None), (-1.0, None),
+                                      (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
+def test_simulate_rejects_bad_horizon_and_grid(T, every):
+    with pytest.raises(ParameterError):
+        simulate(configs()[0], 0.5, T, seed=0, observe_every=every)
+
+
+def test_simulate_zero_horizon_grid_holds_the_start():
+    for every in (0.0, 1.0):
+        traj = simulate(configs()[0], 0.5, 0.0, seed=3, observe_every=every)
+        assert traj.samples == [(0.0, configs()[0].positions)]
+
+
 def test_simulate_event_times_increasing_and_states_valid():
     traj = simulate(configs()[0], 0.5, 30.0, seed=4, debug_validate=True)
     times = [ev.time for ev in traj.events]
@@ -291,6 +306,12 @@ def test_simulate_observation_grid():
     traj = simulate(configs()[0], 0.5, 10.0, seed=5, observe_every=2.5)
     times = [t for t, _ in traj.samples]
     assert times == [0.0, 2.5, 5.0, 7.5, 10.0]
+    # a horizon off the grid still ends the grid at T
+    traj = simulate(configs()[0], 0.5, 1.0, seed=5, observe_every=0.3)
+    times = [t for t, _ in traj.samples]
+    assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
+    assert times[-1] == 1.0
+    assert traj.samples[-1][1] == traj.final.positions
 
 
 def test_uniform_occupation_at_q_zero():
@@ -398,9 +419,44 @@ def test_exact_weight_differences_approach_gaussian_form():
 
 
 def test_incremental_rate_table_consistent_with_recomputation():
-    # debug mode checks the incremental table against a fresh rate_table
-    # after every event and raises on drift
-    traj = simulate(configs()[0], 0.7, 25.0, seed=8, debug_validate=True)
+    # debug mode checks the incremental table against fresh rates after
+    # every event and raises on drift; replaying the recorded triggers with
+    # apply_jump, the jump the generator uses, gives the same pushes and
+    # the same final state as the simulator's in-place updates
+    start = configs()[0]
+    traj = simulate(start, 0.7, 25.0, seed=8, debug_validate=True)
     assert traj.events
-    fresh = rate_table(traj.final, 0.7)
-    assert fresh.total >= 0
+    cfg = start
+    for e in traj.events:
+        assert push_set(cfg, e.trigger) == set(e.pushed)
+        cfg = apply_jump(cfg, e.trigger)
+    assert cfg.positions == traj.final.positions
+
+
+CASCADE_TORUS = TorusParams(L=32, N=8, m1=8, m2=2)
+
+
+def test_simulate_debug_validate_on_long_cascades():
+    # the touched set after an event is derived from the neighbour table;
+    # on this torus pushes move up to 4 particles, unlike the 4x3 torus
+    traj = simulate(crystalline(CASCADE_TORUS), 0.7, 5.0, seed=1, debug_validate=True)
+    assert max(len(e.pushed) for e in traj.events) >= 3
+    assert validate(traj.final).ok
+
+
+def _stream_digest(traj):
+    events = [(e.time.hex(), e.trigger, e.pushed) for e in traj.events]
+    return hashlib.sha256(repr(events).encode()).hexdigest()
+
+
+def test_simulate_stream_is_pinned():
+    # event times, triggers and pushes of two seeded runs, recorded with
+    # numpy 2.4.6; an engine that keeps the RNG stream of simulate must
+    # reproduce them bit for bit
+    cascade = simulate(crystalline(CASCADE_TORUS), 0.7, 5.0, seed=1)
+    assert _stream_digest(cascade) == (
+        "41f139c171570fac31c44478b5080dc4eaa262c8d7493b810e93cfdb20834010")
+    drift = TorusParams.from_scaling(epsilon=0.01, ell=4.0, m=4, m2=2)
+    traj = simulate(crystalline(drift), math.exp(-0.01), 100.0, seed=0)
+    assert _stream_digest(traj) == (
+        "0f2a99c31ade8ac8eb578469b11336328a08ec84c86b0109d46b2b146071b395")

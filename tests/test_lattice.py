@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akpz.lattice import (ParameterError, ParticleConfig,
+from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
                           StateSpaceError, TorusParams, canonicalize,
                           config_from_text, config_to_text, crystalline,
                           enumerate_configs, fourier_modes, neighbor_distances,
-                          sector, validate)
+                          neighbor_index, sector, validate)
 
 
 def orbit(p, m, m2, n, span=3):
@@ -55,6 +55,19 @@ def test_canonicalize_partitions_box_into_m_squared_classes(m, data):
     classes = {canonicalize((a, b), m, m2)
                for a in range(-m, 2 * m) for b in range(-m, 2 * m)}
     assert len(classes) == m * m
+
+
+@pytest.mark.parametrize("m1, N, m2", [(2, 3, 1), (3, 4, 1), (4, 8, 2)])
+def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
+    torus = TorusParams(L=4 * m1, N=N, m1=m1, m2=m2)
+    for name, dp in STENCIL._asdict().items():
+        i1, i2 = neighbor_index(m1, N, m2, dp)
+        assert i1.shape == i2.shape == (m1, N)
+        for p1 in range(m1):
+            for p2 in range(N):
+                want = canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N)
+                assert (i1[p1, p2], i2[p1, p2]) == want
+                assert getattr(torus.neighbors[(p1, p2)], name) == want
 
 
 def test_torus_params_ranges():

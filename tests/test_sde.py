@@ -45,6 +45,9 @@ def test_model_params_domain():
         ModelParams(C=0.0, D=1.0)
     with pytest.raises(ParameterError):
         ModelParams(C=1.5, D=1.0)
+    for C, D in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ParameterError):
+            ModelParams(C=C, D=D)
 
 
 def test_drift_row_sums_vanish():
@@ -212,6 +215,20 @@ def test_euler_maruyama_stability_guard():
     with pytest.raises(ParameterError):
         euler_maruyama_ensemble(initial.xi, params, 2, 1e-3, -10, seed=0,
                                 snapshot_steps=[-10], replicas=1)
+
+
+@pytest.mark.parametrize("dt, T, record_every", [
+    (math.nan, 1.0, None), (math.inf, 1.0, None), (1e-3, math.nan, None),
+    (1e-3, math.inf, None), (1e-3, 1.0, math.nan), (1e-3, 1.0, math.inf)])
+def test_euler_maruyama_rejects_non_finite(dt, T, record_every):
+    params = ModelParams(C=0.5, D=1.5)
+    initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
+    with pytest.raises(ParameterError):
+        euler_maruyama(initial, params, dt=dt, T=T, seed=0, m2=2, record_every=record_every)
+    if math.isnan(dt):
+        with pytest.raises(ParameterError):
+            euler_maruyama_ensemble(initial.xi, params, 2, dt, 10, seed=0,
+                                    snapshot_steps=[10], replicas=1)
 
 
 def test_euler_maruyama_is_the_one_replica_ensemble():
