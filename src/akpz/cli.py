@@ -60,7 +60,7 @@ def thread_map(fn, items, threads):
 #
 # A config key is a keyword parameter of some recipe, and its annotation is
 # its type (`_SCHEMA`, built below the recipes); a `tuple` value is a list of
-# space-separated floats.
+# space-separated floats.  Flag values go through the same `_parse_value`.
 
 _RANGES = {
     "C": lambda v: v > 0,
@@ -73,6 +73,8 @@ _RANGES = {
     "delta_list": lambda v: len(v) > 0 and min(v) > 0 and all(a > b for a, b in zip(v, v[1:])),
     "tol": lambda v: v > 0,
     "threads": lambda v: v >= 1,
+    "seed": lambda v: v >= 0,
+    "method": lambda v: v in ("finite", "quad", "kernel", "asymptotic"),
 }
 
 @dataclass
@@ -84,9 +86,8 @@ class ExperimentConfig:
         return self.values.get(key, default)
 
 
-def _parse_value(key, text):
+def _parse_value(key, typ, text):
     """The value of `key` written as `text`, checked against its type and range."""
-    typ = _SCHEMA[key]
     try:
         value = tuple(map(float, text.split())) if typ is tuple else typ(text)
     except ValueError as err:
@@ -115,7 +116,7 @@ def parse_config(text) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _parse_value(key, val)
+            values[key] = _parse_value(key, _SCHEMA[key], val)
         except ConfigError as err:
             raise ConfigError(f"line {lineno}: {err}") from err
     if "experiment" not in values:
@@ -212,7 +213,7 @@ def recipe_sde_vs_exact(C: float = 0.75, D: float = 1.5, m: int = 4, m2: int = 2
                         dt: float = 1e-3, t: float = 2.0, replicas: int = 10000,
                         seed: int = 123, threads: int = 1, out: str = None):
     params = ModelParams(C=C, D=D)
-    nsteps = round(t / dt)
+    nsteps = sde.step_count(t, dt, "t")
     chunks = 8
     sizes = [replicas // chunks + (1 if i < replicas % chunks else 0) for i in range(chunks)]
     seeds = np.random.SeedSequence(seed).spawn(chunks)
@@ -441,93 +442,106 @@ def _run_recipe(config, threads):
     return run_experiment(config)
 
 
-def cmd_ctmc(args):
-    if args.start:
-        with open(args.start) as fh:
-            start = lattice.config_from_text(fh.read())
-        report = lattice.validate(start)
+def cmd_ctmc(*, L: int = None, N: int = None, m1: int = None, m2: int = None, q: float,
+             T: float, seed: int = 0, observe_every: float = None, crystalline: bool = False,
+             start: str = None, dump_final: str = None, out: str):
+    """Simulate the particle system and write its trajectory to CSV.
+
+    It starts on the torus --L/--N/--m1/--m2 from the first enumerated (or
+    with --crystalline the crystalline) configuration, or from a --start file
+    ('L N m1 m2' header, 'p1 p2 x' rows); --dump-final writes the final
+    configuration in the same text format."""
+    if start:
+        with open(start) as fh:
+            initial = lattice.config_from_text(fh.read())
+        report = lattice.validate(initial)
         if not report.ok:
             raise ConfigError(f"start configuration invalid: {report.failures}")
-        torus = start.torus
     else:
-        if None in (args.L, args.N, args.m1, args.m2):
+        if None in (L, N, m1, m2):
             raise ConfigError("either --start or all of --L/--N/--m1/--m2 are required")
-        torus = TorusParams(L=args.L, N=args.N, m1=args.m1, m2=args.m2)
-        if args.crystalline:
-            start = crystalline(torus)
+        torus = TorusParams(L=L, N=N, m1=m1, m2=m2)
+        if crystalline:
+            initial = lattice.crystalline(torus)
         else:
             states = lattice.enumerate_configs(torus)
             if not states:
                 raise ParameterError(f"no configuration with m1={torus.m1}, m2={torus.m2} "
                                      f"on the {torus.L}x{torus.N} torus")
-            start = states[0]
-    observe = args.observe_every if args.observe_every else args.T
-    traj = ctmc.simulate(start, args.q, args.T, seed=args.seed, observe_every=observe)
-    rows = []
-    for t_obs, positions in traj.samples:
-        for (p1, p2), x in sorted(positions.items()):
-            rows.append((t_obs, p1, p2, x))
-    write_csv(args.out, ["time", "p1", "p2", "x_p"], rows)
-    if args.dump_final:
-        with open(args.dump_final, "w", newline="\n") as fh:
+            initial = states[0]
+    traj = ctmc.simulate(initial, q, T, seed=seed, observe_every=observe_every or T)
+    rows = [(t_obs, p1, p2, x) for t_obs, positions in traj.samples
+            for (p1, p2), x in sorted(positions.items())]
+    write_csv(out, ["time", "p1", "p2", "x_p"], rows)
+    if dump_final:
+        with open(dump_final, "w", newline="\n") as fh:
             fh.write(lattice.config_to_text(traj.final))
-    print(f"wrote {len(rows)} rows to {args.out} ({len(traj.events)} events)")
+    print(f"wrote {len(rows)} rows to {out} ({len(traj.events)} events)")
     return 0
 
 
-def cmd_sde(args):
-    if args.replicas < 1:
-        raise ParameterError(f"--replicas must be >= 1, got {args.replicas}")
-    params = ModelParams(C=args.C, D=args.D)
-    observe = args.observe_every if args.observe_every else args.T
+def cmd_sde(*, C: float, D: float, m: int, m2: int, dt: float, T: float, replicas: int = 1,
+            seed: int = 0, observe_every: float = None, out: str):
+    """Integrate the limiting SDE system and write its trajectories to CSV.
+
+    --T and --observe-every must be integer multiples of --dt."""
+    params = ModelParams(C=C, D=D)
     rows = []
-    seeds = np.random.SeedSequence(args.seed).spawn(args.replicas)
-    for rep in range(args.replicas):
-        initial = sde.SdeState(xi=np.zeros((args.m, args.m)), t=0.0)
-        states = sde.euler_maruyama(initial, params, args.dt, args.T, seeds[rep],
-                                    m2=args.m2, record_every=observe)
-        for st in states:
-            for p1 in range(args.m):
-                for p2 in range(args.m):
-                    rows.append((rep, st.t, p1, p2, st.xi[p1, p2]))
-    write_csv(args.out, ["replica", "t", "p1", "p2", "xi"], rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    seeds = np.random.SeedSequence(seed).spawn(replicas)
+    for rep in range(replicas):
+        initial = sde.SdeState(xi=np.zeros((m, m)), t=0.0)
+        states = sde.euler_maruyama(initial, params, dt, T, seeds[rep], m2=m2,
+                                    record_every=observe_every or T)
+        rows += [(rep, st.t, p1, p2, st.xi[p1, p2])
+                 for st in states for p1 in range(m) for p2 in range(m)]
+    write_csv(out, ["replica", "t", "p1", "p2", "xi"], rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
-def cmd_cov(args):
-    params = ModelParams(C=args.C, D=args.D)
-    query = corr.CovarianceQuery(y=(args.y1, args.y2), t=args.t, s=args.s)
+def cmd_cov(*, C: float, D: float, m: int = None, m2: int = None, t: float, s: float, y1: int,
+            y2: int, method: str, out: str = None):
+    """Evaluate a covariance query W_y(t,s).
+
+    --method is finite (the mode sum on the --m x --m torus, which needs --m
+    and --m2), quad, kernel or asymptotic."""
+    params = ModelParams(C=C, D=D)
+    query = corr.CovarianceQuery(y=(y1, y2), t=t, s=s)
     spectral = spectral_data(drift_coeffs(params))
-    if args.method == "finite":
-        if args.infinite or args.m is None or args.m2 is None:
-            raise ConfigError("--method finite requires --m and --m2 (not --infinite)")
-        res = corr.covariance_finite_m(query, args.m, args.m2, params)
-    elif args.method == "quad":
+    if method == "finite":
+        if m is None or m2 is None:
+            raise ConfigError("--method finite requires --m and --m2")
+        res = corr.covariance_finite_m(query, m, m2, params)
+    elif method == "quad":
         res = corr.covariance_quadrature(query, params)
-    elif args.method == "kernel":
+    elif method == "kernel":
         res = corr.covariance_heat_kernel(query, spectral, params)
     else:
         regimes = corr.corollary_regimes(query, spectral, params)
         applicable = [r for r in regimes if r.applies]
         if not applicable:
-            raise ParameterError(f"no asymptotic regime applies at t={args.t}, s={args.s}, "
+            raise ParameterError(f"no asymptotic regime applies at t={t}, s={s}, "
                                  f"y={query.y} (evaluated: "
                                  f"{', '.join(r.label for r in regimes) or 'none'})")
         res = corr.CovarianceResult(y=query.y, t=query.t, s=query.s,
                                     method=f"asymptotic:{applicable[0].label}",
                                     value=applicable[0].value, err_est=float("nan"))
     rows = [(res.t, res.s, res.y[0], res.y[1], res.method, res.value, res.err_est)]
-    if args.out:
-        write_csv(args.out, ["t", "s", "y1", "y2", "method", "value", "err_est"], rows)
+    if out:
+        write_csv(out, ["t", "s", "y1", "y2", "method", "value", "err_est"], rows)
     print(f"{res.method}: W_y(t,s) = {_fmt(res.value)} (err_est {_fmt(res.err_est)})")
     return 0
 
 
-def cmd_validate(args):
-    report = sde.validate_symbol_properties(ModelParams(C=args.C, D=args.D))
+def cmd_validate(*, C: float, D: float):
+    """Report the structural properties of the drift symbol."""
+    report = sde.validate_symbol_properties(ModelParams(C=C, D=D))
     print("\n".join(report.lines()))
     return 0 if report.ok else 1
+
+
+# Subcommands that call one function with its keyword parameters as flags.
+_COMMANDS = {"ctmc": cmd_ctmc, "sde": cmd_sde, "cov": cmd_cov, "validate": cmd_validate}
 
 
 def _gff_lines(report):
@@ -546,15 +560,19 @@ _ALIASES = {
 }
 
 
-def _alias_keys(name):
-    return [key for key in _recipe_keys(name) if key != "threads"]
+def _flag_values(args, fn):
+    """The flags of `fn` given in `args`: a switch is True, and any other value
+    is checked by `_parse_value` against the annotation of its parameter."""
+    params = inspect.signature(fn).parameters
+    return {key: text if text is True else _parse_value(
+                key, params[key].annotation, " ".join(text) if isinstance(text, list) else text)
+            for key, text in vars(args).items() if key in params and key != "threads"}
 
 
 def cmd_alias(args):
     name, lines = _ALIASES[args.command]
-    values = {key: _parse_value(key, " ".join(text) if isinstance(text, list) else text)
-              for key, text in vars(args).items() if key in _alias_keys(name)}
-    report = _run_recipe(ExperimentConfig(name, values), _threads(args))
+    report = _run_recipe(ExperimentConfig(name, _flag_values(args, _RECIPES[name])),
+                         _threads(args))
     print("\n".join(lines(report)))
     return 0 if report.passed else 1
 
@@ -581,6 +599,18 @@ def cmd_all(args):
     return 0 if failures == 0 else 1
 
 
+def _add_flags(parser, fn):
+    """One `--key` flag per parameter of `fn` but `threads`, `_` written as `-`:
+    required without a default, a switch for a bool, one or more words for a tuple."""
+    for key, param in inspect.signature(fn).parameters.items():
+        if key != "threads":
+            kind = ({"action": "store_true"} if param.annotation is bool else
+                    {"required": param.default is param.empty,
+                     "nargs": "+" if param.annotation is tuple else None})
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                                default=argparse.SUPPRESS, **kind)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="akpz", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -588,62 +618,13 @@ def build_parser():
                         help="worker threads (default: AKPZ_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ctmc", help="simulate the particle system")
-    p.add_argument("--L", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--m1", type=int)
-    p.add_argument("--m2", type=int)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--observe-every", type=float, default=None)
-    p.add_argument("--crystalline", action="store_true",
-                   help="start from the crystalline configuration (default: first enumerated)")
-    p.add_argument("--start", default=None,
-                   help="initial configuration file ('L N m1 m2' header, 'p1 p2 x' rows)")
-    p.add_argument("--dump-final", default=None,
-                   help="write the final configuration in the same text format")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ctmc)
-
-    p = sub.add_parser("sde", help="integrate the limiting SDE system")
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--observe-every", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sde)
-
-    p = sub.add_parser("cov", help="evaluate a covariance query")
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--infinite", action="store_true")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--y1", type=int, required=True)
-    p.add_argument("--y2", type=int, required=True)
-    p.add_argument("--method", choices=["finite", "quad", "kernel", "asymptotic"],
-                   required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cov)
-
-    p = sub.add_parser("validate", help="structural property report")
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--D", type=float, required=True)
-    p.set_defaults(func=cmd_validate)
-
+    for command, fn in _COMMANDS.items():
+        doc = inspect.getdoc(fn)
+        p = sub.add_parser(command, help=doc.splitlines()[0], description=doc)
+        _add_flags(p, fn)
     for alias, (name, _) in _ALIASES.items():
         p = sub.add_parser(alias, help=f"run recipe {name}, its keys as flags")
-        for key in _alias_keys(name):
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=argparse.SUPPRESS,
-                           nargs="+" if _SCHEMA[key] is tuple else None)
+        _add_flags(p, _RECIPES[name])
         p.set_defaults(func=cmd_alias)
 
     p = sub.add_parser("run", help="run a recipe from a config file")
@@ -656,9 +637,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command in _COMMANDS:
+            fn = _COMMANDS[args.command]
+            return fn(**_flag_values(args, fn))
         return args.func(args)
     except (AkpzError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

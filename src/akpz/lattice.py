@@ -43,6 +43,8 @@ STENCIL = Neighbors(right=(1, 0), left=(-1, 0), below_right=(1, -1), below=(0, -
 def neighbor_index(m1, N, m2, dp):
     """Index arrays (I1, I2) of shape (m1, N) with (I1[p], I2[p]) the
     canonical label of p + dp, respecting the twisted vertical wrap."""
+    if m1 < 2 or not 0 < m2 < N:
+        raise ParameterError(f"need m1 >= 2 and 0 < m2 < N, got m1={m1}, m2={m2}, N={N}")
     pairs = [[canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N) for p2 in range(N)]
              for p1 in range(m1)]
     return tuple(np.array(pairs, dtype=int).reshape(m1, N, 2).transpose(2, 0, 1).copy())

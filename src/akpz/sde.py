@@ -329,21 +329,30 @@ class SdeState:
         return cls(xi=xi, t=t)
 
 
+def step_count(T, dt, name="T"):
+    """The number of steps of size dt in the time T, which must be finite and
+    an integer multiple of dt within 1e-9 relative."""
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt must be finite and positive, got {dt}")
+    if not 0 <= T < math.inf:
+        raise ParameterError(f"{name} must be finite and >= 0, got {T}")
+    nsteps = int(round(T / dt))
+    if abs(nsteps * dt - T) > 1e-9 * T:
+        raise ParameterError(f"{name} = {T} is not an integer multiple of dt = {dt}")
+    return nsteps
+
+
 def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None, noise=True):
     """Explicit Euler-Maruyama trajectory of the linear SDE system.
 
     xi(t+dt) = xi(t) + A xi(t) dt + sqrt(v dt) * standard normals.  The step
     must satisfy dt * ||A||_inf < 0.1.  Deterministic for a given seed.
+    T and record_every are integer multiples of dt (see step_count).
     Returns the list of recorded SdeStates (always including the final one),
     from the one-replica case of euler_maruyama_ensemble.
     """
-    if not 0 <= T < math.inf:
-        raise ParameterError(f"T must be finite and >= 0, got {T}")
-    if record_every is not None and not 0 <= record_every < math.inf:
-        raise ParameterError(f"record_every must be finite and >= 0, got {record_every}")
-    # dt <= 0 is rejected by the ensemble; only the step counts need dt > 0 here
-    nsteps = int(round(T / dt)) if dt > 0 else 0
-    stride = max(1, int(round(record_every / dt))) if record_every and dt > 0 else max(nsteps, 1)
+    nsteps = step_count(T, dt)
+    stride = step_count(record_every, dt, "record_every") if record_every else max(nsteps, 1)
     steps = sorted({*range(0, nsteps, stride), nsteps})
     snaps = euler_maruyama_ensemble(np.asarray(initial.xi, dtype=float)[None], params, m2,
                                     dt, nsteps, seed, steps, noise=noise)

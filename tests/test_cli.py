@@ -260,6 +260,12 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
     ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "nan", "--T", "0.1"],
     [*_SDE, "--T", "nan"],
     ["validate", "--C", "0.5", "--D", "inf"],
+    ["ctmc", *_TORUS, "--q", "0.5", "--T", "1", "--crystalline", "--seed", "-1"],
+    [*_SDE, "--T", "0.1", "--seed", "-1"],
+    ["sde", "--C", "0.5", "--D", "1.5", "--m", "0", "--m2", "1", "--dt", "0.01", "--T", "0.1"],
+    [*_SDE, "--T", "0.015"],
+    [*_SDE, "--T", "0.03", "--observe-every", "0.015"],
+    [*_COV, "--t", "5", "--s", "5", "--method", "bogus"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -267,7 +273,9 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
         "cov-no-asymptotic-regime", "she-negative-delta", "she-equal-deltas",
         "cov-asymptotic-far-off-origin", "cov-asymptotic-spatial-out-of-window",
         "gff-non-integer-m", "gff-negative-tol", "oracle-zero-tol", "ctmc-nan-T",
-        "ctmc-inf-T", "ctmc-nan-observe-every", "sde-nan-dt", "sde-nan-T", "validate-inf-D"])
+        "ctmc-inf-T", "ctmc-nan-observe-every", "sde-nan-dt", "sde-nan-T", "validate-inf-D",
+        "ctmc-negative-seed", "sde-negative-seed", "sde-empty-field", "sde-T-off-dt-grid",
+        "sde-observe-every-off-dt-grid", "cov-unknown-method"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     # validate writes no file, so it takes no --out
@@ -340,16 +348,35 @@ def _subcommands():
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def test_alias_flags_are_the_recipe_keys():
+def test_subcommand_flags_are_the_function_parameters():
     parent_flags = {"oracle-stationarity": {"--L", "--N", "--m1", "--m2", "--q", "--tol"},
                     "she-check": {"--C", "--D", "--delta-list", "--out"},
-                    "gff": {"--C", "--D", "--delta", "--m", "--m2", "--phi", "--tol", "--out"}}
+                    "gff": {"--C", "--D", "--delta", "--m", "--m2", "--phi", "--tol", "--out"},
+                    "ctmc": {"--L", "--N", "--m1", "--m2", "--q", "--T", "--seed",
+                             "--observe-every", "--crystalline", "--start", "--dump-final",
+                             "--out"},
+                    "sde": {"--C", "--D", "--m", "--m2", "--dt", "--T", "--replicas", "--seed",
+                            "--observe-every", "--out"},
+                    "cov": {"--C", "--D", "--m", "--m2", "--t", "--s", "--y1", "--y2",
+                            "--method", "--out"},
+                    "validate": {"--C", "--D"}}
+    functions = {**cli._COMMANDS,
+                 **{alias: cli._RECIPES[name] for alias, (name, _) in cli._ALIASES.items()}}
+    assert functions.keys() == parent_flags.keys()
     subcommands = _subcommands()
-    for alias, (name, _) in cli._ALIASES.items():
-        flags = {f for a in subcommands[alias]._actions for f in a.option_strings}
-        keys = set(cli._recipe_keys(name)) - {"threads"}
+    for command, fn in functions.items():
+        flags = {f for a in subcommands[command]._actions for f in a.option_strings}
+        keys = set(inspect.signature(fn).parameters) - {"threads"}
         assert flags - {"-h", "--help"} == {f"--{key.replace('_', '-')}" for key in keys}
-        assert parent_flags[alias] <= flags
+        assert parent_flags[command] <= flags
+
+
+@pytest.mark.parametrize("command", [*cli._COMMANDS, *cli._ALIASES, "run", "all"])
+def test_cli_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "-h"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: akpz {command}")
 
 
 def test_readme_commands_parse():
@@ -393,6 +420,16 @@ def test_cli_run_rejects_keys_the_recipe_does_not_take(experiment, line, message
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert calls == []
+
+
+def test_cli_run_rejects_a_negative_seed_before_the_recipe(tmp_path, monkeypatch, capsys):
+    calls = _stub_recipe(monkeypatch, "drift-check")
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("experiment = drift-check\nseed = -1\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: value -1 out of range for 'seed'\n"
     assert calls == []
 
 
@@ -475,10 +512,11 @@ def test_cli_bad_akpz_threads_exit_2_before_any_recipe(command, value, tmp_path,
 @pytest.mark.parametrize("cls", [c for _, c in inspect.getmembers(errors, inspect.isclass)
                                  if issubclass(c, errors.AkpzError)])
 def test_cli_every_akpz_error_exits_2(cls, monkeypatch, capsys):
-    def fail(args):
+    @functools.wraps(cli.cmd_validate)
+    def fail(**values):
         raise cls("boom")
 
-    monkeypatch.setattr(cli, "cmd_validate", fail)
+    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
     assert main(["validate", "--C", "0.5", "--D", "1.5"]) == 2
     assert capsys.readouterr().err == "error: boom\n"
 

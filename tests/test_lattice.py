@@ -70,6 +70,13 @@ def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
                 assert getattr(torus.neighbors[(p1, p2)], name) == want
 
 
+@pytest.mark.parametrize("m1, N, m2", [(0, 0, 1), (1, 1, 1), (4, 4, 0), (4, 4, 4)])
+def test_neighbor_index_rejects_a_degenerate_quotient(m1, N, m2):
+    # an empty field must not give an empty table: (0, 0, 1) used to build one
+    with pytest.raises(ParameterError):
+        neighbor_index(m1, N, m2, (1, 0))
+
+
 def test_torus_params_ranges():
     with pytest.raises(ParameterError):
         TorusParams(L=4, N=3, m1=1, m2=1)

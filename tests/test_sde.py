@@ -6,7 +6,7 @@ import pytest
 from akpz.lattice import ParameterError, TorusParams, crystalline, fourier_modes, neighbor_distances
 from akpz.sde import (DriftCoeffs, ModelParams, ModelError, SdeState, appendix_delta,
                       drift_coeffs, euler_maruyama, euler_maruyama_ensemble,
-                      grad_v_check, shift_field, spectral_data, speed, symbol_A,
+                      grad_v_check, shift_field, spectral_data, speed, step_count, symbol_A,
                       symbol_Q, symbol_R, symbol_W, validate_symbol_properties)
 
 
@@ -229,6 +229,23 @@ def test_euler_maruyama_rejects_non_finite(dt, T, record_every):
         with pytest.raises(ParameterError):
             euler_maruyama_ensemble(initial.xi, params, 2, dt, 10, seed=0,
                                     snapshot_steps=[10], replicas=1)
+
+
+@pytest.mark.parametrize("T, record_every", [(0.015, None), (0.03, 0.015), (0.03, 0.005)])
+def test_euler_maruyama_rejects_times_off_the_step_grid(T, record_every):
+    # round(T/dt) steps would put the last snapshot at t=0.02, past T=0.015
+    params = ModelParams(C=0.5, D=1.5)
+    initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
+    with pytest.raises(ParameterError, match="integer multiple of dt"):
+        euler_maruyama(initial, params, dt=0.01, T=T, seed=0, m2=2, record_every=record_every)
+
+
+def test_step_count_takes_multiples_within_rounding():
+    assert step_count(0.37, 0.01) == 37
+    assert step_count(0.0, 0.01) == 0
+    assert step_count(2.0, 1e-3, "t") == 2000
+    with pytest.raises(ParameterError, match="t = 0.015"):
+        step_count(0.015, 0.01, "t")
 
 
 def test_euler_maruyama_is_the_one_replica_ensemble():
