@@ -486,6 +486,7 @@ def cmd_sde(*, C: float, D: float, m: int, m2: int, dt: float, T: float, replica
 
     --T and --observe-every must be integer multiples of --dt."""
     params = ModelParams(C=C, D=D)
+    sde.step_count(observe_every or 0, dt, "observe_every")
     rows = []
     seeds = np.random.SeedSequence(seed).spawn(replicas)
     for rep in range(replicas):

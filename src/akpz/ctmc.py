@@ -10,12 +10,13 @@ that checkable to rounding error on small tori.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .lattice import (ParticleConfig, _gaps, enumerate_configs, fourier_modes,
-                      neighbor_distances, validate)
+from .lattice import (ParticleConfig, enumerate_configs, fourier_modes, neighbor_distances,
+                      validate)
 from .sde import SdeState, _f, shift_field, symbol_Q
 
 
@@ -37,15 +38,30 @@ def log_q_pochhammer(q: float, n: int) -> float:
     return float(np.sum(np.log1p(-np.exp(i * math.log(q)))))
 
 
-def _rate(gaps, q):
-    if q == 0.0:
-        return 1.0 if gaps.b >= 1 else 0.0
-    return (1 - q ** gaps.b) * (1 - q ** (gaps.d + 1)) / (1 - q ** (gaps.c + 1))
+@lru_cache(maxsize=64)
+def _rate_kernel(torus, q):
+    """The one implementation of the clock rate: rate(positions, p) of the
+    canonical label p, with the powers of q from a table and the gaps b, c, d
+    read from p's below-right, below and left neighbours (unchecked)."""
+    _check_q(q)
+    L = torus.L
+    qpow = [q ** k for k in range(L + 1)]
+    reads = {p: (n.below_right, n.below, n.left) for p, n in torus.neighbors.items()}
+
+    def rate(positions, p):
+        below_right, below, left = reads[p]
+        x = positions[p]
+        return ((1 - qpow[(positions[below_right] - x - 1) % L])
+                * (1 - qpow[(x - positions[left] - 1) % L + 1])
+                / (1 - qpow[(x - positions[below]) % L + 1]))
+    return rate
 
 
 def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
-    return _rate(neighbor_distances(config, p), q)
+    p = config.torus.canonical(p)
+    neighbor_distances(config, p)  # raises on violated interlacing
+    return _rate_kernel(config.torus, q)(config.positions, p)
 
 
 def push_set(config, p):
@@ -55,11 +71,12 @@ def push_set(config, p):
 
 
 def _push_set(torus, positions, p):
-    """push_set of the canonical label p."""
+    """push_set of the canonical label p (f = 0: the up neighbour sits at x)."""
+    neighbors = torus.neighbors
     members = [p]
     cur = p
-    while _gaps(torus, positions, cur).f == 0:
-        cur = torus.neighbors[cur].up
+    while positions[neighbors[cur].up] == positions[cur]:
+        cur = neighbors[cur].up
         if cur == p:
             break
         members.append(cur)
@@ -120,9 +137,11 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
     labels = torus.labels()
-    neighbors = torus.neighbors
     positions = dict(config.positions)
-    rates = {p: _rate(_gaps(torus, positions, p), q) for p in labels}
+    rate = _rate_kernel(torus, q)
+    rates = {p: rate(positions, p) for p in labels}
+    # r and its up-left, up and right neighbours: the labels whose rate reads r
+    readers = {r: (r, n.up_left, n.up, n.right) for r, n in torus.neighbors.items()}
     total = sum(rates.values())
     rng = np.random.default_rng(seed)
     traj = Trajectory(torus=torus, q=q, T=T, seed=seed,
@@ -159,12 +178,10 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
             traj.displacement[r] += 1
         traj.events.append(JumpRecord(time=t, trigger=trigger, pushed=tuple(sorted(moved))))
 
-        # r and its up-left, up and right neighbours: the labels whose rate reads r
-        touched = {s for r in moved
-                   for s in (r, neighbors[r].up_left, neighbors[r].up, neighbors[r].right)}
+        touched = {s for r in moved for s in readers[r]}
         for p in touched:
             old = rates[p]
-            rates[p] = _rate(_gaps(torus, positions, p), q)
+            rates[p] = rate(positions, p)
             total += rates[p] - old
         events_since_resync += 1
         if events_since_resync >= 1024:
@@ -175,12 +192,16 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
             report = validate(ParticleConfig(torus, positions))
             if not report.ok:
                 raise ConfigError(f"invalid state after event at t={t}: {report.failures}")
-            drift = max(abs(_rate(_gaps(torus, positions, p), q) - rates[p]) for p in labels)
+            drift = max(abs(rate(positions, p) - rates[p]) for p in labels)
             if drift > 1e-12:
                 raise ConfigError(f"incremental rate table drifted by {drift}")
 
     traj.final = ParticleConfig(torus, positions)
     return traj
+
+
+# log_q_pochhammer(q, n) computed once per (q, n) for the Gibbs weight
+_log_qpoch = lru_cache(maxsize=4096)(log_q_pochhammer)
 
 
 def log_stationary_weight(config, q: float) -> float:
@@ -189,9 +210,7 @@ def log_stationary_weight(config, q: float) -> float:
     total = 0.0
     for p in config.torus.labels():
         g = neighbor_distances(config, p)
-        total += (log_q_pochhammer(q, g.a)
-                  - log_q_pochhammer(q, g.b)
-                  - log_q_pochhammer(q, g.c))
+        total += _log_qpoch(q, g.a) - _log_qpoch(q, g.b) - _log_qpoch(q, g.c)
     return total
 
 
@@ -214,12 +233,18 @@ def build_generator(torus, q) -> GeneratorMatrix:
     index = {cfg.occupancy(): i for i, cfg in enumerate(states)}
     n = len(states)
     Q = np.zeros((n, n))
+    rate = _rate_kernel(torus, q)
     for i, cfg in enumerate(states):
+        positions = cfg.positions
+        occupancy = cfg.occupancy()
         for p in torus.labels():
-            r = jump_rate(cfg, p, q)
+            r = rate(positions, p)
             if r <= 0:
                 continue
-            j = index[apply_jump(cfg, p).occupancy()]
+            moved = _push_set(torus, positions, p)
+            # the target state: the moved particles one site further right
+            j = index[occupancy.difference((s[1], positions[s]) for s in moved)
+                      | {(s[1], (positions[s] + 1) % torus.L) for s in moved}]
             Q[i, j] += r
             Q[i, i] -= r
     return GeneratorMatrix(states=tuple(states), matrix=Q)

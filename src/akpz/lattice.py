@@ -139,21 +139,6 @@ class ParticleConfig:
 Gaps = namedtuple("Gaps", "a b c d e f")
 
 
-def _gaps(torus, positions, p):
-    """Gaps around the canonical label p, without the interlacing check."""
-    L = torus.L
-    n = torus.neighbors[p]
-    x = positions[p]
-    return Gaps(
-        a=(positions[n.right] - x - 1) % L,
-        b=(positions[n.below_right] - x - 1) % L,
-        c=(x - positions[n.below]) % L,
-        d=(x - positions[n.left] - 1) % L,
-        e=(x - positions[n.up_left] - 1) % L,
-        f=(positions[n.up] - x) % L,
-    )
-
-
 def neighbor_distances(config, p):
     """Six non-negative gap counts around particle p.
 
@@ -161,8 +146,17 @@ def neighbor_distances(config, p):
     b, c locate the two interlacing partners in the row below, and
     e, f the two partners in the row above.
     """
-    p = config.torus.canonical(p)
-    g = _gaps(config.torus, config.positions, p)
+    torus, positions = config.torus, config.positions
+    p = torus.canonical(p)
+    L, n, x = torus.L, torus.neighbors[p], positions[p]
+    g = Gaps(
+        a=(positions[n.right] - x - 1) % L,
+        b=(positions[n.below_right] - x - 1) % L,
+        c=(x - positions[n.below]) % L,
+        d=(x - positions[n.left] - 1) % L,
+        e=(x - positions[n.up_left] - 1) % L,
+        f=(positions[n.up] - x) % L,
+    )
     if g.b > g.a or g.f > g.a or g.c > g.d or g.e > g.d:
         raise ConfigError(f"interlacing violated at label {p}")
     return g

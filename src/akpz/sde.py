@@ -305,14 +305,6 @@ def shift_field(xi, dp, m2):
     return xi[..., i1, i2]
 
 
-def drift_apply(xi, coeffs, m2):
-    """The drift stencil A applied to a field (or batch of fields)."""
-    return (coeffs.diag * xi
-            + coeffs.d2 * shift_field(xi, (1, -1), m2)
-            - coeffs.d1 * shift_field(xi, (-1, 0), m2)
-            + coeffs.d3 * shift_field(xi, (0, -1), m2))
-
-
 @dataclass
 class SdeState:
     """Fluctuation field indexed [p1, p2] plus the current time."""
@@ -384,13 +376,18 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     if dt * coeffs.inf_norm >= 0.1:
         raise ParameterError(
             f"stability guard: dt*||A|| = {dt * coeffs.inf_norm:.3g} must stay below 0.1")
+    # shift tables of the drift stencil A, built (and the quotient checked) before any step
+    m = xi.shape[-1]
+    (br1, br2), (l1, l2), (b1, b2) = (neighbor_index(m, m, m2, dp)
+                                      for dp in ((1, -1), (-1, 0), (0, -1)))
     rng = np.random.default_rng(seed)
     sig = math.sqrt(params.v * dt)
     out = {}
     if 0 in want:
         out[0] = xi.copy()
     for step in range(1, max(want) + 1):
-        xi += drift_apply(xi, coeffs, m2) * dt
+        xi += (coeffs.diag * xi + coeffs.d2 * xi[..., br1, br2] - coeffs.d1 * xi[..., l1, l2]
+               + coeffs.d3 * xi[..., b1, b2]) * dt
         if noise:
             xi += sig * rng.standard_normal(size=xi.shape)
         if step in want:

@@ -263,6 +263,7 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
     ["ctmc", *_TORUS, "--q", "0.5", "--T", "1", "--crystalline", "--seed", "-1"],
     [*_SDE, "--T", "0.1", "--seed", "-1"],
     ["sde", "--C", "0.5", "--D", "1.5", "--m", "0", "--m2", "1", "--dt", "0.01", "--T", "0.1"],
+    ["sde", "--C", "0.5", "--D", "1.5", "--m", "0", "--m2", "1", "--dt", "0.01", "--T", "0"],
     [*_SDE, "--T", "0.015"],
     [*_SDE, "--T", "0.03", "--observe-every", "0.015"],
     [*_COV, "--t", "5", "--s", "5", "--method", "bogus"],
@@ -274,7 +275,8 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
         "cov-asymptotic-far-off-origin", "cov-asymptotic-spatial-out-of-window",
         "gff-non-integer-m", "gff-negative-tol", "oracle-zero-tol", "ctmc-nan-T",
         "ctmc-inf-T", "ctmc-nan-observe-every", "sde-nan-dt", "sde-nan-T", "validate-inf-D",
-        "ctmc-negative-seed", "sde-negative-seed", "sde-empty-field", "sde-T-off-dt-grid",
+        "ctmc-negative-seed", "sde-negative-seed", "sde-empty-field", "sde-empty-field-T-0",
+        "sde-T-off-dt-grid",
         "sde-observe-every-off-dt-grid", "cov-unknown-method"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -284,6 +286,8 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "--observe-every" in argv:
+        assert "observe_every" in lines[0]
     assert not out.exists()
 
 

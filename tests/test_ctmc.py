@@ -460,3 +460,47 @@ def test_simulate_stream_is_pinned():
     traj = simulate(crystalline(drift), math.exp(-0.01), 100.0, seed=0)
     assert _stream_digest(traj) == (
         "0f2a99c31ade8ac8eb578469b11336328a08ec84c86b0109d46b2b146071b395")
+
+
+def test_simulate_stream_at_q_zero_is_pinned():
+    # at q = 0 every positive rate is exactly 1; recorded with numpy 2.4.6
+    traj = simulate(configs()[0], 0.0, 25.0, seed=8)
+    assert max(len(e.pushed) for e in traj.events) >= 2
+    assert _stream_digest(traj) == (
+        "d73206276f7bfab591ab8d9e9fe28cd24b79696de1673c94819f43f800ba11e1")
+
+
+@pytest.mark.parametrize("torus, digest", [
+    (TORUS, "895e1fe3124930a803932b08c71c2b71eceb4b74a5faca5618c25a5ce9c87d8a"),
+    (TorusParams(L=4, N=4, m1=2, m2=1),
+     "00295b1d7e8396dbf092079e6eb19711bf7e3646a9ab31a25adaf6aec4096445"),
+    (TorusParams(L=6, N=4, m1=3, m2=1),
+     "abba55a1178ad1870d9f847fcd8b6811c0a15435a8b50ab5ffe2e69e92f76b8d"),
+], ids=["4x3", "4x4", "6x4"])
+def test_oracle_bits_are_pinned(torus, digest):
+    # generator matrix, Gibbs weights and residual at three q, recorded with
+    # numpy 2.4.6; a rewrite of the rate or weight code must keep every bit
+    h = hashlib.sha256()
+    for q in (0.0, 0.3, 0.6):
+        gen = build_generator(torus, q)
+        h.update(gen.matrix.tobytes())
+        h.update(stationary_distribution(gen, q).tobytes())
+        h.update(repr(check_stationarity(torus, q)).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("torus", [TORUS, TorusParams(L=6, N=4, m1=3, m2=1)],
+                         ids=["4x3", "6x4"])
+def test_weight_and_rate_match_the_gap_definitions(torus):
+    # the weight equals the label-order sum over neighbor_distances with
+    # log_q_pochhammer called directly, and the rate vanishes exactly at b = 0
+    q = 0.6
+    for cfg in enumerate_configs(torus):
+        total = 0.0
+        for p in torus.labels():
+            g = neighbor_distances(cfg, p)
+            total += (log_q_pochhammer(q, g.a) - log_q_pochhammer(q, g.b)
+                      - log_q_pochhammer(q, g.c))
+            for rate_q in (0.0, q):
+                assert (jump_rate(cfg, p, rate_q) == 0) == (g.b == 0)
+        assert log_stationary_weight(cfg, q) == total
