@@ -260,6 +260,8 @@ def recipe_cor1_log_growth(C: float = 0.5, D: float = 1.5, tol: float = 0.05,
 def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
                                s: float = 300.0, seed: int = 11, threads: int = 1,
                                tol: float = 0.10, out: str = None):
+    if not 0 <= s < t < math.inf:
+        raise ParameterError(f"need 0 <= s < t < inf, got t={t}, s={s}")
     params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     gap = t - s

@@ -26,15 +26,15 @@ from .specfun import EULER_GAMMA, exp_integral_E1, heat_time_integral
 
 @dataclass(frozen=True)
 class CovarianceQuery:
-    """Displacement y and time pair t >= s >= 0."""
+    """Displacement y and finite time pair t >= s >= 0."""
 
     y: tuple
     t: float
     s: float
 
     def __post_init__(self):
-        if not self.t >= self.s >= 0:
-            raise ParameterError(f"need t >= s >= 0, got t={self.t}, s={self.s}")
+        if not math.inf > self.t >= self.s >= 0:
+            raise ParameterError(f"need inf > t >= s >= 0, got t={self.t}, s={self.s}")
 
 
 @dataclass(frozen=True)

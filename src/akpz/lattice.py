@@ -201,62 +201,23 @@ def validate(config):
     return ValidationReport(True)
 
 
-def _row_positions(config):
-    torus = config.torus
-    rows = []
-    for i in range(torus.N):
-        rows.append(sorted(config.positions[(j, i)] for j in range(torus.m1)))
-    return rows
-
-
-def _up_right(rows, L, x, row):
-    """Position of the up-right partner of the particle at (x, row):
-    the unique particle of row+1 inside [x, x_right - 1]."""
-    m1 = len(rows[row])
-    srow = rows[row]
-    idx = srow.index(x)
-    wa = (srow[(idx + 1) % m1] - x) % L
-    if wa == 0:
-        wa = L  # m1 == 1 cannot happen, but a full wrap means the whole row
-    hits = [y for y in rows[(row + 1) % len(rows)] if (y - x) % L < wa]
-    if len(hits) != 1:
-        raise ConfigError(f"{len(hits)} up-right partners for particle at ({x}, row {row})")
-    return hits[0]
-
-
 def sector(config, start_label=(0, 0)):
     """Winding-number invariant m1*N_h/N_v of the up-right loop.
 
-    Follows the geometric up-right partner from particle start_label until
-    the loop closes; independent of the starting particle.
+    Follows the up neighbours of start_label until the label returns,
+    summing the horizontal steps; independent of the starting particle.
     """
-    torus = config.torus
-    start = torus.canonical(start_label)
-    return _walk_sector(torus, _row_positions(config), config.positions[start], start[1])
-
-
-def _walk_sector(torus, rows, x0, row0):
-    """Sector of the sorted rows, from the up-right loop through the
-    particle at (x0, row0)."""
-    L, N = torus.L, torus.N
-    x, row = x0, row0
-    steps = 0
-    disp = 0
-    limit = torus.m1 * N * N + 1
+    torus, positions = config.torus, config.positions
+    p = start = torus.canonical(start_label)
+    steps = disp = 0
     while True:
-        y = _up_right(rows, L, x, row)
-        disp += (y - x) % L
-        row = (row + 1) % N
-        x = y
+        up = torus.neighbors[p].up
+        disp += (positions[up] - positions[p]) % torus.L
         steps += 1
-        if (x, row) == (x0, row0):
+        p = up
+        if p == start:
             break
-        if steps > limit:
-            raise ConfigError("up-right walk does not close")
-    if steps % N != 0 or disp % L != 0:
-        raise ConfigError("up-right loop has fractional winding")
-    n_v = steps // N
-    n_h = disp // L
+    n_v, n_h = steps // torus.N, disp // torus.L
     if (torus.m1 * n_h) % n_v != 0:
         raise ConfigError(f"non-integer sector from windings N_h={n_h}, N_v={n_v}")
     return torus.m1 * n_h // n_v
@@ -282,78 +243,41 @@ def crystalline(torus):
     return ParticleConfig(torus, positions)
 
 
-def _label_rows(torus, rows):
-    """Build the canonical labeling of a geometrically valid set of rows:
-    label (0,0) is the smallest position in row 0, (0,i) follows the up-right
-    chain, and (j,i) walks right within the row."""
-    L, N, m1 = torus.L, torus.N, torus.m1
-    positions = {}
-    anchor = min(rows[0])
-    for i in range(N):
-        srow = rows[i]
-        idx = srow.index(anchor)
-        for j in range(m1):
-            positions[(j, i)] = srow[(idx + j) % m1]
-        anchor_next = _up_right(rows, L, anchor, i)
-        if i + 1 < N:
-            anchor = anchor_next
-        else:
-            # wrap: up-right of (0, N-1) must carry label (m2 mod m1, 0)
-            if anchor_next != positions[(torus.m2 % m1, 0)]:
-                raise ConfigError("labeling wrap inconsistent with sector")
-    return ParticleConfig(torus, positions)
-
-
-def _rows_interlaced(L, below, row):
-    """Each window (x, x_right] of `row` must contain exactly one particle
-    of the row below it."""
-    m1 = len(row)
-    for idx, x in enumerate(row):
-        wa = (row[(idx + 1) % m1] - x) % L
-        if wa == 0:
-            wa = L
-        count = sum(1 for y in below if 1 <= (y - x) % L <= wa)
-        if count != 1:
-            return False
-    return True
-
-
 def enumerate_configs(torus):
-    """Every configuration of the sector, by exhaustive row-by-row search.
+    """Every configuration of the sector in the canonical labelling.
 
-    Guarded to small tori; rows are filled depth-first with interlacing
-    pruning against the previous row, then the wrap row and the sector are
-    checked.  Deterministic ordering.
+    Guarded to small tori.  Row 0 is a set of m1 sites with label (0, 0)
+    leftmost; each further row puts particle p in the window
+    [x_below, x_below_right - 1] of the particle below it.  A state is kept
+    when row 0 lies in the windows of the top row as well and its sector is
+    m2.  States come in lexicographic order of their sorted rows.
     """
     if torus.L * torus.N > 24:
         raise StateSpaceError(f"torus with {torus.L * torus.N} sites is too large to enumerate")
     if not torus.sector_feasible:
         return []
-    L, N, m1 = torus.L, torus.N, torus.m1
-    row_choices = [list(c) for c in itertools.combinations(range(L), m1)]
+    L, N, m1, nb = torus.L, torus.N, torus.m1, torus.neighbors
+    rows = [[(j, i) for j in range(m1)] for i in range(N)]
     out = []
 
-    def extend(rows):
-        i = len(rows)
-        if i == N:
-            if not _rows_interlaced(L, rows[N - 1], rows[0]):
-                return
-            cfg_rows = [list(r) for r in rows]
-            try:
-                sec = _walk_sector(torus, cfg_rows, cfg_rows[0][0], 0)
-            except ConfigError:
-                return
-            if sec != torus.m2:
-                return
-            config = _label_rows(torus, cfg_rows)
-            out.append(config)
-            return
-        for cand in row_choices:
-            if i == 0 or _rows_interlaced(L, rows[i - 1], cand):
-                extend(rows + [cand])
+    def window(positions, p):
+        """Sites x_below, ..., x_below_right - 1 that interlacing leaves to p."""
+        lo = positions[nb[p].below]
+        return [x % L for x in range(lo, lo + (positions[nb[p].below_right] - lo) % L)]
 
-    extend([])
-    return out
+    def extend(positions, i):
+        if i == N:
+            config = ParticleConfig(torus, positions)
+            wraps = all(positions[p] in window(positions, p) for p in rows[0])
+            if wraps and sector(config) == torus.m2:
+                out.append(config)
+            return
+        for xs in itertools.product(*(window(positions, p) for p in rows[i])):
+            extend({**positions, **dict(zip(rows[i], xs))}, i + 1)
+
+    for xs in itertools.combinations(range(L), m1):
+        extend(dict(zip(rows[0], xs)), 1)
+    return sorted(out, key=lambda c: [sorted(c.positions[p] for p in row) for row in rows])
 
 
 @dataclass(frozen=True)

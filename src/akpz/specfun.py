@@ -95,8 +95,9 @@ def _dilog_sum_terms(b: float):
 def dilog_sum(b: float):
     """(S2, S1, S0) with Sp = sum over n >= 1 of exp(-b n) / n^p.
 
-    Series are truncated once the geometric tail falls below 1e-14 of the
-    slowest-converging partial sum.
+    Terms are summed in chunks of 512, stopping after the first chunk whose
+    end n has the geometric tail exp(-b(n+1))/(1 - exp(-b)), a bound on the
+    remainder of all three series, at or below 1e-15 times the partial S2.
     """
     s2, s1, s0, _ = _dilog_sum_terms(b)
     return s2, s1, s0

@@ -14,7 +14,7 @@ from akpz import cli, errors
 from akpz import correlations as corr
 from akpz.cli import (ComparisonReport, ConfigError, ExperimentConfig, main,
                       parse_config, run_experiment)
-from akpz.lattice import TorusParams
+from akpz.lattice import ParticleConfig, TorusParams, config_to_text
 from akpz.sde import ModelParams, finite_eps_speed
 
 
@@ -204,6 +204,20 @@ def test_cli_ctmc_config_roundtrip_bit_exact(tmp_path):
     assert final1.read_bytes() == final2.read_bytes()
 
 
+def test_cli_ctmc_start_in_another_sector_exit_2(tmp_path, capsys):
+    # every row at {0, 4} interlaces but has winding 0, not the header's m2 = 2
+    torus = TorusParams(L=8, N=3, m1=2, m2=2)
+    start = tmp_path / "start.txt"
+    start.write_text(config_to_text(
+        ParticleConfig(torus, {(j, i): 4 * j for i in range(3) for j in range(2)})))
+    out = tmp_path / "traj.csv"
+    assert main(["ctmc", "--start", str(start), "--q", "0.5", "--T", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "sector 0 != m2 2" in err
+    assert not out.exists()
+
+
 def test_cli_gff_small(capsys):
     rc = main(["gff", "--C", "0.5", "--D", "1.5", "--delta", "0.125",
                "--m", "64", "--tol", "0.5"])
@@ -267,6 +281,8 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
     [*_SDE, "--T", "0.015"],
     [*_SDE, "--T", "0.03", "--observe-every", "0.015"],
     [*_COV, "--t", "5", "--s", "5", "--method", "bogus"],
+    [*_COV, "--t", "inf", "--s", "0", "--method", "finite", "--m", "8", "--m2", "4"],
+    [*_COV, "--t", "inf", "--s", "0", "--method", "asymptotic"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -277,7 +293,8 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
         "ctmc-inf-T", "ctmc-nan-observe-every", "sde-nan-dt", "sde-nan-T", "validate-inf-D",
         "ctmc-negative-seed", "sde-negative-seed", "sde-empty-field", "sde-empty-field-T-0",
         "sde-T-off-dt-grid",
-        "sde-observe-every-off-dt-grid", "cov-unknown-method"])
+        "sde-observe-every-off-dt-grid", "cov-unknown-method", "cov-finite-inf-t",
+        "cov-asymptotic-inf-t"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     # validate writes no file, so it takes no --out
@@ -288,6 +305,18 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if "--observe-every" in argv:
         assert "observe_every" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", ["s = 500", "s = 400", "t = inf", "s = nan"],
+                         ids=["s-above-t", "s-equal-t", "inf-t", "nan-s"])
+def test_cli_run_cor2_bad_times_exit_2_without_traceback(lines, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"experiment = cor2-characteristic\n{lines}\nout = {out}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 0 <= s < t < inf") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -96,19 +96,11 @@ def test_push_set_bounded_by_loop_length():
     # a cascade can never outrun the up-right loop; a full wrap would force
     # zero horizontal winding, which the sector constraint m2 >= 1 excludes
     for torus in (TORUS, TorusParams(L=4, N=4, m1=2, m2=1)):
+        # length of the up-right loop = N_v * N: the up chain of (0, 0)
+        loop_steps, p = 1, torus.neighbors[(0, 0)].up
+        while p != (0, 0):
+            loop_steps, p = loop_steps + 1, torus.neighbors[p].up
         for cfg in enumerate_configs(torus)[::7]:
-            loop_steps = 0
-            rows = None
-            # length of the up-right loop = N_v * N, recovered from sector walk
-            from akpz.lattice import _row_positions, _up_right
-            rows = _row_positions(cfg)
-            x, row = cfg.positions[(0, 0)], 0
-            while True:
-                x = _up_right(rows, torus.L, x, row)
-                row = (row + 1) % torus.N
-                loop_steps += 1
-                if (x, row) == (cfg.positions[(0, 0)], 0):
-                    break
             for p in torus.labels():
                 assert len(push_set(cfg, p)) < loop_steps + 1
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,36 @@ def test_enumeration_no_duplicates_and_sector():
     assert len(keys) == len(configs)
     for cfg in configs:
         assert sector(cfg) == torus.m2
+
+
+# (L, N, m1, m2): state count and SHA-256 of the labelled positions in order.
+# The two m2 = 2 tori are the ones where the sector filter removes interlaced
+# states.
+ENUMERATION_PINS = {
+    (4, 3, 2, 1): (30, "d4369118d53d8b414eb12a2bb5be03a67062cec61d1f6f4a004b50f649743cb6"),
+    (6, 4, 3, 1): (1344, "e6cd43184a1d78419fa44ff288e2ee80d3f8930915366f5059f6dd9076b9dbdc"),
+    (8, 3, 3, 1): (3048, "40c9dc3bb2672a167fade08d433f634d9ef9e95591c4fe4cd9f2f280aed3b02a"),
+    (12, 2, 3, 1): (1848, "29ea8b14ec2fb0d537acf4e8c28bd1035083d39c0118caead13a8d486684f7ce"),
+    (3, 8, 2, 1): (168, "2dc510e45db640d749a50edab2056eb7fb1fe142724651654671d29a73167455"),
+    (8, 3, 2, 2): (84, "56b2ced574addab425ca122c61ffff61d53e84e0373351b5cf7c385db5560903"),
+    (4, 6, 2, 2): (810, "a19a13f9f94b7db06fa5a7dc662123cb8643f8a9129c4386f95446f61130f7f9"),
+    (6, 4, 2, 3): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+}
+
+
+@pytest.mark.parametrize("dims", list(ENUMERATION_PINS), ids=str)
+def test_enumeration_is_pinned(dims):
+    configs = enumerate_configs(TorusParams(*dims))
+    text = repr([list(c.positions.items()) for c in configs])
+    assert (len(configs), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[dims]
+
+
+def test_validate_rejects_a_sector_mismatch():
+    # every row at {0, 4} interlaces, but the up loop does not wind: sector 0
+    torus = TorusParams(L=8, N=3, m1=2, m2=2)
+    cfg = ParticleConfig(torus, {(j, i): 4 * j for i in range(3) for j in range(2)})
+    assert sector(cfg) == 0
+    assert validate(cfg).failures == ["sector 0 != m2 2"]
 
 
 def test_sector_start_particle_independent():
