@@ -265,7 +265,7 @@ def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
     params = ModelParams(C=C, D=D)
     spectral = spectral_data(drift_coeffs(params))
     gap = t - s
-    s = t - gap
+    s = t - gap  # t - s == gap exactly, the lag y_char uses; s moves by an ulp when s < t/2
     y_char = tuple(int(a) for a in np.floor(spectral.U * gap))
     target = params.v / (4 * math.pi * spectral.w) * math.log((t + s) / (t - s))
     rng = np.random.default_rng(seed)

@@ -192,10 +192,7 @@ def validate(config):
             neighbor_distances(config, p)
         except ConfigError as err:
             return ValidationReport(False, [str(err)])
-    try:
-        sec = sector(config)
-    except ConfigError as err:
-        return ValidationReport(False, [f"sector walk failed: {err}"])
+    sec = sector(config)
     if sec != torus.m2:
         return ValidationReport(False, [f"sector {sec} != m2 {torus.m2}"])
     return ValidationReport(True)
@@ -217,10 +214,8 @@ def sector(config, start_label=(0, 0)):
         p = up
         if p == start:
             break
-    n_v, n_h = steps // torus.N, disp // torus.L
-    if (torus.m1 * n_h) % n_v != 0:
-        raise ConfigError(f"non-integer sector from windings N_h={n_h}, N_v={n_v}")
-    return torus.m1 * n_h // n_v
+    # the label loop has N_v = m1/gcd(m1, m2) windings, a divisor of m1
+    return torus.m1 * (disp // torus.L) // (steps // torus.N)
 
 
 def crystalline(torus):

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import inspect
 import os
 import shlex
@@ -189,6 +190,17 @@ def test_cli_sde_csv_deterministic(tmp_path):
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text().splitlines()[0] == "replica,t,p1,p2,xi"
+
+
+def test_cli_sde_csv_is_pinned(tmp_path):
+    # CSV bytes recorded with numpy 2.4.6 before the Euler-Maruyama step was
+    # moved into preallocated buffers
+    out = tmp_path / "sde.csv"
+    assert main(["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.01",
+                 "--T", "0.2", "--replicas", "2", "--seed", "5", "--observe-every", "0.05",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "048b5c8c1ddce00d1e41e34fba07d852f3d6df3d0a9efe08c0b7edbc667232e9")
 
 
 def test_cli_ctmc_config_roundtrip_bit_exact(tmp_path):

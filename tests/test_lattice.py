@@ -218,6 +218,23 @@ def test_validate_rejects_a_sector_mismatch():
     assert validate(cfg).failures == ["sector 0 != m2 2"]
 
 
+def test_up_loop_windings_divide_m1_on_every_enumerable_torus():
+    # sector returns m1 * N_h / N_v with N_v = steps // N; the up loop of the
+    # labels has N * m1 / gcd(m1, m2) steps, so N_v divides m1 and the winding
+    # ratio is always an integer
+    for L in range(3, 25):
+        for N in range(1, 24 // L + 1):
+            for m1 in range(2, L):
+                for m2 in range(1, N):
+                    torus = TorusParams(L=L, N=N, m1=m1, m2=m2)
+                    p, steps = (0, 0), 0
+                    while True:
+                        p, steps = torus.neighbors[p].up, steps + 1
+                        if p == (0, 0):
+                            break
+                    assert steps % N == 0 and m1 % (steps // N) == 0, (L, N, m1, m2)
+
+
 def test_sector_start_particle_independent():
     torus = TorusParams(L=6, N=2, m1=2, m2=1)
     for cfg in enumerate_configs(torus):

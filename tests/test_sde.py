@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from akpz.lattice import ParameterError, TorusParams, crystalline, fourier_modes, neighbor_distances
+from akpz.lattice import (ParameterError, TorusParams, crystalline, fourier_modes,
+                          neighbor_distances, neighbor_index)
 from akpz.sde import (DriftCoeffs, ModelParams, ModelError, SdeState, appendix_delta,
                       drift_coeffs, euler_maruyama, euler_maruyama_ensemble,
                       grad_v_check, shift_field, spectral_data, speed, step_count, symbol_A,
@@ -304,3 +306,83 @@ def test_mode_variance_matches_exact_relaxation():
     se = sq.std(axis=0) / math.sqrt(R)
     z = np.abs(sq.mean(axis=0) - exact) / np.maximum(se, 1e-12)
     assert z.max() < 3.0
+
+
+def _snapshot_digest(snaps):
+    h = hashlib.sha256()
+    for k in sorted(snaps):
+        h.update(f"{k}:{snaps[k].shape}:".encode())
+        h.update(np.ascontiguousarray(snaps[k]).tobytes())
+    return h.hexdigest()
+
+
+def _em_case(case):
+    params = ModelParams(C=0.5, D=1.5)
+    rng = np.random.default_rng(4)
+    if case == "shared-4x4":
+        xi0 = rng.normal(size=(4, 4))
+        return euler_maruyama_ensemble(xi0, params, 2, 1e-2, 40, seed=11,
+                                       snapshot_steps=[0, 1, 40], replicas=64)
+    if case == "batch-5x6x6":
+        xi0 = rng.normal(size=(5, 6, 6))
+        return euler_maruyama_ensemble(xi0, params, 4, 5e-3, 30, seed=12,
+                                       snapshot_steps=[0, 7, 30])
+    if case == "shared-16x16":
+        xi0 = rng.normal(size=(16, 16))
+        return euler_maruyama_ensemble(xi0, params, 8, 1e-2, 25, seed=13,
+                                       snapshot_steps=[10, 25], replicas=3)
+    xi0 = rng.normal(size=(3, 6, 6))
+    return euler_maruyama_ensemble(xi0, params, 4, 1e-2, 50, seed=14,
+                                   snapshot_steps=[0, 50], noise=False)
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("shared-4x4",
+     "eb975794f8643dfbf17f9eeb9848ef5feac42490392aa05d2bc562feb55126ab"),
+    ("batch-5x6x6",
+     "df1bf6fdac5c9dd52673fc804a65d75c7f66b5c9befa320ee7f4489e9b56cbb2"),
+    ("shared-16x16",
+     "4a30bf8f2fd837d2135119e6e8ead027847a08ce68e9209b8a6919ca495ac1e2"),
+    ("no-noise",
+     "0d9ad07702d98743cd9f522e5e6bc502e2bff011124a457325068ac335f4edad"),
+])
+def test_euler_maruyama_ensemble_bits_are_pinned(case, digest):
+    # snapshot bytes recorded with numpy 2.4.6 before the step was moved into
+    # preallocated buffers; a step that keeps the operation order and the RNG
+    # stream must reproduce them bit for bit
+    assert _snapshot_digest(_em_case(case)) == digest
+
+
+@pytest.mark.parametrize("m, m2", [(4, 2), (16, 8), (4, 1), (5, 2), (6, 4), (7, 3)])
+def test_flat_shift_tables_are_permutations(m, m2):
+    # the step gathers xi.reshape(R, m*m) through these flat labels with
+    # mode="clip", which is exact only because each table is a bijection
+    xi = np.random.default_rng(m * m2).normal(size=(3, m, m))
+    for dp in ((1, -1), (-1, 0), (0, -1)):
+        i1, i2 = neighbor_index(m, m, m2, dp)
+        flat = (i1 * m + i2).ravel()
+        assert np.array_equal(np.sort(flat), np.arange(m * m))
+        gathered = xi.reshape(3, m * m).take(flat, axis=1, mode="clip")
+        assert np.array_equal(gathered, shift_field(xi, dp, m2).reshape(3, m * m))
+
+
+def test_euler_maruyama_ensemble_leaves_inputs_and_snapshots_apart():
+    params = ModelParams(C=0.5, D=1.5)
+    xi0 = np.random.default_rng(6).normal(size=(4, 6, 6))
+    before = xi0.copy()
+    snaps = euler_maruyama_ensemble(xi0, params, 4, 1e-2, 6, seed=2,
+                                    snapshot_steps=[0, 1, 2, 6])
+    assert np.array_equal(xi0, before)
+    only_start = euler_maruyama_ensemble(xi0, params, 4, 1e-2, 6, seed=2, snapshot_steps=[0])
+    assert np.array_equal(only_start[0], xi0)
+    arrays = [xi0, *snaps.values(), only_start[0]]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 5), (2, 4, 5), (2, 4, 4, 5)])
+def test_euler_maruyama_ensemble_rejects_non_square_fields(shape):
+    with pytest.raises(ParameterError, match="m x m"):
+        euler_maruyama_ensemble(np.zeros(shape), ModelParams(C=0.5, D=1.5), 2, 1e-2, 3,
+                                seed=0, snapshot_steps=[3], replicas=2)
