@@ -47,11 +47,18 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def thread_map(fn, items, threads):
-    """Map preserving input order; thread count never changes the result."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def thread_map(fn, items):
+    """Map in input order on min(len(items), CPUs) threads; the worker count
+    never changes the result.  Worth it only when `fn` spends its time in
+    numpy, which releases the interpreter lock."""
+    with ThreadPoolExecutor(max_workers=min(len(items), _cpu_count())) as pool:
         return list(pool.map(fn, items))
 
 
@@ -72,7 +79,6 @@ _RANGES = {
     "delta": lambda v: v > 0,
     "delta_list": lambda v: len(v) > 0 and min(v) > 0 and all(a > b for a, b in zip(v, v[1:])),
     "tol": lambda v: v > 0,
-    "threads": lambda v: v >= 1,
     "seed": lambda v: v >= 0,
     "method": lambda v: v in ("finite", "quad", "kernel", "asymptotic"),
 }
@@ -186,8 +192,8 @@ def recipe_stationarity_oracle(L: int = 4, N: int = 3, m1: int = 2, m2: int = 1,
 
 
 def recipe_drift_check(eps: float = 0.01, m: int = 4, m2: int = 2, D: float = 1.0,
-                       replicas: int = 200, seed: int = 0, threads: int = 1,
-                       tol: float = 0.02, out: str = None):
+                       replicas: int = 200, seed: int = 0, tol: float = 0.02,
+                       out: str = None):
     torus = TorusParams.from_scaling(epsilon=eps, ell=D * m, m=m, m2=m2)
     params = ModelParams.from_torus(torus)
     start = crystalline(torus)
@@ -198,7 +204,7 @@ def recipe_drift_check(eps: float = 0.01, m: int = 4, m2: int = 2, D: float = 1.
         traj = ctmc.simulate(start, q, horizon, seed=seed + rep)
         return float(np.mean(list(traj.displacement.values()))) / horizon
 
-    rates = thread_map(one, range(replicas), threads)
+    rates = [one(rep) for rep in range(replicas)]
     mean_rate = float(np.mean(rates))
     report = ComparisonReport("drift-check")
     report.add(f"displacement rate vs finite-eps speed v*(1-eps*(f(B)+f(C))) "
@@ -211,7 +217,10 @@ def recipe_drift_check(eps: float = 0.01, m: int = 4, m2: int = 2, D: float = 1.
 
 def recipe_sde_vs_exact(C: float = 0.75, D: float = 1.5, m: int = 4, m2: int = 2,
                         dt: float = 1e-3, t: float = 2.0, replicas: int = 10000,
-                        seed: int = 123, threads: int = 1, out: str = None):
+                        seed: int = 123, out: str = None):
+    if replicas < 2:
+        raise ConfigError(f"sde-vs-exact needs replicas >= 2 for a standard error, "
+                          f"got {replicas}")
     params = ModelParams(C=C, D=D)
     nsteps = sde.step_count(t, dt, "t")
     chunks = 8
@@ -224,7 +233,7 @@ def recipe_sde_vs_exact(C: float = 0.75, D: float = 1.5, m: int = 4, m2: int = 2
                                             replicas=sizes[i])
         return snaps[nsteps]
 
-    xi = np.concatenate(thread_map(one, range(chunks), threads), axis=0)
+    xi = np.concatenate(thread_map(one, range(chunks)), axis=0)
     report = ComparisonReport("sde-vs-exact")
     rows = []
     for y in [(0, 0), (1, 0), (0, 1)]:
@@ -258,8 +267,8 @@ def recipe_cor1_log_growth(C: float = 0.5, D: float = 1.5, tol: float = 0.05,
 
 
 def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
-                               s: float = 300.0, seed: int = 11, threads: int = 1,
-                               tol: float = 0.10, out: str = None):
+                               s: float = 300.0, seed: int = 11, tol: float = 0.10,
+                               out: str = None):
     if not 0 <= s < t < math.inf:
         raise ParameterError(f"need 0 <= s < t < inf, got t={t}, s={s}")
     params = ModelParams(C=C, D=D)
@@ -269,18 +278,19 @@ def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
     y_char = tuple(int(a) for a in np.floor(spectral.U * gap))
     target = params.v / (4 * math.pi * spectral.w) * math.log((t + s) / (t - s))
     rng = np.random.default_rng(seed)
-    dirs = []
+    y_off = []
     for _ in range(8):
         ang = rng.uniform(0, 2 * np.pi)
         rad = rng.uniform(0.75, 1.5)
-        dirs.append(spectral.U + rad * np.array([np.cos(ang), np.sin(ang)]))
+        u = spectral.U + rad * np.array([np.cos(ang), np.sin(ang)])
+        y_off.append(tuple(int(a) for a in np.floor(u * gap)))
 
     def w_at(y):
         return corr.covariance_quadrature(
             corr.CovarianceQuery(y=y, t=t, s=s), params).value
 
     w_char = w_at(y_char)
-    off = thread_map(lambda u: w_at(tuple(int(a) for a in np.floor(u * gap))), dirs, threads)
+    off = thread_map(w_at, y_off)
     report = ComparisonReport("cor2-characteristic")
     report.add("characteristic W vs log((t+s)/(t-s))", w_char, target, tol * target)
     for i, w_off in enumerate(off):
@@ -288,8 +298,7 @@ def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
                    abs(w_off), 0.0, 0.25 * w_char)
     if out:
         rows = [("characteristic", y_char[0], y_char[1], w_char)]
-        rows += [(f"off-{i}", *tuple(int(a) for a in np.floor(u * gap)), w)
-                 for i, (u, w) in enumerate(zip(dirs, off))]
+        rows += [(f"off-{i}", *y, w) for i, (y, w) in enumerate(zip(y_off, off))]
         write_csv(out, ["direction", "y1", "y2", "W"], rows)
     return report
 
@@ -424,26 +433,6 @@ def run_experiment(config) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _threads(args):
-    """Worker threads: --threads, else AKPZ_THREADS, else 1."""
-    value = args.threads if args.threads is not None else os.environ.get("AKPZ_THREADS") or "1"
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {value!r}")
-    return threads
-
-
-def _run_recipe(config, threads):
-    """Run `config`, giving `threads` to a recipe that takes it unless the
-    config sets its own."""
-    if "threads" in _recipe_keys(config.experiment):
-        config.values.setdefault("threads", threads)
-    return run_experiment(config)
-
-
 def cmd_ctmc(*, L: int = None, N: int = None, m1: int = None, m2: int = None, q: float,
              T: float, seed: int = 0, observe_every: float = None, crystalline: bool = False,
              start: str = None, dump_final: str = None, out: str):
@@ -569,33 +558,30 @@ def _flag_values(args, fn):
     params = inspect.signature(fn).parameters
     return {key: text if text is True else _parse_value(
                 key, params[key].annotation, " ".join(text) if isinstance(text, list) else text)
-            for key, text in vars(args).items() if key in params and key != "threads"}
+            for key, text in vars(args).items() if key in params}
 
 
 def cmd_alias(args):
     name, lines = _ALIASES[args.command]
-    report = _run_recipe(ExperimentConfig(name, _flag_values(args, _RECIPES[name])),
-                         _threads(args))
+    report = run_experiment(ExperimentConfig(name, _flag_values(args, _RECIPES[name])))
     print("\n".join(lines(report)))
     return 0 if report.passed else 1
 
 
 def cmd_run(args):
-    threads = _threads(args)
     with open(args.config) as fh:
         text = fh.read()
-    report = _run_recipe(parse_config(text), threads)
+    report = run_experiment(parse_config(text))
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
 
 
 def cmd_all(args):
-    threads = _threads(args)
     prop = sde.validate_symbol_properties(ModelParams(C=0.5, D=1.5))
     print("\n".join(prop.lines()))
     failures = 0 if prop.ok else 1
     for name in EXPERIMENTS:
-        report = _run_recipe(ExperimentConfig(name), threads)
+        report = run_experiment(ExperimentConfig(name))
         print("\n".join(report.lines()))
         failures += 0 if report.passed else 1
     print(f"\n{'ALL PASS' if failures == 0 else f'{failures} experiment(s) FAILED'}")
@@ -603,22 +589,19 @@ def cmd_all(args):
 
 
 def _add_flags(parser, fn):
-    """One `--key` flag per parameter of `fn` but `threads`, `_` written as `-`:
-    required without a default, a switch for a bool, one or more words for a tuple."""
+    """One `--key` flag per parameter of `fn`, `_` written as `-`: required
+    without a default, a switch for a bool, one or more words for a tuple."""
     for key, param in inspect.signature(fn).parameters.items():
-        if key != "threads":
-            kind = ({"action": "store_true"} if param.annotation is bool else
-                    {"required": param.default is param.empty,
-                     "nargs": "+" if param.annotation is tuple else None})
-            parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                                default=argparse.SUPPRESS, **kind)
+        kind = ({"action": "store_true"} if param.annotation is bool else
+                {"required": param.default is param.empty,
+                 "nargs": "+" if param.annotation is tuple else None})
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                            default=argparse.SUPPRESS, **kind)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="akpz", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: AKPZ_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, fn in _COMMANDS.items():

@@ -14,6 +14,7 @@ scaling limit is a log-correlated Gaussian field.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +315,16 @@ class GffVariance:
     continuum: float
 
 
+# The continuum variance scales as delta^4, which must stay a finite float.
+_MAX_DELTA = sys.float_info.max ** 0.25
+
+
+def _check_delta(delta):
+    if not 0 < delta < _MAX_DELTA:
+        raise ParameterError(f"grid spacing delta must lie in (0, {_MAX_DELTA:.6g}), "
+                             f"got {delta}")
+
+
 def _check_mean_zero(phi, delta):
     total = float(phi.sum()) * delta ** 2
     scale = float(np.abs(phi).sum()) * delta ** 2
@@ -383,6 +394,7 @@ def gff_continuum_variance(phi, delta, spectral, params) -> float:
 def gff_smoothed_variance(phi, delta, m, m2, params, spectral=None) -> GffVariance:
     """Lattice variance of the smoothed gradient field next to its continuum
     log-kernel limit; the two converge as delta -> 0, m -> infinity."""
+    _check_delta(delta)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (m, m):
         raise ParameterError(f"phi grid must be ({m}, {m}), got {phi.shape}")
@@ -399,6 +411,7 @@ def two_bump_test_function(delta, m):
     translate by about 2 along the first axis, sampled on the centered m x m
     grid with spacing delta.  The translate is an exact grid shift, so the samples sum to zero
     identically."""
+    _check_delta(delta)
     radius = 1.25
     shift = max(1, int(round(2.0 / delta)))
     p = (np.arange(m) - m // 2) * delta

@@ -242,6 +242,9 @@ def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["cov", "--C", "0.5"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["--threads", "2", "all"])
+    assert err.value.code == 2
 
 
 def test_python_dash_m_akpz_runs_the_cli():
@@ -271,6 +274,9 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
     [*_SDE, "--T", "0.1", "--observe-every", "-1"],
     ["gff", "--delta", "0", "--m", "64"],
     ["gff", "--delta", "-0.1", "--m", "64"],
+    ["gff", "--delta", "inf", "--m", "16"],
+    ["gff", "--delta", "1e200", "--m", "16"],
+    ["gff", "--delta", "1e150", "--m", "16"],
     [*_COV, "--t", "5", "--s", "5", "--method", "finite", "--m", "8"],
     [*_COV, "--t", "0", "--s", "0", "--method", "asymptotic"],
     ["she-check", "--delta-list", "0.1", "-0.01"],
@@ -298,7 +304,8 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
-        "gff-zero-delta", "gff-negative-delta", "cov-finite-without-m2",
+        "gff-zero-delta", "gff-negative-delta", "gff-inf-delta", "gff-delta-squared-overflows",
+        "gff-delta-to-the-4-overflows", "cov-finite-without-m2",
         "cov-no-asymptotic-regime", "she-negative-delta", "she-equal-deltas",
         "cov-asymptotic-far-off-origin", "cov-asymptotic-spatial-out-of-window",
         "gff-non-integer-m", "gff-negative-tol", "oracle-zero-tol", "ctmc-nan-T",
@@ -329,6 +336,22 @@ def test_cli_run_cor2_bad_times_exit_2_without_traceback(lines, tmp_path, capsys
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: need 0 <= s < t < inf") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_run_sde_vs_exact_one_replica_exit_2_before_any_work(tmp_path, monkeypatch,
+                                                                 capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli.sde, "euler_maruyama_ensemble", fail)
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"experiment = sde-vs-exact\nreplicas = 1\ndt = 0.005\nt = 0.5\n"
+                   f"out = {out}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "replicas >= 2" in err
     assert not out.exists()
 
 
@@ -411,7 +434,7 @@ def test_subcommand_flags_are_the_function_parameters():
     subcommands = _subcommands()
     for command, fn in functions.items():
         flags = {f for a in subcommands[command]._actions for f in a.option_strings}
-        keys = set(inspect.signature(fn).parameters) - {"threads"}
+        keys = set(inspect.signature(fn).parameters)
         assert flags - {"-h", "--help"} == {f"--{key.replace('_', '-')}" for key in keys}
         assert parent_flags[command] <= flags
 
@@ -456,6 +479,7 @@ def _stub_recipe(monkeypatch, name):
     ("qpoch-asymptotics", "T = 5", "unknown key 'T'"),
     ("qpoch-asymptotics", "grid = 7", "unknown key 'grid'"),
     ("qpoch-asymptotics", "ell = 2", "unknown key 'ell'"),
+    ("sde-vs-exact", "threads = 2", "unknown key 'threads'"),
 ])
 def test_cli_run_rejects_keys_the_recipe_does_not_take(experiment, line, message, tmp_path,
                                                        monkeypatch, capsys):
@@ -508,52 +532,6 @@ def test_readme_lists_the_config_keys_of_each_recipe():
                       for name in cli.EXPERIMENTS}
 
 
-def test_cli_threads_flag_with_a_recipe_without_threads(tmp_path, capsys):
-    cfg = tmp_path / "q.cfg"
-    cfg.write_text("experiment = qpoch-asymptotics\n")
-    assert main(["--threads", "2", "run", str(cfg)]) == 0
-    capsys.readouterr()
-
-
-def test_cli_run_thread_count_precedence(tmp_path, monkeypatch, capsys):
-    # --threads wins over AKPZ_THREADS, and a threads key in the file wins over both
-    seen = []
-    real = cli.thread_map
-
-    def spy(fn, items, threads):
-        seen.append(threads)
-        return real(fn, items, threads)
-
-    monkeypatch.setattr(cli, "thread_map", spy)
-    monkeypatch.setenv("AKPZ_THREADS", "2")
-    base = "experiment = drift-check\nreplicas = 2\n"
-    plain, pinned = tmp_path / "plain.cfg", tmp_path / "pinned.cfg"
-    plain.write_text(base)
-    pinned.write_text(base + "threads = 1\n")
-    for argv in (["run", str(plain)], ["--threads", "3", "run", str(plain)],
-                 ["--threads", "3", "run", str(pinned)]):
-        assert main(argv) in (0, 1)
-    assert seen == [2, 3, 1]
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-@pytest.mark.parametrize("command", ["run", "all"])
-def test_cli_bad_akpz_threads_exit_2_before_any_recipe(command, value, tmp_path, monkeypatch,
-                                                       capsys):
-    def fail(*args, **kwargs):
-        raise AssertionError("a recipe ran")
-
-    monkeypatch.setattr(cli, "run_experiment", fail)
-    monkeypatch.setattr(cli.sde, "validate_symbol_properties", fail)
-    monkeypatch.setenv("AKPZ_THREADS", value)
-    cfg = tmp_path / "q.cfg"
-    cfg.write_text("experiment = qpoch-asymptotics\n")
-    assert main([command] + ([str(cfg)] if command == "run" else [])) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: threads must be an integer >= 1, got {value!r}\n"
-
-
 @pytest.mark.parametrize("cls", [c for _, c in inspect.getmembers(errors, inspect.isclass)
                                  if issubclass(c, errors.AkpzError)])
 def test_cli_every_akpz_error_exits_2(cls, monkeypatch, capsys):
@@ -566,14 +544,14 @@ def test_cli_every_akpz_error_exits_2(cls, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: boom\n"
 
 
-def test_thread_count_does_not_change_results():
-    cfg_a = ExperimentConfig("sde-vs-exact", {"replicas": 400, "dt": 5e-3,
-                                              "t": 0.5, "threads": 1})
-    cfg_b = ExperimentConfig("sde-vs-exact", {"replicas": 400, "dt": 5e-3,
-                                              "t": 0.5, "threads": 4})
-    ra = run_experiment(cfg_a)
-    rb = run_experiment(cfg_b)
-    assert [(r.label, r.value_a) for r in ra.rows] == [(r.label, r.value_a) for r in rb.rows]
+def test_thread_count_does_not_change_results(monkeypatch):
+    for config in (ExperimentConfig("sde-vs-exact", {"replicas": 400, "dt": 5e-3, "t": 0.5}),
+                   ExperimentConfig("cor2-characteristic")):
+        reports = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            reports.append(run_experiment(config))
+        assert reports[0].rows == reports[1].rows, config.experiment
 
 
 def test_report_lines_format():

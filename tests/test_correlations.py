@@ -323,6 +323,17 @@ def test_gff_rejects_nonzero_mean():
         gff_smoothed_variance(phi, 0.125, m, 32, PARAMS, SPECTRAL)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 1e150, 1e200])
+def test_gff_rejects_delta_whose_fourth_power_is_not_finite(delta):
+    m = 16
+    phi = np.zeros((m, m))
+    phi[m // 2, m // 2], phi[m // 2 + 1, m // 2] = 1.0, -1.0
+    with pytest.raises(ParameterError):
+        gff_smoothed_variance(phi, delta, m, m // 2, PARAMS, SPECTRAL)
+    with pytest.raises(ParameterError):
+        two_bump_test_function(delta, m)
+
+
 def test_gff_lattice_vs_continuum():
     delta, m, m2 = 1 / 16, 256, 128
     phi = two_bump_test_function(delta, m)

@@ -1,4 +1,5 @@
-"""The runtime dependency of akpz is numpy only."""
+"""The runtime dependency of akpz is numpy only, and its configuration is
+its flags and config files: no module reads the environment."""
 
 import ast
 import re
@@ -22,6 +23,20 @@ def test_modules_import_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, node.lineno, name)
+
+
+def test_modules_do_not_read_the_environment():
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted((ROOT / "src" / "akpz").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                found = (isinstance(node.value, ast.Name) and node.value.id == "os"
+                         and node.attr in reads)
+            elif isinstance(node, ast.ImportFrom):
+                found = node.module == "os" and any(a.name in reads for a in node.names)
+            else:
+                continue
+            assert not found, (path.name, node.lineno)
 
 
 def test_pyproject_declares_numpy_as_the_only_runtime_dependency():
