@@ -499,25 +499,15 @@ def cmd_cov(*, C: float, D: float, m: int = None, m2: int = None, t: float, s: f
     and --m2), quad, kernel or asymptotic."""
     params = ModelParams(C=C, D=D)
     query = corr.CovarianceQuery(y=(y1, y2), t=t, s=s)
-    spectral = spectral_data(drift_coeffs(params))
     if method == "finite":
         if m is None or m2 is None:
             raise ConfigError("--method finite requires --m and --m2")
         res = corr.covariance_finite_m(query, m, m2, params)
     elif method == "quad":
         res = corr.covariance_quadrature(query, params)
-    elif method == "kernel":
-        res = corr.covariance_heat_kernel(query, spectral, params)
     else:
-        regimes = corr.corollary_regimes(query, spectral, params)
-        applicable = [r for r in regimes if r.applies]
-        if not applicable:
-            raise ParameterError(f"no asymptotic regime applies at t={t}, s={s}, "
-                                 f"y={query.y} (evaluated: "
-                                 f"{', '.join(r.label for r in regimes) or 'none'})")
-        res = corr.CovarianceResult(y=query.y, t=query.t, s=query.s,
-                                    method=f"asymptotic:{applicable[0].label}",
-                                    value=applicable[0].value, err_est=float("nan"))
+        route = corr.covariance_heat_kernel if method == "kernel" else corr.covariance_asymptotic
+        res = route(query, spectral_data(drift_coeffs(params)), params)
     rows = [(res.t, res.s, res.y[0], res.y[1], res.method, res.value, res.err_est)]
     if out:
         write_csv(out, ["t", "s", "y1", "y2", "method", "value", "err_est"], rows)

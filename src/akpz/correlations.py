@@ -65,12 +65,18 @@ def _growth_factor(rvals, s):
     return np.where(x != 0, np.expm1(x) / safe, float(s))
 
 
-def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
-    """Exact m^2-mode sum for the covariance on the quotient label set.
+def _real_mode_sum(terms, scale, what):
+    """scale * sum(terms) as a float; it must be finite, and an imaginary
+    residue below 1e-10 relative is discarded."""
+    total = scale * np.sum(terms)
+    if not (np.isfinite(total) and abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))):
+        raise AccuracyError(f"{what} {total} is not a finite real number")
+    return float(total.real)
 
-    Independent of the base point and of the initial data; the imaginary
-    residue of the mode sum is checked below 1e-10 and discarded.
-    """
+
+def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
+    """Exact m^2-mode sum for the covariance on the quotient label set,
+    independent of the base point and of the initial data."""
     coeffs = drift_coeffs(params)
     modes = fourier_modes(m, m2)
     avals = symbol_A(modes.k, coeffs)
@@ -78,28 +84,49 @@ def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
     g = _growth_factor(rvals, query.s)
     y = np.asarray(query.y, dtype=float)
     phase = np.exp(-1j * (modes.k @ y))
-    total = params.v / m ** 2 * np.sum(phase * np.exp(avals * (query.t - query.s)) * g)
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise AccuracyError(f"imaginary residue {total.imag} in mode sum")
+    value = _real_mode_sum(phase * np.exp(avals * (query.t - query.s)) * g,
+                           params.v / m ** 2, "mode sum")
     return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
-                            method="finite-m", value=float(total.real),
-                            err_est=float("nan"))
+                            method="finite-m", value=value, err_est=float("nan"))
+
+
+def _riemann_grid(coeffs, m):
+    """Momenta K1 (m, 1), K2 (1, m) of the m x m periodic lattice and R on it."""
+    # R is inlined here, not taken from symbol_R: on the separable (m,1)/(1,m)
+    # axes cos/sin cost O(m) calls, on symbol_R's (m,m,2) grid O(m^2), which
+    # measured about twice the time per call (12.0 vs 5.9 ms at m=256, 195 vs
+    # 106-122 ms at m=1024).
+    k = 2 * np.pi * np.arange(-(m // 2), m - m // 2) / m
+    K1 = k[:, None]
+    K2 = k[None, :]
+    rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - K2) - coeffs.d1 * np.cos(K1)
+                 + coeffs.d3 * np.cos(K2))
+    return K1, K2, rvals
+
+
+def _refine(value_at, tol, m_start, m_max, levels):
+    """Double m from m_start until two consecutive values, after `levels`
+    Richardson steps in 1/m^2, agree within tol: (value, |difference|)."""
+    old = []
+    m = m_start
+    while m <= m_max:
+        new = [value_at(m)]
+        for j in range(min(levels, len(old))):
+            new.append(new[j] + (new[j] - old[j]) / (4 ** (j + 1) - 1))
+        if len(old) > levels and abs(new[levels] - old[levels]) <= tol:
+            return new[levels], abs(new[levels] - old[levels])
+        old = new
+        m *= 2
+    raise AccuracyError(f"quadrature did not reach tol={tol} by m={m_max}")
 
 
 def _riemann_covariance(query, params, coeffs, m):
     """Midpoint/Riemann value of the momentum integral on an m x m periodic
     lattice, evaluated in real arithmetic."""
-    # The symbols are inlined here and in _riemann_stationary, not taken from
-    # symbol_R: on the separable (m,1)/(1,m) axes cos/sin cost O(m) calls, on
-    # symbol_R's (m,m,2) grid O(m^2), which measured about twice the time per
-    # call (12.0 vs 5.9 ms at m=256, 195 vs 106-122 ms at m=1024).
     d1, d2, d3 = coeffs.d1, coeffs.d2, coeffs.d3
     tau = query.t - query.s
     y1, y2 = query.y
-    k = 2 * np.pi * np.arange(-(m // 2), m - m // 2) / m
-    K1 = k[:, None]
-    K2 = k[None, :]
-    rvals = 2 * (coeffs.diag + d2 * np.cos(K1 - K2) - d1 * np.cos(K1) + d3 * np.cos(K2))
+    K1, K2, rvals = _riemann_grid(coeffs, m)
     acc = _growth_factor(rvals, query.s)
     acc *= np.exp(0.5 * rvals * tau)
     phase = d2 * np.sin(K1 - K2) + d1 * np.sin(K1) - d3 * np.sin(K2)
@@ -117,30 +144,17 @@ def covariance_quadrature(query, params, tol=1e-6, m_start=128, m_max=4096) -> C
     tol (absolute), reported as the error estimate.
     """
     coeffs = drift_coeffs(params)
-    prev = None
-    m = m_start
-    while m <= m_max:
-        val = _riemann_covariance(query, params, coeffs, m)
-        if prev is not None and abs(val - prev) <= tol:
-            return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
-                                    method="quadrature", value=val,
-                                    err_est=abs(val - prev))
-        prev = val
-        m *= 2
-    raise AccuracyError(f"quadrature did not reach tol={tol} by m={m_max}")
-
-
-def characteristic_shift(query, spectral):
-    """H = V(y - (t-s)U), the Gaussian argument of the heat-kernel form."""
-    y = np.asarray(query.y, dtype=float)
-    return spectral.V @ (y - (query.t - query.s) * spectral.U)
+    value, err = _refine(lambda m: _riemann_covariance(query, params, coeffs, m),
+                         tol, m_start, m_max, levels=0)
+    return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
+                            method="quadrature", value=value, err_est=err)
 
 
 def covariance_heat_kernel(query, spectral, params) -> CovarianceResult:
     """Closed-form heat-kernel value of the covariance (the exact value
     differs from this by a bounded term that vanishes as t-s or |y| grow)."""
-    H = characteristic_shift(query, spectral)
     tau = query.t - query.s
+    H = spectral.V @ (np.asarray(query.y, dtype=float) - tau * spectral.U)  # Gaussian argument
     integral = heat_time_integral(float(H @ H), 1 + tau / 2, 1 + (query.t + query.s) / 2)
     value = params.v / (4 * math.pi * spectral.w) * integral
     return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
@@ -194,6 +208,19 @@ def corollary_regimes(query, spectral, params):
     return out
 
 
+def covariance_asymptotic(query, spectral, params) -> CovarianceResult:
+    """Value of the first regime of corollary_regimes that applies at the query."""
+    regimes = corollary_regimes(query, spectral, params)
+    regime = next((r for r in regimes if r.applies), None)
+    if regime is None:
+        raise ParameterError(f"no asymptotic regime applies at t={query.t}, s={query.s}, "
+                             f"y={query.y} (evaluated: "
+                             f"{', '.join(r.label for r in regimes) or 'none'})")
+    return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
+                            method=f"asymptotic:{regime.label}", value=regime.value,
+                            err_est=float("nan"))
+
+
 def she_covariance(x, y, t, s) -> float:
     """Space-time covariance of the two-dimensional additive stochastic heat
     equation between (x, t) and (y, s), 0 < s < t."""
@@ -221,28 +248,24 @@ def she_scaled_lattice_covariance(x, y, t, s, delta, spectral, params) -> float:
     return amp_sq * covariance_heat_kernel(q, spectral, params).value
 
 
+def _stationary_mode_sum(s1, s2, modes, params, what):
+    """-v/m^2 sum over k != 0 of s1 conj(s2)/R(k), weights s1, s2 per mode."""
+    rvals = symbol_R(modes.k, drift_coeffs(params))
+    keep = np.arange(len(rvals)) != modes.zero_index
+    return _real_mode_sum(s1[keep] * np.conj(s2[keep]) / rvals[keep],
+                          -params.v / modes.m ** 2, what)
+
+
 def stationary_cov_finite(qry, m, m2, params) -> float:
     """Stationary gradient covariance as an exact sum over nonzero modes."""
-    coeffs = drift_coeffs(params)
     modes = fourier_modes(m, m2)
-    rvals = symbol_R(modes.k, coeffs)
-    keep = np.arange(len(rvals)) != modes.zero_index
-    k = modes.k[keep]
-    rvals = rvals[keep]
-    e = lambda y: np.exp(1j * (k @ np.asarray(y, dtype=float)))
-    num = (e(qry.y1) - e(qry.y2)) * np.conj(e(qry.y3) - e(qry.y4))
-    total = -params.v / m ** 2 * np.sum(num / rvals)
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise AccuracyError(f"imaginary residue {total.imag} in mode sum")
-    return float(total.real)
+    e = lambda y: np.exp(1j * (modes.k @ np.asarray(y, dtype=float)))
+    return _stationary_mode_sum(e(qry.y1) - e(qry.y2), e(qry.y3) - e(qry.y4), modes, params,
+                                "mode sum")
 
 
 def _riemann_stationary(qry, coeffs, v, m):
-    d1, d2, d3 = coeffs.d1, coeffs.d2, coeffs.d3
-    k = 2 * np.pi * np.arange(-(m // 2), m - m // 2) / m
-    K1 = k[:, None]
-    K2 = k[None, :]
-    rvals = 2 * (coeffs.diag + d2 * np.cos(K1 - K2) - d1 * np.cos(K1) + d3 * np.cos(K2))
+    K1, K2, rvals = _riemann_grid(coeffs, m)
     rvals[m // 2, m // 2] = 1.0  # origin removed from the sum below
     y1, y2, y3, y4 = (np.asarray(a, dtype=float) for a in (qry.y1, qry.y2, qry.y3, qry.y4))
     num = (np.cos(K1 * (y1 - y3)[0] + K2 * (y1 - y3)[1])
@@ -261,20 +284,8 @@ def stationary_cov_infinite(qry, params, tol=1e-6, m_start=64, m_max=4096) -> fl
     in even powers; two Richardson levels accelerate it.
     """
     coeffs = drift_coeffs(params)
-    raw = []
-    rich1 = []
-    rich2 = []
-    m = m_start
-    while m <= m_max:
-        raw.append(_riemann_stationary(qry, coeffs, params.v, m))
-        if len(raw) >= 2:
-            rich1.append(raw[-1] + (raw[-1] - raw[-2]) / 3.0)
-        if len(rich1) >= 2:
-            rich2.append(rich1[-1] + (rich1[-1] - rich1[-2]) / 15.0)
-        if len(rich2) >= 2 and abs(rich2[-1] - rich2[-2]) <= tol:
-            return rich2[-1]
-        m *= 2
-    raise AccuracyError(f"quadrature did not reach tol={tol} by m={m_max}")
+    return _refine(lambda m: _riemann_stationary(qry, coeffs, params.v, m),
+                   tol, m_start, m_max, levels=2)[0]
 
 
 def _log_gauss_pair(Y):
@@ -342,18 +353,10 @@ def _smoothed_transform(phi, delta, modes):
 def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:
     """Stationary covariance of two smoothed gradient fields on the m x m
     label set; positive semidefinite as a quadratic form."""
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-    coeffs = drift_coeffs(params)
     modes = fourier_modes(m, m2)
-    s1 = _smoothed_transform(phi1, delta, modes)
-    s2 = _smoothed_transform(phi2, delta, modes)
-    rvals = symbol_R(modes.k, coeffs)
-    keep = np.arange(len(rvals)) != modes.zero_index
-    total = -params.v / m ** 2 * np.sum(s1[keep] * np.conj(s2[keep]) / rvals[keep])
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise AccuracyError(f"imaginary residue {total.imag} in smoothed covariance")
-    return float(total.real)
+    s1, s2 = (_smoothed_transform(np.asarray(phi, dtype=float), delta, modes)
+              for phi in (phi1, phi2))
+    return _stationary_mode_sum(s1, s2, modes, params, "smoothed covariance")
 
 
 def _log_kernel_cell_average(delta, V, order=24):
@@ -401,8 +404,14 @@ def gff_smoothed_variance(phi, delta, m, m2, params, spectral=None) -> GffVarian
     _check_mean_zero(phi, delta)
     if spectral is None:
         spectral = spectral_data(drift_coeffs(params))
-    lattice = gff_lattice_bilinear(phi, phi, delta, m, m2, params)
-    continuum = gff_continuum_variance(phi, delta, spectral, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        continuum = gff_continuum_variance(phi, delta, spectral, params)
+        try:
+            lattice = gff_lattice_bilinear(phi, phi, delta, m, m2, params)
+        except AccuracyError:  # s conj(s) is real, so only a non-finite sum lands here
+            lattice = math.nan
+    if not (math.isfinite(lattice) and math.isfinite(continuum)):
+        raise ParameterError(f"grid spacing delta={delta} overflows the smoothed variance")
     return GffVariance(lattice=lattice, continuum=continuum)
 
 

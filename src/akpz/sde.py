@@ -67,9 +67,11 @@ def finite_eps_speed(params, eps: float) -> float:
     mean b = B/eps - 1, mean c = C/eps, mean d + 1 = D/eps.  At the mean
     gaps q^b = e^-B e^eps and q^(c+1) = e^-C e^-eps, so the rate is
     v * (1 - eps*f(B)) / (1 + eps*f(C)) + O(eps^2), while the factor in d
-    is exactly 1 - e^-D.  This is the rate at the mean gaps only; terms of
-    order eps^2, and whatever the gap fluctuations add beyond first order,
-    are not modelled.
+    is exactly 1 - e^-D.  This is the rate at the mean gaps only.  The rate
+    is curved in the gaps, so their fluctuations add a term of the same first
+    order that is not modelled: 10^4 replicas on the m=4, m2=2, D=1 torus
+    (crystalline start, horizon 1/eps) run +0.98%, +0.48% and +0.23% of v
+    above this speed at eps = 0.02, 0.01 and 0.005.
     """
     return speed(params) * (1 - eps * (_f(params.B) + _f(params.C)))
 

@@ -107,10 +107,12 @@ def test_criterion_05_ctmc_drift():
     # v*(1 - eps*(f(B)+f(C))) + O(eps^2) with f(x) = e^-x/(1-e^-x), about
     # -3.1% below v here.  The assertion compares the mean displacement rate
     # with that finite-eps speed within 2% of v; it fails if the simulated
-    # drift or v is off by more than that.  The speed is settled only to
-    # first order in eps, so the check stays at eps = 0.01, where the
-    # unmodelled remainder is small.  The deviation from v itself and the
-    # eps sweep are printed so the finite-eps offset stays visible.
+    # drift or v is off by more than that.  The gap fluctuations add a
+    # first-order term this speed leaves out (measured +0.98%, +0.48% and
+    # +0.23% of v at eps = 0.02, 0.01 and 0.005 with 10^4 replicas), so the
+    # check stays at eps = 0.01, where that remainder is well inside the
+    # tolerance.  The deviation from v itself and the eps sweep are printed
+    # so the finite-eps offset stays visible.
     eps, m, m2, D = 0.01, 4, 2, 1.0
     torus = TorusParams.from_scaling(epsilon=eps, ell=D * m, m=m, m2=m2)
     params = ModelParams.from_torus(torus)

@@ -260,6 +260,15 @@ _SDE = ["sde", "--C", "0.5", "--D", "1.5", "--m", "4", "--m2", "2", "--dt", "0.0
 _COV = ["cov", "--C", "0.5", "--D", "1.5", "--y1", "0", "--y2", "0"]
 _ASYMPTOTIC = ["cov", "--C", "0.5", "--D", "1.5", "--y2", "0", "--method", "asymptotic"]
 _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "1"]
+# delta just inside its bound, where the smoothed variances overflow; PHI is a two-point file
+_GFF_OVERFLOWS = [["gff", "--delta", "1.15e77", "--m", "16"],
+                  ["gff", "--delta", "1.15e77", "--m", "16", "--phi", "PHI"]]
+
+
+def _two_point_phi(tmp_path):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("0 0 1\n1 0 -1\n")
+    return str(phi)
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,6 +310,7 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
     [*_COV, "--t", "5", "--s", "5", "--method", "bogus"],
     [*_COV, "--t", "inf", "--s", "0", "--method", "finite", "--m", "8", "--m2", "4"],
     [*_COV, "--t", "inf", "--s", "0", "--method", "asymptotic"],
+    *_GFF_OVERFLOWS,
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -313,9 +323,10 @@ _ORACLE = ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2", "--m2", "
         "ctmc-negative-seed", "sde-negative-seed", "sde-empty-field", "sde-empty-field-T-0",
         "sde-T-off-dt-grid",
         "sde-observe-every-off-dt-grid", "cov-unknown-method", "cov-finite-inf-t",
-        "cov-asymptotic-inf-t"])
+        "cov-asymptotic-inf-t", "gff-variance-overflows", "gff-phi-variance-overflows"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
+    argv = [_two_point_phi(tmp_path) if a == "PHI" else a for a in argv]
     # validate writes no file, so it takes no --out
     assert main(argv + ([] if argv[0] == "validate" else ["--out", str(out)])) == 2
     err = capsys.readouterr().err
@@ -325,6 +336,18 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     if "--observe-every" in argv:
         assert "observe_every" in lines[0]
     assert not out.exists()
+
+
+def test_cli_gff_overflow_prints_one_error_line_and_no_warning(tmp_path):
+    # pytest captures warnings away from capsys, so stderr is checked in a subprocess
+    env = {**os.environ, "PYTHONPATH": str(Path(akpz.__file__).resolve().parent.parent)}
+    for argv in _GFF_OVERFLOWS:
+        argv = [_two_point_phi(tmp_path) if a == "PHI" else a for a in argv]
+        done = subprocess.run([sys.executable, "-m", "akpz", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "delta" in done.stderr and done.stdout == ""
 
 
 @pytest.mark.parametrize("lines", ["s = 500", "s = 400", "t = inf", "s = nan"],

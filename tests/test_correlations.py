@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from akpz.correlations import (AccuracyError, CovarianceQuery, FourPointQuery,
-                               corollary_regimes, covariance_finite_m,
+                               corollary_regimes, covariance_asymptotic, covariance_finite_m,
                                covariance_heat_kernel, covariance_quadrature,
                                four_point_closed_form, gff_continuum_variance,
                                gff_lattice_bilinear, gff_smoothed_variance,
@@ -73,10 +74,16 @@ def test_quadrature_zero_at_s_zero():
     assert covariance_quadrature(q, PARAMS).value == 0.0
 
 
-def test_quadrature_reports_accuracy_failure():
-    q = CovarianceQuery(y=(0, 0), t=5.0, s=5.0)
-    with pytest.raises(AccuracyError):
-        covariance_quadrature(q, PARAMS, tol=1e-18, m_start=32, m_max=64)
+@pytest.mark.parametrize("call, tol", [
+    (lambda: covariance_quadrature(CovarianceQuery(y=(0, 0), t=5.0, s=5.0), PARAMS,
+                                   tol=1e-18, m_start=32, m_max=64), 1e-18),
+    (lambda: stationary_cov_infinite(FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)), PARAMS,
+                                     tol=1e-30, m_start=16, m_max=64), 1e-30),
+], ids=["covariance", "stationary"])
+def test_quadrature_reports_accuracy_failure(call, tol):
+    with pytest.raises(AccuracyError) as err:
+        call()
+    assert str(err.value) == f"quadrature did not reach tol={tol} by m=64"
 
 
 def test_heat_kernel_log_form_at_equal_time_origin():
@@ -177,6 +184,17 @@ def test_corollary_regime_tags():
     assert not regs["off-characteristic"].applies
     assert regs["characteristic"].value == pytest.approx(
         V4 * math.log((2 * t - gap) / gap), rel=1e-12)
+
+
+def test_covariance_asymptotic_takes_the_first_regime_that_applies():
+    t, gap = 400.0, 100.0
+    y_char = tuple(int(a) for a in np.floor(SPECTRAL.U * gap))
+    q = CovarianceQuery(y=y_char, t=t, s=t - gap)
+    res = covariance_asymptotic(q, SPECTRAL, PARAMS)
+    first = next(r for r in corollary_regimes(q, SPECTRAL, PARAMS) if r.applies)
+    assert (res.method, res.value) == ("asymptotic:characteristic", first.value)
+    with pytest.raises(ParameterError, match=r"evaluated: equal-time-origin, equal-time-spatial"):
+        covariance_asymptotic(CovarianceQuery(y=(100, 0), t=5.0, s=5.0), SPECTRAL, PARAMS)
 
 
 def test_she_covariance_log_form_at_coincident_points():
@@ -334,6 +352,19 @@ def test_gff_rejects_delta_whose_fourth_power_is_not_finite(delta):
         two_bump_test_function(delta, m)
 
 
+@pytest.mark.parametrize("two_point", [False, True], ids=["two-bump", "two-point"])
+def test_gff_variance_overflow_names_delta(two_point):
+    # just inside the delta bound the mode sum and the log-kernel sum overflow;
+    # that is a ParameterError naming delta, with no RuntimeWarning on the way
+    delta, m = 1.15e77, 16
+    phi = two_bump_test_function(delta, m)
+    if two_point:
+        phi = np.zeros((m, m))
+        phi[m // 2, m // 2], phi[m // 2 + 1, m // 2] = 1.0, -1.0
+    with pytest.raises(ParameterError, match="delta=1.15e"):
+        gff_smoothed_variance(phi, delta, m, m // 2, PARAMS, SPECTRAL)
+
+
 def test_gff_lattice_vs_continuum():
     delta, m, m2 = 1 / 16, 256, 128
     phi = two_bump_test_function(delta, m)
@@ -416,3 +447,43 @@ def test_gff_continuum_value_from_direct_double_sum():
                     total += phi[a1, a2] * phi[b1, b2] * kern
     direct = -PARAMS.v / (2 * math.pi * SPECTRAL.w) * delta ** 4 * total
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def _covariance_layer_values(C, D):
+    """repr of every covariance-layer output on fixed queries at (C, D)."""
+    params = ModelParams(C=C, D=D)
+    spectral = spectral_data(drift_coeffs(params))
+    out = []
+    for y, t, s in [((0, 0), 5.0, 5.0), ((2, -1), 7.5, 3.25), ((-3, 4), 12.0, 0.5)]:
+        q = CovarianceQuery(y=y, t=t, s=s)
+        for m, m2 in [(32, 5), (9, 4)]:  # an odd m and m2 other than m/2
+            out.append(covariance_finite_m(q, m, m2, params))
+        out.append(covariance_quadrature(q, params))  # value and err_est
+    fours = [FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)),
+             FourPointQuery((0, 0), (2, 1), (1, -1), (3, 2))]
+    for q4 in fours:
+        for m, m2 in [(32, 5), (11, 3)]:
+            out.append(stationary_cov_finite(q4, m, m2, params))
+        out.append(stationary_cov_infinite(q4, params, tol=1e-5, m_max=1024))
+    delta, m = 0.25, 32
+    phi = two_bump_test_function(delta, m)
+    out.append(gff_smoothed_variance(phi, delta, m, 7, params, spectral))
+    psi = _random_sparse_mean_zero(m, np.random.default_rng(5))
+    out.append(gff_lattice_bilinear(phi, psi, delta, m, 13, params))
+    for call in (lambda: covariance_quadrature(CovarianceQuery((0, 0), 5.0, 5.0), params,
+                                               tol=1e-18, m_start=8, m_max=16),
+                 lambda: stationary_cov_infinite(fours[0], params, tol=1e-30,
+                                                 m_start=16, m_max=64)):
+        with pytest.raises(AccuracyError) as err:
+            call()
+        out.append(str(err.value))
+    return out
+
+
+def test_covariance_layer_bits_are_pinned():
+    # SHA-256 of repr over the covariance layer's outputs, recorded with
+    # numpy 2.4.6; any change to a value, an err_est or an AccuracyError
+    # message changes it
+    values = [_covariance_layer_values(C, D) for C, D in [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "f3e8deff92f041d5c95daaea50ee0f46499b4d9ac6326a148e848f97c27f50fd"
