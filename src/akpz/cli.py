@@ -619,6 +619,6 @@ def main(argv=None) -> int:
             fn = _COMMANDS[args.command]
             return fn(**_flag_values(args, fn))
         return args.func(args)
-    except (AkpzError, OSError) as err:
+    except (AkpzError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

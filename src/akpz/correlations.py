@@ -166,7 +166,6 @@ class RegimeValue:
     label: str
     value: float
     applies: bool
-    condition: str
 
 
 def corollary_regimes(query, spectral, params):
@@ -184,27 +183,23 @@ def corollary_regimes(query, spectral, params):
     is_origin = bool(np.all(y == 0))
     if t > 0:
         out.append(RegimeValue("equal-time-origin", v4 * math.log(t),
-                               is_equal_time and is_origin, "y = 0, t = s large"))
+                               is_equal_time and is_origin))
     if not is_origin:
         Y = spectral.V @ y
         out.append(RegimeValue(
             "equal-time-spatial", v4 * math.log(4 * (t + 1) / float(Y @ Y)),
-            is_equal_time and float(Y @ Y) <= 4 * (t + 1),
-            "y != 0, |y| = O(sqrt t), t = s"))
+            is_equal_time and float(Y @ Y) <= 4 * (t + 1)))
     if tau > 0:
         on_char = bool(np.all(np.floor(spectral.U * tau) == y))
-        out.append(RegimeValue("characteristic", v4 * math.log((t + s) / tau),
-                               on_char, "y = floor(U (t-s)), t-s large"))
+        out.append(RegimeValue("characteristic", v4 * math.log((t + s) / tau), on_char))
         u = y / tau
         arg = tau ** 2 * float(np.sum((spectral.V @ (spectral.U - u)) ** 2)) / (2 * (t + s))
         val = v4 * exp_integral_E1(arg) if arg > 0 else float("inf")
-        out.append(RegimeValue("off-characteristic", val, not on_char,
-                               "y = floor(u (t-s)) with u != U, t-s large"))
+        out.append(RegimeValue("off-characteristic", val, not on_char))
         if t > 1 and tau > 1:
             out.append(RegimeValue("diffusive-window",
                                    v4 * (math.log(t) - 2 * math.log(tau)),
-                                   not on_char and tau <= math.sqrt(t),
-                                   "u != U, t-s = O(sqrt t)"))
+                                   not on_char and tau <= math.sqrt(t)))
     return out
 
 

@@ -7,7 +7,6 @@ so that the heat-kernel covariance formulas do not depend on scipy.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -103,26 +102,9 @@ def dilog_sum(b: float):
     return s2, s1, s0
 
 
-@dataclass(frozen=True)
-class QPochAsymptotics:
-    """Term-by-term breakdown of the log q-Pochhammer expansion at
-    a = b/eps + X, excluding the index-independent additive constant."""
-
-    eps: float
-    b: float
-    X: float
-    leading: float      # S2(b)/eps
-    half_log: float     # -S1(b)/2
-    linear: float       # -X S1(b)
-    quadratic: float    # eps X^2 S0(b)/2
-
-    @property
-    def total(self) -> float:
-        return self.leading + self.half_log + self.linear + self.quadratic
-
-
-def qpoch_expansion(eps: float, b: float, X: float) -> QPochAsymptotics:
-    """Expansion terms of log (q;q)_a for q = exp(-eps), a = b/eps + X.
+def log_qpoch_asymptotic(eps: float, b: float, X: float) -> float:
+    """Asymptotic value of log (q;q)_a for q = exp(-eps), a = b/eps + X:
+    S2(b)/eps - S1(b)/2 - X S1(b) + eps X^2 S0(b)/2.
 
     The additive constant shared by all (b, X) is omitted, so only
     differences of returned values are meaningful.  Valid while
@@ -135,18 +117,4 @@ def qpoch_expansion(eps: float, b: float, X: float) -> QPochAsymptotics:
             f"(eps={eps}, X={X}) outside validity window sqrt(eps)|X| < eps^(-1/10)"
         )
     s2, s1, s0 = dilog_sum(b)
-    return QPochAsymptotics(
-        eps=eps,
-        b=b,
-        X=X,
-        leading=s2 / eps,
-        half_log=-0.5 * s1,
-        linear=-X * s1,
-        quadratic=eps * X * X * s0 / 2.0,
-    )
-
-
-def log_qpoch_asymptotic(eps: float, b: float, X: float) -> float:
-    """Asymptotic value of log (q;q)_{b/eps + X} up to a (b, X)-independent
-    constant; see qpoch_expansion."""
-    return qpoch_expansion(eps, b, X).total
+    return s2 / eps - 0.5 * s1 - X * s1 + eps * X * X * s0 / 2.0

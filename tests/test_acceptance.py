@@ -1,23 +1,29 @@
 """Acceptance suite: every verification criterion at its stated tolerance,
 one test per criterion, each printing a summary line with the measured
 numbers.  Run with `pytest tests/test_acceptance.py -s` to see all lines.
+
+A criterion that `akpz all` checks (01, 05, 06, 08, 09, 10, 11(c), 12) reads
+its numbers from the recipe or property report that `akpz all` prints, at the
+same keys, and re-checks each row: the row's tolerance is the one the
+criterion states, and its pass flag follows from its values.  Criteria 02,
+03, 04, 07, 11(a) and 11(b) compute their own numbers.
 """
 
+import csv
+import inspect
 import math
 
 import numpy as np
 
-from akpz.correlations import (CovarianceQuery, FourPointQuery,
-                               covariance_finite_m, covariance_quadrature,
-                               four_point_closed_form, gff_smoothed_variance,
-                               she_covariance, she_scaled_lattice_covariance,
-                               stationary_cov_finite, stationary_cov_infinite,
-                               two_bump_test_function)
-from akpz.ctmc import check_stationarity, simulate
+from akpz import cli
+from akpz.cli import ExperimentConfig, run_experiment
+from akpz.correlations import (CovarianceQuery, FourPointQuery, covariance_finite_m,
+                               four_point_closed_form, stationary_cov_finite,
+                               stationary_cov_infinite)
 from akpz.lattice import TorusParams, crystalline, neighbor_distances
-from akpz.sde import (ModelParams, drift_coeffs, euler_maruyama_ensemble,
-                      grad_v_check, shift_field, spectral_data, symbol_A,
-                      symbol_Q, symbol_R, appendix_delta, det_hessian_closed_form)
+from akpz.sde import (ModelParams, drift_coeffs, euler_maruyama_ensemble, shift_field,
+                      spectral_data, symbol_A, symbol_Q, symbol_R, appendix_delta,
+                      det_hessian_closed_form, validate_symbol_properties)
 
 
 def report(number, name, passed, detail):
@@ -33,12 +39,42 @@ def random_draws(n, seed):
     return [ModelParams(C=float(ci), D=float(di)) for ci, di in zip(c, d)]
 
 
+def recipe_rows(name, **keys):
+    """The report rows of recipe `name`, run as `akpz all` runs it: at its
+    default keys, apart from `keys`."""
+    return run_experiment(ExperimentConfig(name, keys)).rows
+
+
+def within(row, tol):
+    """Re-check a row whose rule is |a - b| <= tol: its tolerance is the
+    criterion's `tol`, and its pass flag is what the rule gives."""
+    assert row.tolerance == tol, f"{row.label}: tolerance {row.tolerance!r}, stated {tol!r}"
+    ok = abs(row.value_a - row.value_b) <= tol
+    assert row.passed == ok, f"{row.label}: reported passed={row.passed}, rule gives {ok}"
+    return ok
+
+
+def decreasing_errors(rows, tol):
+    """(errors, passed) of a report whose leading rows each say an error is
+    below the previous one and whose last row says the final error is within
+    `tol`; both rules are re-checked from the row values."""
+    *steps, final = rows
+    errs = [steps[0].tolerance] + [r.value_a for r in steps]
+    for prev, row in zip(errs, steps):
+        assert row.tolerance == prev and row.value_b == 0.0, row.label
+        assert row.passed == (row.value_a < prev), f"{row.label}: reported passed={row.passed}"
+    assert final.value_a == errs[-1], final.label
+    decreasing = all(a > b for a, b in zip(errs, errs[1:]))
+    return errs, within(final, tol) and decreasing
+
+
 def test_criterion_01_stationarity():
-    torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    residuals = [check_stationarity(torus, q) for q in (0.0, 0.3, 0.7)]
-    worst = max(residuals)
-    report(1, "brute-force stationarity", worst < 1e-10,
-           f"max residual {worst:.2e} < 1e-10 over q in (0, 0.3, 0.7)")
+    rows = recipe_rows("stationarity-oracle")
+    ok = all([within(r, 1e-10) for r in rows])
+    worst = max(r.value_a for r in rows)
+    qs = ", ".join(r.label.partition("=")[2] for r in rows)
+    report(1, "brute-force stationarity", ok,
+           f"max residual {worst:.2e} < 1e-10 over q in ({qs})")
 
 
 def test_criterion_02_symbol_identities():
@@ -98,7 +134,7 @@ def test_criterion_04_microscopic_linearization():
            f"worst relative error {rel:.2e} < 1e-3 at eps={eps:g}")
 
 
-def test_criterion_05_ctmc_drift():
+def test_criterion_05_ctmc_drift(tmp_path):
     # The stated experiment, compared with the speed at finite eps.  v is
     # the speed of the q -> 1 limit, not of the system at q = e^-eps: around
     # any admissible state the average gaps satisfy avg(B_p) = B/eps - 1,
@@ -113,54 +149,54 @@ def test_criterion_05_ctmc_drift():
     # check stays at eps = 0.01, where that remainder is well inside the
     # tolerance.  The deviation from v itself and the eps sweep are printed
     # so the finite-eps offset stays visible.
-    eps, m, m2, D = 0.01, 4, 2, 1.0
-    torus = TorusParams.from_scaling(epsilon=eps, ell=D * m, m=m, m2=m2)
-    params = ModelParams.from_torus(torus)
-    start = crystalline(torus)
-    horizon = 1.0 / eps
-    q = math.exp(-eps)
-    replicas = 200
+    # The keys are pinned (seeds 0..199); `akpz all` runs the recipe at its
+    # defaults, so they must be these.
+    keys = {"eps": 0.01, "replicas": 200, "seed": 0, "tol": 0.02}
+    defaults = inspect.signature(cli.recipe_drift_check).parameters
+    assert {key: defaults[key].default for key in keys} == keys
+    eps, replicas = keys["eps"], keys["replicas"]
 
-    rates = []
-    for rep in range(replicas):
-        traj = simulate(start, q, horizon, seed=rep)
-        rates.append(float(np.mean(list(traj.displacement.values()))) / horizon)
-    mean_rate = float(np.mean(rates))
+    def speed(eps):  # v on the recipe's torus (m=4, m2=2, D=1) at eps
+        return ModelParams.from_torus(TorusParams.from_scaling(epsilon=eps, ell=4.0,
+                                                               m=4, m2=2)).v
+
+    out = tmp_path / "drift.csv"
+    row, = recipe_rows("drift-check", out=str(out), **keys)
+    with open(out) as fh:
+        rates = [float(r["rate"]) for r in csv.DictReader(fh)]
+    assert len(rates) == replicas and row.value_a == float(np.mean(rates))
+    v = speed(eps)
+    ok = within(row, 0.02 * v)
+    mean_rate, v_eps = row.value_a, row.value_b
     se = float(np.std(rates, ddof=1)) / math.sqrt(replicas)
-    dev = (mean_rate - params.v) / params.v
-
-    f = lambda x: math.exp(-x) / (1 - math.exp(-x))
-    predicted = -eps * (f(params.B) + f(params.C))
-    v_eps = params.v * (1 + predicted)
-    residual = (mean_rate - v_eps) / params.v
-    print(f"    measured rate {mean_rate:.5f} +- {se:.5f}, v = {params.v:.5f}, "
+    dev = (mean_rate - v) / v
+    residual = (mean_rate - v_eps) / v
+    print(f"    measured rate {mean_rate:.5f} +- {se:.5f}, v = {v:.5f}, "
           f"relative deviation from v {dev * 100:.2f}%")
-    print(f"    structural finite-eps correction -eps*(f(B)+f(C)) = {predicted * 100:.2f}%, "
+    print(f"    structural finite-eps correction -eps*(f(B)+f(C)) = {(v_eps / v - 1) * 100:.2f}%, "
           f"finite-eps speed {v_eps:.5f}")
     for eps_s in (0.05, 0.02):
-        torus_s = TorusParams.from_scaling(epsilon=eps_s, ell=D * m, m=m, m2=m2)
-        params_s = ModelParams.from_torus(torus_s)
-        start_s = crystalline(torus_s)
-        rates_s = [float(np.mean(list(simulate(start_s, math.exp(-eps_s), 1.0 / eps_s,
-                                               seed=4000 + r).displacement.values())))
-                   * eps_s for r in range(40)]
-        dev_s = (np.mean(rates_s) - params_s.v) / params_s.v
+        row_s, = recipe_rows("drift-check", eps=eps_s, replicas=40, seed=4000)
+        dev_s = (row_s.value_a - speed(eps_s)) / speed(eps_s)
         print(f"    eps sweep: eps={eps_s:g} deviation {dev_s * 100:.2f}% "
               f"(deviation/eps = {dev_s / eps_s:.2f})")
     print(f"    eps sweep: eps={eps:g} deviation {dev * 100:.2f}% "
           f"(deviation/eps = {dev / eps:.2f})")
-    report(5, "drift matches the finite-eps speed", abs(residual) <= 0.02,
+    report(5, "drift matches the finite-eps speed", ok,
            f"|rate - v*(1-eps*(f(B)+f(C)))|/v {abs(residual) * 100:.2f}% vs tolerance 2%; "
            f"deviation from v {dev * 100:.2f}% "
-           f"(200 replicas, 3 MC std errors = {3 * se / params.v * 100:.2f}%)")
+           f"({replicas} replicas, 3 MC std errors = {3 * se / v * 100:.2f}%)")
 
 
 def test_criterion_06_characteristic_identity():
-    params = ModelParams(C=0.5, D=1.5)
-    _, rel = grad_v_check(params)
-    report(6, "speed gradient equals characteristic direction",
-           float(rel.max()) < 1e-6,
-           f"componentwise relative error {rel.max():.2e} < 1e-6")
+    # the speed-gradient check of the property report `akpz all` prints first
+    check, = [c for c in validate_symbol_properties(ModelParams(C=0.5, D=1.5)).checks
+              if c.name == "speed_gradient_matches_U"]
+    assert check.tol == 1e-6
+    ok = check.worst <= 1e-6
+    assert check.passed == ok
+    report(6, "speed gradient equals characteristic direction", ok,
+           f"componentwise relative error {check.worst:.2e} < 1e-6")
 
 
 def test_criterion_07_sde_vs_exact_covariance():
@@ -189,52 +225,28 @@ def test_criterion_07_sde_vs_exact_covariance():
 
 
 def test_criterion_08_equal_time_log_growth():
-    params = ModelParams(C=0.5, D=1.5)
-    spectral = spectral_data(drift_coeffs(params))
-    ts = (50.0, 100.0, 200.0, 400.0, 800.0)
-    vals = [covariance_quadrature(CovarianceQuery(y=(0, 0), t=t, s=t), params).value
-            for t in ts]
-    slope = float(np.polyfit(np.log(ts), vals, 1)[0])
-    target = params.v / (4 * math.pi * spectral.w)
+    row, = recipe_rows("cor1-log-growth")
+    slope, target = row.value_a, row.value_b
+    ok = within(row, 0.05 * target)
     rel = abs(slope - target) / target
-    report(8, "equal-time log growth", rel < 0.05,
+    report(8, "equal-time log growth", ok,
            f"slope {slope:.5f} vs v/(4 pi w) {target:.5f}, rel err {rel * 100:.2f}% < 5%")
 
 
 def test_criterion_09_slow_decorrelation():
-    params = ModelParams(C=0.5, D=1.5)
-    spectral = spectral_data(drift_coeffs(params))
-    t, gap = 400.0, 100.0
-    s = t - gap
-    y_char = tuple(int(a) for a in np.floor(spectral.U * gap))
-    w_char = covariance_quadrature(CovarianceQuery(y=y_char, t=t, s=s), params).value
-    target = params.v / (4 * math.pi * spectral.w) * math.log((t + s) / (t - s))
+    char, *off = recipe_rows("cor2-characteristic")
+    w_char, target = char.value_a, char.value_b
+    assert len(off) == 8
+    ok = all([within(char, 0.10 * target)] + [within(r, 0.25 * w_char) for r in off])
     rel = abs(w_char - target) / target
-    rng = np.random.default_rng(11)
-    worst_off = 0.0
-    for _ in range(8):
-        ang = rng.uniform(0, 2 * np.pi)
-        rad = rng.uniform(0.75, 1.5)
-        u = spectral.U + rad * np.array([np.cos(ang), np.sin(ang)])
-        y_u = tuple(int(a) for a in np.floor(u * gap))
-        w_u = covariance_quadrature(CovarianceQuery(y=y_u, t=t, s=s), params).value
-        worst_off = max(worst_off, abs(w_u))
-    ok = rel < 0.10 and worst_off < 0.25 * w_char
+    worst_off = max(r.value_a for r in off)
     report(9, "slow decorrelation along the characteristic", ok,
            f"characteristic rel err {rel * 100:.2f}% < 10%; "
            f"worst off-characteristic {worst_off / w_char * 100:.2g}% of characteristic < 25%")
 
 
 def test_criterion_10_she_limit():
-    params = ModelParams(C=0.5, D=1.5)
-    spectral = spectral_data(drift_coeffs(params))
-    x, y, t, s = (1.0, 0.0), (0.0, 0.0), 4.0, 2.0
-    she = she_covariance(x, y, t, s)
-    rels = []
-    for delta in (1e-1, 1e-2, 1e-3):
-        val = she_scaled_lattice_covariance(x, y, t, s, delta, spectral, params)
-        rels.append(abs(val - she) / she)
-    ok = rels[0] > rels[1] > rels[2] and rels[-1] < 0.01
+    rels, ok = decreasing_errors(recipe_rows("cor3-she"), 0.01)
     report(10, "stochastic-heat-equation limit", ok,
            f"relative errors {[f'{r * 100:.2f}%' for r in rels]} decreasing, final < 1%")
 
@@ -278,11 +290,9 @@ def test_criterion_11_stationary_measure():
     ok_b = diffs[0] > diffs[1] > diffs[2] and max(env) < 0.5
 
     # (c) smoothed-field variance, lattice vs continuum
-    delta, m_g = 1 / 16, 256
-    phi = two_bump_test_function(delta, m_g)
-    g = gff_smoothed_variance(phi, delta, m_g, m_g // 2, params_inf, spectral)
-    rel_g = abs(g.lattice - g.continuum) / abs(g.continuum)
-    ok_c = rel_g < 0.05
+    gff, = recipe_rows("gff-variance")
+    ok_c = within(gff, 0.05 * abs(gff.value_b))
+    rel_g = abs(gff.difference) / abs(gff.value_b)
 
     report(11, "stationary measure and log-correlated limit",
            ok_a and ok_b and ok_c,
@@ -292,17 +302,7 @@ def test_criterion_11_stationary_measure():
 
 
 def test_criterion_12_qpoch_asymptotics():
-    from akpz.ctmc import log_q_pochhammer
-    from akpz.specfun import log_qpoch_asymptotic
-    b, x1, x2 = 1.0, 0.0, 10.0
-    errs = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        q = math.exp(-eps)
-        exact = (log_q_pochhammer(q, int(round(b / eps + x1)))
-                 - log_q_pochhammer(q, int(round(b / eps + x2))))
-        asym = log_qpoch_asymptotic(eps, b, x1) - log_qpoch_asymptotic(eps, b, x2)
-        errs.append(abs(exact - asym))
-    ok = errs[0] > errs[1] > errs[2] and errs[-1] < 1e-2
+    errs, ok = decreasing_errors(recipe_rows("qpoch-asymptotics"), 1e-2)
     report(12, "q-Pochhammer asymptotics", ok,
            f"constant-cancelled errors {[f'{e:.2e}' for e in errs]} "
            f"decreasing, final < 1e-2")

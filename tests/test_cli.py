@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import hashlib
 import inspect
@@ -84,9 +85,26 @@ def test_stationarity_recipe_tolerance_failure_exit():
     assert not report.passed
 
 
-def test_qpoch_recipe_passes():
-    report = run_experiment(ExperimentConfig("qpoch-asymptotics"))
-    assert report.passed
+def test_decreasing_rows_fail_when_the_error_grows(monkeypatch):
+    # at their default keys the errors of cor3-she and qpoch-asymptotics do
+    # decrease, so only growing errors show that the rule can fail
+    she = run_experiment(ExperimentConfig("cor3-she", {"delta_list": (1e-2, 1e-1)}))
+    asymptotic = cli.log_qpoch_asymptotic
+    monkeypatch.setattr(cli, "log_qpoch_asymptotic",
+                        lambda eps, b, X: asymptotic(eps, b, X) + 1e-5 * X / eps)
+    qpoch = run_experiment(ExperimentConfig("qpoch-asymptotics"))
+    assert [r.passed for r in she.rows[:-1] + qpoch.rows[:-1]] == [False] * 3
+
+
+def test_acceptance_suite_runs_every_recipe_of_akpz_all():
+    # A check of `akpz all` is defined once, in its recipe, and its acceptance
+    # criterion runs that recipe.  The one exception is sde-vs-exact: criterion
+    # 07 keeps its single seed-123 ensemble, while the recipe draws chunked
+    # SeedSequence streams, so running the recipe would re-seed that test.
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    run = {node.args[0].value for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "recipe_rows"}
+    assert set(cli.EXPERIMENTS) - run <= {"sde-vs-exact"}
 
 
 def test_cli_empty_config_file_exit_2(tmp_path, capsys):
@@ -271,6 +289,12 @@ def _two_point_phi(tmp_path):
     return str(phi)
 
 
+def _non_utf8_file(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    return str(bad)
+
+
 @pytest.mark.parametrize("argv", [
     ["ctmc", *_TORUS, "--q", "1.5", "--T", "1", "--crystalline"],
     ["ctmc", *_TORUS, "--q", "-0.5", "--T", "1", "--crystalline"],
@@ -311,6 +335,9 @@ def _two_point_phi(tmp_path):
     [*_COV, "--t", "inf", "--s", "0", "--method", "finite", "--m", "8", "--m2", "4"],
     [*_COV, "--t", "inf", "--s", "0", "--method", "asymptotic"],
     *_GFF_OVERFLOWS,
+    ["run", "BAD"],
+    ["gff", "--m", "16", "--delta", "0.5", "--phi", "BAD"],
+    ["ctmc", "--start", "BAD", "--q", "0.5", "--T", "1"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -323,12 +350,14 @@ def _two_point_phi(tmp_path):
         "ctmc-negative-seed", "sde-negative-seed", "sde-empty-field", "sde-empty-field-T-0",
         "sde-T-off-dt-grid",
         "sde-observe-every-off-dt-grid", "cov-unknown-method", "cov-finite-inf-t",
-        "cov-asymptotic-inf-t", "gff-variance-overflows", "gff-phi-variance-overflows"])
+        "cov-asymptotic-inf-t", "gff-variance-overflows", "gff-phi-variance-overflows",
+        "run-non-utf8-config", "gff-non-utf8-phi", "ctmc-non-utf8-start"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    argv = [_two_point_phi(tmp_path) if a == "PHI" else a for a in argv]
-    # validate writes no file, so it takes no --out
-    assert main(argv + ([] if argv[0] == "validate" else ["--out", str(out)])) == 2
+    files = {"PHI": _two_point_phi, "BAD": _non_utf8_file}
+    argv = [files[a](tmp_path) if a in files else a for a in argv]
+    # validate writes no file and run reads its out from the config, so neither takes --out
+    assert main(argv + ([] if argv[0] in ("validate", "run") else ["--out", str(out)])) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()

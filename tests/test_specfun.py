@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from akpz.specfun import (DomainError, EULER_GAMMA, _dilog_sum_terms, dilog_sum,
-                          exp_integral_E1, heat_time_integral, log_qpoch_asymptotic,
-                          qpoch_expansion)
+                          exp_integral_E1, heat_time_integral, log_qpoch_asymptotic)
 
 
 def oracle_E1(x):
@@ -113,31 +112,9 @@ def test_qpoch_asymptotic_linear_terms_vanish_at_zero():
     assert log_qpoch_asymptotic(eps, b, 0.0) == pytest.approx(s2 / eps - 0.5 * s1, rel=1e-15)
 
 
-def test_qpoch_expansion_total_is_term_sum():
-    terms = qpoch_expansion(1e-3, 0.8, 4.0)
-    assert terms.total == pytest.approx(
-        terms.leading + terms.half_log + terms.linear + terms.quadratic, rel=1e-15)
-
-
 def test_qpoch_asymptotic_window_enforced():
     with pytest.raises(DomainError):
         log_qpoch_asymptotic(1e-2, 1.0, 1e9)
-
-
-def test_qpoch_constant_cancellation_in_differences():
-    # differences at two shifts X remove the shared additive constant; they
-    # approach the exact log q-Pochhammer differences as eps shrinks
-    from akpz.ctmc import log_q_pochhammer
-    b, x1, x2 = 1.0, 0.0, 10.0
-    errs = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        q = math.exp(-eps)
-        exact = (log_q_pochhammer(q, int(round(b / eps + x1)))
-                 - log_q_pochhammer(q, int(round(b / eps + x2))))
-        asym = log_qpoch_asymptotic(eps, b, x1) - log_qpoch_asymptotic(eps, b, x2)
-        errs.append(abs(exact - asym))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[-1] < 1e-2
 
 
 def test_qpoch_constant_cancellation_across_b():
