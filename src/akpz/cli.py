@@ -47,6 +47,17 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
+def _read_text(path):
+    """The contents of a UTF-8 text file; a byte that is not UTF-8 raises a
+    ConfigError naming the file and the offset of that byte."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x} "
+                              f"at offset {err.start})") from err
+
+
 def _cpu_count():
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -334,24 +345,23 @@ def _rel_gap(row):
 def _read_phi(path, m):
     """Test function from 'p1 p2 value' rows with centred labels in [-m/2, m/2)."""
     phi = np.zeros((m, m))
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.partition("#")[0].split()
-            if not fields:
-                continue
-            try:
-                p1, p2, val = map(float, fields)
-                ok = p1.is_integer() and p2.is_integer() and math.isfinite(val)
-            except ValueError:
-                ok = False
-            if not ok:
-                raise ConfigError(f"{path} line {lineno}: expected 'p1 p2 value' with integer "
-                                  f"labels, got {raw.strip()!r}")
-            i1, i2 = int(p1) + m // 2, int(p2) + m // 2
-            if not (0 <= i1 < m and 0 <= i2 < m):
-                raise ConfigError(f"{path} line {lineno}: label ({int(p1)}, {int(p2)}) "
-                                  f"outside [-m/2, m/2) for m={m}")
-            phi[i1, i2] = val
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        fields = raw.partition("#")[0].split()
+        if not fields:
+            continue
+        try:
+            p1, p2, val = map(float, fields)
+            ok = p1.is_integer() and p2.is_integer() and math.isfinite(val)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{path} line {lineno}: expected 'p1 p2 value' with integer "
+                              f"labels, got {raw.strip()!r}")
+        i1, i2 = int(p1) + m // 2, int(p2) + m // 2
+        if not (0 <= i1 < m and 0 <= i2 < m):
+            raise ConfigError(f"{path} line {lineno}: label ({int(p1)}, {int(p2)}) "
+                              f"outside [-m/2, m/2) for m={m}")
+        phi[i1, i2] = val
     if not phi.any():
         raise ConfigError(f"{path}: no nonzero value")
     return phi
@@ -443,8 +453,7 @@ def cmd_ctmc(*, L: int = None, N: int = None, m1: int = None, m2: int = None, q:
     ('L N m1 m2' header, 'p1 p2 x' rows); --dump-final writes the final
     configuration in the same text format."""
     if start:
-        with open(start) as fh:
-            initial = lattice.config_from_text(fh.read())
+        initial = lattice.config_from_text(_read_text(start))
         report = lattice.validate(initial)
         if not report.ok:
             raise ConfigError(f"start configuration invalid: {report.failures}")
@@ -478,16 +487,20 @@ def cmd_sde(*, C: float, D: float, m: int, m2: int, dt: float, T: float, replica
     --T and --observe-every must be integer multiples of --dt."""
     params = ModelParams(C=C, D=D)
     sde.step_count(observe_every or 0, dt, "observe_every")
-    rows = []
+    sites = [f"{p1},{p2}" for p1 in range(m) for p2 in range(m)]
+    lines = []
     seeds = np.random.SeedSequence(seed).spawn(replicas)
     for rep in range(replicas):
         initial = sde.SdeState(xi=np.zeros((m, m)), t=0.0)
         states = sde.euler_maruyama(initial, params, dt, T, seeds[rep], m2=m2,
                                     record_every=observe_every or T)
-        rows += [(rep, st.t, p1, p2, st.xi[p1, p2])
-                 for st in states for p1 in range(m) for p2 in range(m)]
-    write_csv(out, ["replica", "t", "p1", "p2", "xi"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
+        for st in states:  # one 'replica,t,p1,p2,xi' line per site, as write_csv formats it
+            head = f"{rep},{st.t:.17g},"
+            lines += [f"{head}{site},{x:.17g}\n" for site, x in zip(sites, st.xi.ravel().tolist())]
+    with open(out, "w", newline="\n") as fh:
+        fh.write("replica,t,p1,p2,xi\n")
+        fh.writelines(lines)
+    print(f"wrote {len(lines)} rows to {out}")
     return 0
 
 
@@ -559,9 +572,7 @@ def cmd_alias(args):
 
 
 def cmd_run(args):
-    with open(args.config) as fh:
-        text = fh.read()
-    report = run_experiment(parse_config(text))
+    report = run_experiment(parse_config(_read_text(args.config)))
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
 
@@ -619,6 +630,6 @@ def main(argv=None) -> int:
             fn = _COMMANDS[args.command]
             return fn(**_flag_values(args, fn))
         return args.func(args)
-    except (AkpzError, OSError, UnicodeDecodeError) as err:
+    except (AkpzError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -355,7 +355,8 @@ def _non_utf8_file(tmp_path):
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     files = {"PHI": _two_point_phi, "BAD": _non_utf8_file}
-    argv = [files[a](tmp_path) if a in files else a for a in argv]
+    paths = {a: files[a](tmp_path) for a in argv if a in files}
+    argv = [paths.get(a, a) for a in argv]
     # validate writes no file and run reads its out from the config, so neither takes --out
     assert main(argv + ([] if argv[0] in ("validate", "run") else ["--out", str(out)])) == 2
     err = capsys.readouterr().err
@@ -364,6 +365,8 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if "--observe-every" in argv:
         assert "observe_every" in lines[0]
+    if "BAD" in paths:  # the file that is not UTF-8 and where its first bad byte sits
+        assert paths["BAD"] in lines[0] and "offset 0" in lines[0]
     assert not out.exists()
 
 

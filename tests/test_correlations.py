@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from akpz.correlations import (AccuracyError, CovarianceQuery, FourPointQuery,
                                gff_lattice_bilinear, gff_smoothed_variance,
                                she_covariance, stationary_cov_finite,
                                stationary_cov_infinite, two_bump_test_function)
+from akpz.correlations import _mode_table, _riemann_covariance, _riemann_grid
 from akpz.lattice import ParameterError, fourier_modes
 from akpz.sde import ModelParams, drift_coeffs, euler_maruyama_ensemble, shift_field, spectral_data
 
@@ -416,3 +418,70 @@ def test_covariance_layer_bits_are_pinned():
     values = [_covariance_layer_values(C, D) for C, D in [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     assert digest == "f3e8deff92f041d5c95daaea50ee0f46499b4d9ac6326a148e848f97c27f50fd"
+
+
+_PINNED_PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
+
+
+def _clear_table_caches():
+    _mode_table.cache_clear()
+    _riemann_grid.cache_clear()
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm", "reversed"])
+def test_covariance_layer_bits_do_not_depend_on_the_table_caches(cache):
+    # the digest of test_covariance_layer_bits_are_pinned, with every (C, D)
+    # pair run on empty caches, a second time on the caches its first run
+    # filled, or all pairs in reverse order after one clear
+    _clear_table_caches()
+    values = {}
+    for C, D in (_PINNED_PAIRS[::-1] if cache == "reversed" else _PINNED_PAIRS):
+        if cache == "cold":
+            _clear_table_caches()
+        elif cache == "warm":
+            _covariance_layer_values(C, D)
+            hits = _mode_table.cache_info().hits, _riemann_grid.cache_info().hits
+        values[C, D] = _covariance_layer_values(C, D)
+        if cache == "warm":
+            assert _mode_table.cache_info().hits > hits[0]
+            assert _riemann_grid.cache_info().hits > hits[1]
+    digest = hashlib.sha256(repr([values[pair] for pair in _PINNED_PAIRS]).encode()).hexdigest()
+    assert digest == "f3e8deff92f041d5c95daaea50ee0f46499b4d9ac6326a148e848f97c27f50fd"
+
+
+def test_cached_spectral_tables_are_read_only():
+    coeffs = drift_coeffs(PARAMS)
+    modes, avals, rvals = _mode_table(8, 3, coeffs)
+    K1, K2, grid_r = _riemann_grid(coeffs, 16)
+    for a in (modes.r1, modes.r2, modes.k, avals, rvals, K1, K2, grid_r):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    assert fourier_modes(8, 3).k.flags.writeable  # the public builder is not shared
+
+
+def test_stationary_quadrature_leaves_the_shared_grid_untouched():
+    # both refine on the periodic grids of _riemann_grid, and the stationary
+    # sum leaves out the origin, where the covariance's growth factor is s;
+    # m_max=256 stops the refinement from walking past a spoiled grid
+    query = CovarianceQuery(y=(0, 0), t=5.0, s=5.0)
+    _clear_table_caches()
+    cold = covariance_quadrature(query, PARAMS, m_max=256)
+    _clear_table_caches()
+    stationary_cov_infinite(FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)), PARAMS)
+    warm = covariance_quadrature(query, PARAMS, m_max=256)
+    assert (warm.value, warm.err_est) == (cold.value, cold.err_est)
+
+
+def test_riemann_covariance_peak_memory_at_m_1024():
+    # one warm call works in two m x m buffers plus one temporary (24 MB at
+    # m=1024); fresh temporaries for every operation took 41 MB
+    query = CovarianceQuery(y=(3, -2), t=30.0, s=12.5)
+    coeffs = drift_coeffs(PARAMS)
+    _riemann_covariance(query, PARAMS, coeffs, 1024)
+    tracemalloc.start()
+    try:
+        _riemann_covariance(query, PARAMS, coeffs, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
