@@ -74,21 +74,21 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=4)  # 56 m^2 bytes each, 56 MB at m=1024
+@functools.lru_cache(maxsize=4)  # 48 m^2 bytes each, 48 MB at m=1024
 def _mode_table(m, m2, coeffs):
-    """The FourierModeSet of (m, m2) with symbol_A and symbol_R on its modes,
-    built once per (m, m2, coeffs) and shared read-only."""
+    """The FourierModeSet of (m, m2) with the drift phase phi = Im symbol_A and
+    R = symbol_R = 2 Re symbol_A on its modes, built once per (m, m2, coeffs)
+    and shared read-only."""
     modes = fourier_modes(m, m2)
-    avals = symbol_A(modes.k, coeffs)
+    phis = symbol_A(modes.k, coeffs).imag.copy()
     rvals = symbol_R(modes.k, coeffs)
-    _read_only(modes.r1, modes.r2, modes.k, avals, rvals)
-    return modes, avals, rvals
+    _read_only(modes.r1, modes.r2, modes.k, phis, rvals)
+    return modes, phis, rvals
 
 
-def _real_mode_sum(terms, scale, what):
-    """scale * sum(terms) as a float; it must be finite, and an imaginary
-    residue below 1e-10 relative is discarded."""
-    total = scale * np.sum(terms)
+def _real_value(total, what):
+    """A complex total as a float; it must be finite, and an imaginary residue
+    below 1e-10 relative is discarded."""
     if not (np.isfinite(total) and abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))):
         raise AccuracyError(f"{what} {total} is not a finite real number")
     return float(total.real)
@@ -98,33 +98,54 @@ def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
     """Exact m^2-mode sum for the covariance on the quotient label set,
     independent of the base point and of the initial data.
 
-    The modes and the symbols A and R on them are built once per
-    (m, m2, params) and reused by every later query."""
-    modes, avals, rvals = _mode_table(m, m2, drift_coeffs(params))
-    g = _growth_factor(rvals, query.s)
-    y = np.asarray(query.y, dtype=float)
-    phase = np.exp(-1j * (modes.k @ y))
-    value = _real_mode_sum(phase * np.exp(avals * (query.t - query.s)) * g,
-                           params.v / m ** 2, "mode sum")
-    return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
-                            method="finite-m", value=value, err_est=float("nan"))
+    Each term g e^{A tau} e^{-i k.y}, A = R/2 + i phi, is summed in real
+    arithmetic as g e^{R tau/2} (cos + i sin)(tau phi - k.y); the sine sum
+    is the imaginary residue that conjugate mode pairing cancels.  The modes,
+    phi and R are built once per (m, m2, params) and reused by every later
+    query."""
+    modes, phis, rvals = _mode_table(m, m2, drift_coeffs(params))
+    tau = query.t - query.s
+    amp = _growth_factor(rvals, query.s)
+    amp *= np.exp(0.5 * tau * rvals)
+    arg = tau * phis
+    arg -= modes.k @ np.asarray(query.y, dtype=float)
+    scale = params.v / m ** 2
+    # elementwise products and sums, not BLAS dot products: a dot product of
+    # m^2 terms runs on OpenBLAS threads, which took 8 ms in some processes
+    total = complex(scale * np.sum(amp * np.cos(arg)), scale * np.sum(amp * np.sin(arg)))
+    return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s, method="finite-m",
+                            value=_real_value(total, "mode sum"), err_est=float("nan"))
 
 
 @functools.lru_cache(maxsize=8)  # 8 m^2 bytes each, 8 MB at m=1024
 def _riemann_grid(coeffs, m):
-    """Momenta K1 (m, 1), K2 (1, m) of the m x m periodic lattice and R on it,
-    built once per (coeffs, m) and shared read-only."""
+    """Half of the m x m periodic lattice: momenta K1 (rows, 1), K2 (1, m),
+    row weights (rows,), R (rows, m) and 1/R with 0 at the origin, built once
+    per (coeffs, m) and shared read-only.
+
+    Both Riemann integrands are even in K (R is even, the drift phase odd),
+    and K -> -K maps row j1 of the grid onto row -j1 mod m.  So the rows
+    j1 = -m/2 (even m only) and 0, which map onto themselves, carry weight 1,
+    and rows 1 .. ceil(m/2)-1 weight 2 for their mirror rows."""
     # R is inlined here, not taken from symbol_R: on the separable (m,1)/(1,m)
     # axes cos/sin cost O(m) calls, on symbol_R's (m,m,2) grid O(m^2), which
     # measured about twice the time per call (12.0 vs 5.9 ms at m=256, 195 vs
     # 106-122 ms at m=1024).
-    k = 2 * np.pi * np.arange(-(m // 2), m - m // 2) / m
-    K1 = k[:, None]
-    K2 = k[None, :]
+    j1 = np.arange((m + 1) // 2)
+    if m % 2 == 0:
+        j1 = np.r_[-(m // 2), j1]
+    weights = np.where((j1 == 0) | (j1 == -(m // 2)), 1.0, 2.0)
+    K1 = 2 * np.pi * j1[:, None] / m
+    K2 = 2 * np.pi * np.arange(-(m // 2), m - m // 2)[None, :] / m
     rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - K2) - coeffs.d1 * np.cos(K1)
                  + coeffs.d3 * np.cos(K2))
-    _read_only(K1, K2, rvals)
-    return K1, K2, rvals
+    origin = (1 - m % 2, m // 2)
+    rinv = rvals.copy()
+    rinv[origin] = 1.0  # R vanishes at the origin, which the stationary sum leaves out
+    np.divide(1.0, rinv, out=rinv)
+    rinv[origin] = 0.0
+    _read_only(K1, K2, weights, rvals, rinv)
+    return K1, K2, weights, rvals, rinv
 
 
 def _refine(value_at, tol, m_start, m_max, levels):
@@ -145,11 +166,12 @@ def _refine(value_at, tol, m_start, m_max, levels):
 
 def _riemann_covariance(query, params, coeffs, m):
     """Midpoint/Riemann value of the momentum integral on an m x m periodic
-    lattice, evaluated in real arithmetic in two m x m buffers."""
+    lattice, evaluated in real arithmetic on its mirror-reduced half in two
+    buffers."""
     d1, d2, d3 = coeffs.d1, coeffs.d2, coeffs.d3
     tau = query.t - query.s
     y1, y2 = query.y
-    K1, K2, rvals = _riemann_grid(coeffs, m)
+    K1, K2, weights, rvals, _ = _riemann_grid(coeffs, m)
     acc = _growth_factor(rvals, query.s)
     tmp = np.multiply(0.5, rvals)
     tmp *= tau
@@ -162,7 +184,7 @@ def _riemann_covariance(query, params, coeffs, m):
     phase *= tau
     phase -= K1 * y1 + K2 * y2
     acc *= np.cos(phase, out=phase)
-    return params.v / m ** 2 * float(acc.sum())
+    return params.v / m ** 2 * float(weights @ acc.sum(axis=1))
 
 
 def covariance_quadrature(query, params, tol=1e-6, m_start=128, m_max=4096) -> CovarianceResult:
@@ -277,8 +299,8 @@ def she_scaled_lattice_covariance(x, y, t, s, delta, spectral, params) -> float:
 def _stationary_mode_sum(s1, s2, modes, rvals, params, what):
     """-v/m^2 sum over k != 0 of s1 conj(s2)/R(k), weights s1, s2 per mode."""
     keep = np.arange(len(rvals)) != modes.zero_index
-    return _real_mode_sum(s1[keep] * np.conj(s2[keep]) / rvals[keep],
-                          -params.v / modes.m ** 2, what)
+    return _real_value(-params.v / modes.m ** 2
+                       * np.sum(s1[keep] * np.conj(s2[keep]) / rvals[keep]), what)
 
 
 def stationary_cov_finite(qry, m, m2, params) -> float:
@@ -290,17 +312,26 @@ def stationary_cov_finite(qry, m, m2, params) -> float:
 
 
 def _riemann_stationary(qry, coeffs, v, m):
-    K1, K2, rvals = _riemann_grid(coeffs, m)
+    """-v/m^2 sum over K != 0 of num(K)/R(K) on the half grid, where num is
+    cos K.(y1-y3) - cos K.(y1-y4) - cos K.(y2-y3) + cos K.(y2-y4).  Each
+    cos(K1 a + K2 b) = cos K1a cos K2b - sin K1a sin K2b separates, so the sum
+    is one product of 1/R with eight length-m columns."""
+    K1, K2, weights, _, rinv = _riemann_grid(coeffs, m)
     y1, y2, y3, y4 = (np.asarray(a, dtype=float) for a in (qry.y1, qry.y2, qry.y3, qry.y4))
-    num = (np.cos(K1 * (y1 - y3)[0] + K2 * (y1 - y3)[1])
-           - np.cos(K1 * (y1 - y4)[0] + K2 * (y1 - y4)[1])
-           - np.cos(K1 * (y2 - y3)[0] + K2 * (y2 - y3)[1])
-           + np.cos(K1 * (y2 - y4)[0] + K2 * (y2 - y4)[1]))
-    off_origin = np.ones((m, m), dtype=bool)
-    off_origin[m // 2, m // 2] = False  # R vanishes at the origin, which the sum leaves out
-    num[m // 2, m // 2] = 0.0
-    np.divide(num, rvals, out=num, where=off_origin)
-    return -v / m ** 2 * float(np.sum(num))
+    diffs = np.array([y1 - y3, y1 - y4, y2 - y3, y2 - y4])
+    along = K1 * diffs[:, 0]  # (rows, 4)
+    across = K2.T * diffs[:, 1]  # (m, 4)
+    cols = np.hstack([np.cos(across), np.sin(across)])
+    # Tiles of at most 2^15 entries of 1/R: OpenBLAS runs a product of up to
+    # 2^18 multiply-adds on one thread.  The whole product woke a second
+    # thread, and at m = 512 took 5-8 ms in place of 0.1 ms in some processes.
+    sums = np.empty((len(rinv), 8))
+    step = max(1, 2 ** 15 // m)
+    for i in range(0, len(rinv), step):
+        np.matmul(rinv[i:i + step], cols, out=sums[i:i + step])
+    signs = weights[:, None] * [1.0, -1.0, -1.0, 1.0]
+    total = np.sum(signs * (np.cos(along) * sums[:, :4] - np.sin(along) * sums[:, 4:]))
+    return -v / m ** 2 * float(total)
 
 
 def stationary_cov_infinite(qry, params, tol=1e-6, m_start=64, m_max=4096) -> float:

@@ -413,11 +413,13 @@ def _covariance_layer_values(C, D):
 
 def test_covariance_layer_bits_are_pinned():
     # SHA-256 of repr over the covariance layer's outputs, recorded with
-    # numpy 2.4.6; any change to a value, an err_est or an AccuracyError
-    # message changes it
+    # numpy 2.4.6 and its bundled OpenBLAS (the stationary quadrature is a
+    # matrix product); any change to a value, an err_est or an AccuracyError
+    # message changes it.  tests/test_covariance_routes.py holds the values
+    # of the full-grid routes this digest replaced.
     values = [_covariance_layer_values(C, D) for C, D in [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
-    assert digest == "f3e8deff92f041d5c95daaea50ee0f46499b4d9ac6326a148e848f97c27f50fd"
+    assert digest == "aec83ae8061e1d16b09cb8102a4b7997128312674af11d4a85fd65beda097f19"
 
 
 _PINNED_PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
@@ -446,14 +448,14 @@ def test_covariance_layer_bits_do_not_depend_on_the_table_caches(cache):
             assert _mode_table.cache_info().hits > hits[0]
             assert _riemann_grid.cache_info().hits > hits[1]
     digest = hashlib.sha256(repr([values[pair] for pair in _PINNED_PAIRS]).encode()).hexdigest()
-    assert digest == "f3e8deff92f041d5c95daaea50ee0f46499b4d9ac6326a148e848f97c27f50fd"
+    assert digest == "aec83ae8061e1d16b09cb8102a4b7997128312674af11d4a85fd65beda097f19"
 
 
 def test_cached_spectral_tables_are_read_only():
     coeffs = drift_coeffs(PARAMS)
-    modes, avals, rvals = _mode_table(8, 3, coeffs)
-    K1, K2, grid_r = _riemann_grid(coeffs, 16)
-    for a in (modes.r1, modes.r2, modes.k, avals, rvals, K1, K2, grid_r):
+    modes, phis, rvals = _mode_table(8, 3, coeffs)
+    K1, K2, weights, grid_r, grid_rinv = _riemann_grid(coeffs, 16)
+    for a in (modes.r1, modes.r2, modes.k, phis, rvals, K1, K2, weights, grid_r, grid_rinv):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     assert fourier_modes(8, 3).k.flags.writeable  # the public builder is not shared
@@ -473,8 +475,9 @@ def test_stationary_quadrature_leaves_the_shared_grid_untouched():
 
 
 def test_riemann_covariance_peak_memory_at_m_1024():
-    # one warm call works in two m x m buffers plus one temporary (24 MB at
-    # m=1024); fresh temporaries for every operation took 41 MB
+    # one warm call works in two buffers on the half grid plus one temporary
+    # (12 MB at m=1024); on the full m x m grid that took 24 MB, and fresh
+    # temporaries for every operation 41 MB
     query = CovarianceQuery(y=(3, -2), t=30.0, s=12.5)
     coeffs = drift_coeffs(PARAMS)
     _riemann_covariance(query, PARAMS, coeffs, 1024)

@@ -1,0 +1,215 @@
+"""The quadrature and mode-sum routes of the covariance layer against values
+recorded from the full-grid complex-arithmetic routes they replaced, and
+against a plain full-grid reference of each Riemann sum."""
+
+import numpy as np
+import pytest
+
+from akpz import correlations
+from akpz.correlations import (AccuracyError, CovarianceQuery, FourPointQuery,
+                               covariance_finite_m, covariance_quadrature,
+                               stationary_cov_infinite)
+from akpz.sde import ModelParams, drift_coeffs
+
+PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
+FINITE_SIZES = [(32, 5), (9, 4), (256, 128)]
+
+# Recorded with numpy 2.4.6 from the full m x m grid and the complex mode
+# sum.  (C, D) -> (y, t, s) -> (covariance_finite_m at each of FINITE_SIZES,
+# covariance_quadrature value, err_est, last refinement m).
+RECORDED_COVARIANCE = {
+    (0.5, 1.5): {
+        ((0, 0), 5.0, 5.0): (0.6430739493139815, 0.654400942990116, 0.6430739492683363,
+                             0.6430739492683363, 0.0, 256),
+        ((2, -1), 7.5, 3.25): (0.007214331594836992, 0.042625941934540806,
+                               0.0072123404425255945, 0.0072123404425256,
+                               5.204170427930421e-18, 256),
+        ((-3, 4), 12.0, 0.5): (-0.0003559084151997342, 0.0153407493936517,
+                               -2.6632444077631717e-14, -2.6632364772232345e-14,
+                               5.675857723496208e-20, 256),
+    },
+    (0.75, 1.5): {
+        ((0, 0), 5.0, 5.0): (0.5997290826240969, 0.6028496682376766, 0.5997290826240969,
+                             0.5997290826240969, 0.0, 256),
+        ((2, -1), 7.5, 3.25): (0.026526322871280178, 0.06331816654966763,
+                               0.026526322871282874, 0.026526322871282874, 0.0, 256),
+        ((-3, 4), 12.0, 0.5): (2.1887797348666345e-10, -0.0009139131225375313,
+                               -6.745587634056509e-11, -6.745587639867953e-11,
+                               3.791174250013957e-20, 256),
+    },
+    (0.3, 2.0): {
+        ((0, 0), 5.0, 5.0): (0.8400170980743471, 0.843646996662215, 0.8400001263587782,
+                             0.8400001263587783, 1.1102230246251565e-16, 256),
+        ((2, -1), 7.5, 3.25): (0.013757478121517385, 0.07349224413250326,
+                               2.1872685485127506e-05, 2.187268548515307e-05,
+                               8.589252898337507e-17, 256),
+        ((-3, 4), 12.0, 0.5): (0.008747808185913536, 0.01581349898155132,
+                               8.284235100687723e-19, 1.0862354110743637e-18,
+                               5.121954385173285e-19, 512),
+    },
+}
+
+# The two four-point queries of the layer digest run at tol=1e-5, m_max=1024;
+# the four within [-2, 2]^2 are those the covariance bench draws at seed 0,
+# run at the defaults.  (C, D) -> query -> (value, last refinement m).
+LAYER_FOURS = [((0, 0), (1, 0), (0, 0), (1, 0)), ((0, 0), (2, 1), (1, -1), (3, 2))]
+RECORDED_STATIONARY = {
+    (0.5, 1.5): {
+        ((0, 0), (1, 0), (0, 0), (1, 0)): (1.0904659674063226, 512),
+        ((0, 0), (2, 1), (1, -1), (3, 2)): (0.5385706354897957, 512),
+        ((2, 2), (1, 2), (2, -2), (-2, 2)): (0.014137192812268306, 512),
+        ((-2, 2), (2, 2), (-1, -2), (0, 2)): (0.3999915153408447, 512),
+        ((2, 2), (-2, 2), (2, -1), (0, 0)): (0.5093538725581408, 512),
+        ((1, 0), (-2, 2), (1, -2), (2, 1)): (0.026613708768825087, 512),
+    },
+    (0.75, 1.5): {
+        ((0, 0), (1, 0), (0, 0), (1, 0)): (1.0904659674045638, 512),
+        ((0, 0), (2, 1), (1, -1), (3, 2)): (0.685778460290429, 512),
+        ((2, 2), (1, 2), (2, -2), (-2, 2)): (-0.02782971403521176, 512),
+        ((-2, 2), (2, 2), (-1, -2), (0, 2)): (0.35501420108878046, 512),
+        ((2, 2), (-2, 2), (2, -1), (0, 0)): (0.4405573778112348, 512),
+        ((1, 0), (-2, 2), (1, -2), (2, 1)): (-0.14338215320512748, 512),
+    },
+    (0.3, 2.0): {
+        ((0, 0), (1, 0), (0, 0), (1, 0)): (1.53230125696694, 512),
+        ((0, 0), (2, 1), (1, -1), (3, 2)): (0.5254942131555388, 512),
+        ((2, 2), (1, 2), (2, -2), (-2, 2)): (0.3380568982257865, 1024),
+        ((-2, 2), (2, 2), (-1, -2), (0, 2)): (0.5152733525234736, 512),
+        ((2, 2), (-2, 2), (2, -1), (0, 0)): (0.94969939880595, 1024),
+        ((1, 0), (-2, 2), (1, -2), (2, 1)): (0.3623008314005131, 1024),
+    },
+}
+
+
+def _assert_close(new, old):
+    tol = 1e-12 * abs(old)
+    if abs(old) < 1e-3:
+        tol = max(tol, 1e-15)
+    assert abs(new - old) <= tol, (new, old)
+
+
+def _last_m(monkeypatch, name):
+    """Record the m of every call to correlations.<name>."""
+    seen = []
+    route = getattr(correlations, name)
+
+    def spy(*args):
+        seen.append(args[-1])
+        return route(*args)
+
+    monkeypatch.setattr(correlations, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_covariance_routes_match_recorded_values(C, D, monkeypatch):
+    params = ModelParams(C=C, D=D)
+    seen = _last_m(monkeypatch, "_riemann_covariance")
+    for (y, t, s), (*finite, value, err_est, last_m) in RECORDED_COVARIANCE[C, D].items():
+        query = CovarianceQuery(y=y, t=t, s=s)
+        for (m, m2), old in zip(FINITE_SIZES, finite):
+            _assert_close(covariance_finite_m(query, m, m2, params).value, old)
+        seen.clear()
+        res = covariance_quadrature(query, params)
+        _assert_close(res.value, value)
+        assert abs(res.err_est - err_est) <= 1e-12
+        assert seen[-1] == last_m
+
+
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_stationary_route_matches_recorded_values(C, D, monkeypatch):
+    params = ModelParams(C=C, D=D)
+    seen = _last_m(monkeypatch, "_riemann_stationary")
+    for points, (value, last_m) in RECORDED_STATIONARY[C, D].items():
+        kw = dict(tol=1e-5, m_max=1024) if points in LAYER_FOURS else {}
+        seen.clear()
+        _assert_close(stationary_cov_infinite(FourPointQuery(*points), params, **kw), value)
+        assert seen[-1] == last_m
+
+
+def test_refinement_failures_keep_their_messages():
+    query = CovarianceQuery((0, 0), 5.0, 5.0)
+    with pytest.raises(AccuracyError, match=r"^quadrature did not reach tol=1e-18 by m=16$"):
+        covariance_quadrature(query, ModelParams(C=0.5, D=1.5), tol=1e-18, m_start=8, m_max=16)
+    with pytest.raises(AccuracyError, match=r"^quadrature did not reach tol=1e-30 by m=64$"):
+        stationary_cov_infinite(FourPointQuery(*LAYER_FOURS[0]), ModelParams(C=0.5, D=1.5),
+                                tol=1e-30, m_start=16, m_max=64)
+
+
+def _full_grid(coeffs, m):
+    k = 2 * np.pi * np.arange(-(m // 2), m - m // 2) / m
+    K1, K2 = k[:, None], k[None, :]
+    R = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - K2) - coeffs.d1 * np.cos(K1)
+             + coeffs.d3 * np.cos(K2))
+    R[m // 2, m // 2] = 0.0  # the origin, which the stationary sum leaves out
+    return K1, K2, R
+
+
+def _reference_covariance(query, params, coeffs, m):
+    """The Riemann sum of the covariance over every point of the m x m grid."""
+    K1, K2, R = _full_grid(coeffs, m)
+    tau, s = query.t - query.s, query.s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(R == 0, s, np.expm1(R * s) / R)
+    phase = tau * (coeffs.d2 * np.sin(K1 - K2) + coeffs.d1 * np.sin(K1) - coeffs.d3 * np.sin(K2))
+    terms = g * np.exp(R * tau / 2) * np.cos(phase - K1 * query.y[0] - K2 * query.y[1])
+    return params.v / m ** 2 * float(terms.sum())
+
+
+def _reference_stationary(qry, coeffs, v, m):
+    """The Riemann sum of the stationary covariance over every nonzero point."""
+    K1, K2, R = _full_grid(coeffs, m)
+    num = sum(sign * np.cos(K1 * (a[0] - b[0]) + K2 * (a[1] - b[1]))
+              for sign, a, b in ((1, qry.y1, qry.y3), (-1, qry.y1, qry.y4),
+                                 (-1, qry.y2, qry.y3), (1, qry.y2, qry.y4)))
+    keep = R != 0
+    return -v / m ** 2 * float(np.sum(num[keep] / R[keep]))
+
+
+REFERENCE_QUERIES = [CovarianceQuery((0, 0), 5.0, 5.0), CovarianceQuery((2, -1), 7.5, 3.25),
+                     CovarianceQuery((-3, 4), 12.0, 0.5), CovarianceQuery((5, 1), 30.0, 12.5)]
+REFERENCE_FOURS = [FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)),
+                   FourPointQuery((0, 0), (2, 1), (1, -1), (3, 2)),
+                   FourPointQuery((2, 2), (-2, 2), (2, -1), (0, 0))]
+
+
+@pytest.mark.parametrize("m", [8, 9, 16, 17, 128])
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_half_grid_sums_match_the_full_grid(C, D, m):
+    params = ModelParams(C=C, D=D)
+    coeffs = drift_coeffs(params)
+    assert correlations._riemann_grid(coeffs, m)[2].sum() == m  # every row counted once
+    for q in REFERENCE_QUERIES:
+        ref = _reference_covariance(q, params, coeffs, m)
+        assert abs(correlations._riemann_covariance(q, params, coeffs, m) - ref) <= 1e-13
+    for q4 in REFERENCE_FOURS:
+        ref = _reference_stationary(q4, coeffs, params.v, m)
+        assert abs(correlations._riemann_stationary(q4, coeffs, params.v, m) - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_refinement_from_odd_m_matches_the_full_grid(C, D, monkeypatch):
+    # m_start=9 refines through 9, 18, 36, ...: odd m, and even m whose half
+    # grid has m/2+1 rows
+    params = ModelParams(C=C, D=D)
+    half = [covariance_quadrature(q, params, m_start=9) for q in REFERENCE_QUERIES]
+    half4 = [stationary_cov_infinite(q4, params, tol=1e-5, m_start=9) for q4 in REFERENCE_FOURS]
+    monkeypatch.setattr(correlations, "_riemann_covariance", _reference_covariance)
+    monkeypatch.setattr(correlations, "_riemann_stationary", _reference_stationary)
+    for q, res in zip(REFERENCE_QUERIES, half):
+        ref = covariance_quadrature(q, params, m_start=9)
+        assert abs(res.value - ref.value) <= 1e-13
+        assert abs(res.err_est - ref.err_est) <= 1e-13
+    for q4, value in zip(REFERENCE_FOURS, half4):
+        assert abs(value - stationary_cov_infinite(q4, params, tol=1e-5, m_start=9)) <= 1e-13
+
+
+def test_finite_m_rejects_an_imaginary_residue(monkeypatch):
+    # with a drift phase that is not odd in k, conjugate modes no longer pair
+    # off and the sine sum survives
+    m, m2 = 8, 4
+    modes, phis, rvals = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, phis + 0.3, rvals))
+    query = CovarianceQuery(y=(2, 1), t=4.0, s=3.0)
+    with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
+        covariance_finite_m(query, m, m2, ModelParams(C=0.5, D=1.5))
