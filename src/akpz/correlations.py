@@ -117,6 +117,13 @@ def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
                             value=_real_value(total, "mode sum"), err_est=float("nan"))
 
 
+def _half_rows(m):
+    """Row indices j1 of the mirror-reduced half of the m x m grid: -m/2
+    (even m only), 0, 1, ..., ceil(m/2)-1."""
+    j1 = np.arange((m + 1) // 2)
+    return np.r_[-(m // 2), j1] if m % 2 == 0 else j1
+
+
 @functools.lru_cache(maxsize=8)  # 8 m^2 bytes each, 8 MB at m=1024
 def _riemann_grid(coeffs, m):
     """Half of the m x m periodic lattice: momenta K1 (rows, 1), K2 (1, m),
@@ -131,9 +138,7 @@ def _riemann_grid(coeffs, m):
     # axes cos/sin cost O(m) calls, on symbol_R's (m,m,2) grid O(m^2), which
     # measured about twice the time per call (12.0 vs 5.9 ms at m=256, 195 vs
     # 106-122 ms at m=1024).
-    j1 = np.arange((m + 1) // 2)
-    if m % 2 == 0:
-        j1 = np.r_[-(m // 2), j1]
+    j1 = _half_rows(m)
     weights = np.where((j1 == 0) | (j1 == -(m // 2)), 1.0, 2.0)
     K1 = 2 * np.pi * j1[:, None] / m
     K2 = 2 * np.pi * np.arange(-(m // 2), m - m // 2)[None, :] / m
@@ -166,9 +171,14 @@ def _refine(value_at, tol, m_start, m_max, levels):
 
 def _riemann_covariance(query, params, coeffs, m):
     """Midpoint/Riemann value of the momentum integral on an m x m periodic
-    lattice, evaluated in real arithmetic on its mirror-reduced half in two
-    buffers."""
-    d1, d2, d3 = coeffs.d1, coeffs.d2, coeffs.d3
+    lattice, evaluated on its mirror-reduced half.
+
+    On the grid K = 2 pi (j1, j2)/m the difference K1 - K2 takes only m
+    values, so the phase factor e^{i(tau phi(K) - K.y)} is
+    T((j2 - j1) mod m) P(j1) Q(j2) with T(d) = e^{-i tau d2 sin(2 pi d/m)},
+    P = e^{i(tau d1 sin K1 - K1 y1)} and Q = e^{-i(tau d3 sin K2 + K2 y2)}:
+    three length-m tables, T gathered as a circulant, in place of m^2 sines
+    and cosines."""
     tau = query.t - query.s
     y1, y2 = query.y
     K1, K2, weights, rvals, _ = _riemann_grid(coeffs, m)
@@ -176,14 +186,13 @@ def _riemann_covariance(query, params, coeffs, m):
     tmp = np.multiply(0.5, rvals)
     tmp *= tau
     acc *= np.exp(tmp, out=tmp)
-    phase = np.subtract(K1, K2, out=tmp)  # d2 sin(K1-K2) + d1 sin K1 - d3 sin K2
-    np.sin(phase, out=phase)
-    phase *= d2
-    phase += d1 * np.sin(K1)
-    phase -= d3 * np.sin(K2)
-    phase *= tau
-    phase -= K1 * y1 + K2 * y2
-    acc *= np.cos(phase, out=phase)
+    del tmp  # so the complex phase buffer below is the only other m^2 array
+    T = np.exp(-1j * tau * coeffs.d2 * np.sin(2 * np.pi * np.arange(m) / m))
+    circulant = np.lib.stride_tricks.sliding_window_view(np.tile(T, 2), m)
+    phase = circulant[(-(m // 2) - _half_rows(m)) % m]  # row j1 holds T((j2 - j1) mod m)
+    phase *= np.exp(1j * (tau * coeffs.d1 * np.sin(K1) - K1 * y1))
+    phase *= np.exp(-1j * (tau * coeffs.d3 * np.sin(K2) + K2 * y2))
+    acc *= phase.real
     return params.v / m ** 2 * float(weights @ acc.sum(axis=1))
 
 
@@ -441,14 +450,17 @@ def gff_continuum_variance(phi, delta, spectral, params) -> float:
     f = np.fft.rfft2(phi, s=(size, size))
     corr = np.fft.irfft2(f * np.conj(f), s=(size, size))  # corr[d] = sum_p phi_p phi_{p-d}
     d = np.arange(size)
-    d = np.where(d < m, d, d - size)
-    D1, D2 = np.meshgrid(d, d, indexing="ij")
-    pts = np.stack([D1, D2], axis=-1).astype(float) * delta
-    zz = np.einsum("ij,...j->...i", spectral.V, pts)
-    dist_sq = np.sum(zz ** 2, axis=-1)
-    kernel = np.where(dist_sq > 0, 0.5 * np.log(np.where(dist_sq > 0, dist_sq, 1.0)), 0.0)
+    z = np.where(d < m, d, d - size) * delta  # the offset axis, signed
+    G = spectral.V.T @ spectral.V  # |V z|^2 = z^T G z, separable on the offset grid
+    kernel = np.multiply.outer(2 * G[0, 1] * z, z)
+    kernel += (G[0, 0] * z * z)[:, None]
+    kernel += G[1, 1] * z * z
+    kernel[0, 0] = 1.0  # the origin, which gets the cell average below
+    np.log(kernel, out=kernel)
+    kernel *= 0.5
     kernel[0, 0] = _log_kernel_cell_average(delta, spectral.V)
-    total = float(np.sum(corr * kernel)) * delta ** 4
+    corr *= kernel
+    total = float(np.sum(corr)) * delta ** 4
     return -params.v / (2 * math.pi * spectral.w) * total
 
 

@@ -14,6 +14,7 @@ import inspect
 import math
 
 import numpy as np
+import pytest
 
 from akpz import cli
 from akpz.cli import ExperimentConfig, run_experiment
@@ -306,3 +307,49 @@ def test_criterion_12_qpoch_asymptotics():
     report(12, "q-Pochhammer asymptotics", ok,
            f"constant-cancelled errors {[f'{e:.2e}' for e in errs]} "
            f"decreasing, final < 1e-2")
+
+
+# Report rows (got, ref, tol, passed) of the fast covariance, GFF and
+# q-Pochhammer recipes at their default keys, recorded with numpy 2.4.6
+# before the quadrature phase came from length-m tables.  `akpz all` prints
+# them at full repr precision, so its stdout changes with any rounding; these
+# literals tell a rounding change from a changed result.
+RECORDED_ROWS = {
+    "cor1-log-growth": [
+        (0.14835050545982667, 0.14848587005192682, 0.0074242935025963415, True),
+    ],
+    "cor2-characteristic": [
+        (0.2846429630722767, 0.2889401615253528, 0.02889401615253528, True),
+        (9.143522179583938e-17, 0.0, 0.07116074076806918, True),
+        (9.746944745845156e-17, 0.0, 0.07116074076806918, True),
+        (1.0701764756088902e-16, 0.0, 0.07116074076806918, True),
+        (1.6846779985877265e-16, 0.0, 0.07116074076806918, True),
+        (3.171118786899869e-16, 0.0, 0.07116074076806918, True),
+        (7.32073600699981e-10, 0.0, 0.07116074076806918, True),
+        (4.456616054898537e-16, 0.0, 0.07116074076806918, True),
+        (1.7817668711970995e-16, 0.0, 0.07116074076806918, True),
+    ],
+    "cor3-she": [
+        (0.002994506048257393, 0.0, 0.04001912063684395, True),
+        (0.0022335204679085657, 0.0, 0.002994506048257393, True),
+        (0.0022335204679085657, 0.0, 0.01, True),
+    ],
+    "gff-variance": [
+        (0.430606297212872, 0.45217380411636365, 0.022608690205818183, True),
+    ],
+    "qpoch-asymptotics": [
+        (0.0027336520197991376, 0.0, 0.012321027300167486, True),
+        (0.0002892170596169308, 0.0, 0.0027336520197991376, True),
+        (0.0002892170596169308, 0.0, 0.01, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED_ROWS))
+def test_recipe_rows_match_recorded_values(name):
+    rows = run_experiment(ExperimentConfig(name)).rows  # as `akpz all` runs it
+    assert len(rows) == len(RECORDED_ROWS[name])
+    for row, (got, ref, tol, passed) in zip(rows, RECORDED_ROWS[name]):
+        assert row.passed == passed, row.label
+        for new, old in ((row.value_a, got), (row.value_b, ref), (row.tolerance, tol)):
+            assert abs(new - old) <= max(1e-12 * abs(old), 1e-14), (row.label, new, old)

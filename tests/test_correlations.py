@@ -419,7 +419,7 @@ def test_covariance_layer_bits_are_pinned():
     # of the full-grid routes this digest replaced.
     values = [_covariance_layer_values(C, D) for C, D in [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
-    assert digest == "aec83ae8061e1d16b09cb8102a4b7997128312674af11d4a85fd65beda097f19"
+    assert digest == "8a080561cdbd334dbae31b3e91819c99a279c88efb07813096db270775892c8b"
 
 
 _PINNED_PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
@@ -448,7 +448,7 @@ def test_covariance_layer_bits_do_not_depend_on_the_table_caches(cache):
             assert _mode_table.cache_info().hits > hits[0]
             assert _riemann_grid.cache_info().hits > hits[1]
     digest = hashlib.sha256(repr([values[pair] for pair in _PINNED_PAIRS]).encode()).hexdigest()
-    assert digest == "aec83ae8061e1d16b09cb8102a4b7997128312674af11d4a85fd65beda097f19"
+    assert digest == "8a080561cdbd334dbae31b3e91819c99a279c88efb07813096db270775892c8b"
 
 
 def test_cached_spectral_tables_are_read_only():
@@ -475,9 +475,10 @@ def test_stationary_quadrature_leaves_the_shared_grid_untouched():
 
 
 def test_riemann_covariance_peak_memory_at_m_1024():
-    # one warm call works in two buffers on the half grid plus one temporary
-    # (12 MB at m=1024); on the full m x m grid that took 24 MB, and fresh
-    # temporaries for every operation 41 MB
+    # one warm call holds the real amplitude and the complex phase on the
+    # half grid (12 m^2 bytes, 12 MB at m=1024); on the full m x m grid the
+    # real-arithmetic route took 24 MB, and fresh temporaries for every
+    # operation 41 MB
     query = CovarianceQuery(y=(3, -2), t=30.0, s=12.5)
     coeffs = drift_coeffs(PARAMS)
     _riemann_covariance(query, PARAMS, coeffs, 1024)
