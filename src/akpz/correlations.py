@@ -59,14 +59,23 @@ class FourPointQuery:
     y4: tuple
 
 
-def _growth_factor(rvals, s):
-    """(exp(R s) - 1)/R extended continuously by s at R = 0, in one new array."""
+def _growth_factor(rvals, s, origin):
+    """(exp(R s) - 1)/R extended continuously by s at k = 0, in one new array."""
     out = np.multiply(rvals, s, dtype=float)
-    zero = out == 0
     np.expm1(out, out=out)
-    np.divide(out, rvals, out=out, where=~zero)
-    out[zero] = s
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at the origin
+        np.divide(out, rvals, out=out)
+    out[origin] = s
     return out
+
+
+def _reciprocal(rvals, origin):
+    """1/R with 0 at the origin k = 0, which the stationary sums leave out."""
+    rinv = rvals.copy()
+    rinv[origin] = 1.0
+    np.divide(1.0, rinv, out=rinv)
+    rinv[origin] = 0.0
+    return rinv
 
 
 def _read_only(*arrays):
@@ -74,16 +83,17 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=4)  # 48 m^2 bytes each, 48 MB at m=1024
+@functools.lru_cache(maxsize=4)  # 56 m^2 bytes each, 56 MB at m=1024
 def _mode_table(m, m2, coeffs):
-    """The FourierModeSet of (m, m2) with the drift phase phi = Im symbol_A and
-    R = symbol_R = 2 Re symbol_A on its modes, built once per (m, m2, coeffs)
-    and shared read-only."""
+    """The FourierModeSet of (m, m2) with the drift phase phi = Im symbol_A,
+    R = symbol_R = 2 Re symbol_A and 1/R on its modes, built once per
+    (m, m2, coeffs) and shared read-only."""
     modes = fourier_modes(m, m2)
     phis = symbol_A(modes.k, coeffs).imag.copy()
     rvals = symbol_R(modes.k, coeffs)
-    _read_only(modes.r1, modes.r2, modes.k, phis, rvals)
-    return modes, phis, rvals
+    rinv = _reciprocal(rvals, modes.zero_index)
+    _read_only(modes.r1, modes.r2, modes.k, phis, rvals, rinv)
+    return modes, phis, rvals, rinv
 
 
 def _real_value(total, what):
@@ -103,9 +113,9 @@ def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
     is the imaginary residue that conjugate mode pairing cancels.  The modes,
     phi and R are built once per (m, m2, params) and reused by every later
     query."""
-    modes, phis, rvals = _mode_table(m, m2, drift_coeffs(params))
+    modes, phis, rvals, _ = _mode_table(m, m2, drift_coeffs(params))
     tau = query.t - query.s
-    amp = _growth_factor(rvals, query.s)
+    amp = _growth_factor(rvals, query.s, modes.zero_index)
     amp *= np.exp(0.5 * tau * rvals)
     arg = tau * phis
     arg -= modes.k @ np.asarray(query.y, dtype=float)
@@ -144,11 +154,7 @@ def _riemann_grid(coeffs, m):
     K2 = 2 * np.pi * np.arange(-(m // 2), m - m // 2)[None, :] / m
     rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - K2) - coeffs.d1 * np.cos(K1)
                  + coeffs.d3 * np.cos(K2))
-    origin = (1 - m % 2, m // 2)
-    rinv = rvals.copy()
-    rinv[origin] = 1.0  # R vanishes at the origin, which the stationary sum leaves out
-    np.divide(1.0, rinv, out=rinv)
-    rinv[origin] = 0.0
+    rinv = _reciprocal(rvals, (1 - m % 2, m // 2))  # K = 0 is row j1 = 0, column m//2
     _read_only(K1, K2, weights, rvals, rinv)
     return K1, K2, weights, rvals, rinv
 
@@ -182,7 +188,7 @@ def _riemann_covariance(query, params, coeffs, m):
     tau = query.t - query.s
     y1, y2 = query.y
     K1, K2, weights, rvals, _ = _riemann_grid(coeffs, m)
-    acc = _growth_factor(rvals, query.s)
+    acc = _growth_factor(rvals, query.s, (1 - m % 2, m // 2))
     tmp = np.multiply(0.5, rvals)
     tmp *= tau
     acc *= np.exp(tmp, out=tmp)
@@ -305,42 +311,44 @@ def she_scaled_lattice_covariance(x, y, t, s, delta, spectral, params) -> float:
     return amp_sq * covariance_heat_kernel(q, spectral, params).value
 
 
-def _stationary_mode_sum(s1, s2, modes, rvals, params, what):
-    """-v/m^2 sum over k != 0 of s1 conj(s2)/R(k), weights s1, s2 per mode."""
-    keep = np.arange(len(rvals)) != modes.zero_index
-    return _real_value(-params.v / modes.m ** 2
-                       * np.sum(s1[keep] * np.conj(s2[keep]) / rvals[keep]), what)
-
-
-def stationary_cov_finite(qry, m, m2, params) -> float:
-    """Stationary gradient covariance as an exact sum over nonzero modes."""
-    modes, _, rvals = _mode_table(m, m2, drift_coeffs(params))
-    e = lambda y: np.exp(1j * (modes.k @ np.asarray(y, dtype=float)))
-    return _stationary_mode_sum(e(qry.y1) - e(qry.y2), e(qry.y3) - e(qry.y4), modes, rvals,
-                                params, "mode sum")
-
-
-def _riemann_stationary(qry, coeffs, v, m):
-    """-v/m^2 sum over K != 0 of num(K)/R(K) on the half grid, where num is
-    cos K.(y1-y3) - cos K.(y1-y4) - cos K.(y2-y3) + cos K.(y2-y4).  Each
-    cos(K1 a + K2 b) = cos K1a cos K2b - sin K1a sin K2b separates, so the sum
-    is one product of 1/R with eight length-m columns."""
-    K1, K2, weights, _, rinv = _riemann_grid(coeffs, m)
+def _four_point_sum(qry, K1, twist, K2, weights, rinv):
+    """Sum over k = (K1, twist + K2) of weights * num(k) * rinv(k), where num is
+    e^{ik.(y1-y3)} - e^{ik.(y1-y4)} - e^{ik.(y2-y3)} + e^{ik.(y2-y4)}.  Each
+    cos and sin of (K1 d1 + twist d2) + K2 d2 separates into a row and a column
+    factor, so the sum is one product of 1/R with eight length-m columns."""
     y1, y2, y3, y4 = (np.asarray(a, dtype=float) for a in (qry.y1, qry.y2, qry.y3, qry.y4))
     diffs = np.array([y1 - y3, y1 - y4, y2 - y3, y2 - y4])
-    along = K1 * diffs[:, 0]  # (rows, 4)
+    along = K1 * diffs[:, 0] + twist * diffs[:, 1]  # (rows, 4)
     across = K2.T * diffs[:, 1]  # (m, 4)
     cols = np.hstack([np.cos(across), np.sin(across)])
     # Tiles of at most 2^15 entries of 1/R: OpenBLAS runs a product of up to
     # 2^18 multiply-adds on one thread.  The whole product woke a second
     # thread, and at m = 512 took 5-8 ms in place of 0.1 ms in some processes.
     sums = np.empty((len(rinv), 8))
-    step = max(1, 2 ** 15 // m)
+    step = max(1, 2 ** 15 // len(cols))
     for i in range(0, len(rinv), step):
         np.matmul(rinv[i:i + step], cols, out=sums[i:i + step])
-    signs = weights[:, None] * [1.0, -1.0, -1.0, 1.0]
-    total = np.sum(signs * (np.cos(along) * sums[:, :4] - np.sin(along) * sums[:, 4:]))
-    return -v / m ** 2 * float(total)
+    signs = np.multiply.outer(weights, [1.0, -1.0, -1.0, 1.0])
+    cos, sin = np.cos(along), np.sin(along)
+    return complex(np.sum(signs * (cos * sums[:, :4] - sin * sums[:, 4:])),
+                   np.sum(signs * (sin * sums[:, :4] + cos * sums[:, 4:])))
+
+
+def stationary_cov_finite(qry, m, m2, params) -> float:
+    """Stationary gradient covariance as an exact sum over nonzero modes: mode
+    (r1, r2) has k = (K1, twist + K2), K1 = 2 pi r1/m, twist = 2 pi m2 r1/m^2
+    and K2 = 2 pi r2/m, so the twisted set separates by rows too."""
+    modes, _, _, rinv = _mode_table(m, m2, drift_coeffs(params))
+    r1, r2 = modes.r1[::m, None], modes.r2[None, :m]
+    total = _four_point_sum(qry, 2 * np.pi * r1 / m, 2 * np.pi * m2 * r1 / m ** 2,
+                            2 * np.pi * r2 / m, 1.0, rinv.reshape(m, m))
+    return _real_value(-params.v / m ** 2 * total, "mode sum")
+
+
+def _riemann_stationary(qry, coeffs, v, m):
+    """-v/m^2 times the real four-point sum over K != 0 on the half grid."""
+    K1, K2, weights, _, rinv = _riemann_grid(coeffs, m)
+    return -v / m ** 2 * _four_point_sum(qry, K1, 0.0, K2, weights, rinv).real
 
 
 def stationary_cov_infinite(qry, params, tol=1e-6, m_start=64, m_max=4096) -> float:
@@ -420,10 +428,11 @@ def _smoothed_transform(phi, delta, modes):
 def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:
     """Stationary covariance of two smoothed gradient fields on the m x m
     label set; positive semidefinite as a quadratic form."""
-    modes, _, rvals = _mode_table(m, m2, drift_coeffs(params))
-    s1, s2 = (_smoothed_transform(np.asarray(phi, dtype=float), delta, modes)
-              for phi in (phi1, phi2))
-    return _stationary_mode_sum(s1, s2, modes, rvals, params, "smoothed covariance")
+    modes, _, _, rinv = _mode_table(m, m2, drift_coeffs(params))
+    s1 = _smoothed_transform(np.asarray(phi1, dtype=float), delta, modes)
+    s2 = s1 if phi2 is phi1 else _smoothed_transform(np.asarray(phi2, dtype=float), delta, modes)
+    return _real_value(-params.v / m ** 2 * np.sum(s1 * np.conj(s2) * rinv),
+                       "smoothed covariance")
 
 
 def _log_kernel_cell_average(delta, V, order=24):

@@ -292,7 +292,8 @@ class FourierModeSet:
 
     @property
     def zero_index(self):
-        return int(np.nonzero((self.r1 == 0) & (self.r2 == 0))[0][0])
+        """Index of k = 0: r1 = r2 = 0 sits at row m//2, column m//2."""
+        return (self.m // 2) * (self.m + 1)
 
     def basis_matrix(self):
         """Matrix F[mode, site] = f_k(p) over canonical labels p in [0,m)^2,

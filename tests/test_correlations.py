@@ -416,10 +416,10 @@ def test_covariance_layer_bits_are_pinned():
     # numpy 2.4.6 and its bundled OpenBLAS (the stationary quadrature is a
     # matrix product); any change to a value, an err_est or an AccuracyError
     # message changes it.  tests/test_covariance_routes.py holds the values
-    # of the full-grid routes this digest replaced.
+    # of the full-grid and m^2 mode-sum routes this digest replaced.
     values = [_covariance_layer_values(C, D) for C, D in [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
-    assert digest == "8a080561cdbd334dbae31b3e91819c99a279c88efb07813096db270775892c8b"
+    assert digest == "f2af902220acbad1fffae8a100284e0e5140e5efba22c29ac24e5fb1fb3ea716"
 
 
 _PINNED_PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
@@ -448,14 +448,15 @@ def test_covariance_layer_bits_do_not_depend_on_the_table_caches(cache):
             assert _mode_table.cache_info().hits > hits[0]
             assert _riemann_grid.cache_info().hits > hits[1]
     digest = hashlib.sha256(repr([values[pair] for pair in _PINNED_PAIRS]).encode()).hexdigest()
-    assert digest == "8a080561cdbd334dbae31b3e91819c99a279c88efb07813096db270775892c8b"
+    assert digest == "f2af902220acbad1fffae8a100284e0e5140e5efba22c29ac24e5fb1fb3ea716"
 
 
 def test_cached_spectral_tables_are_read_only():
     coeffs = drift_coeffs(PARAMS)
-    modes, phis, rvals = _mode_table(8, 3, coeffs)
+    modes, phis, rvals, rinv = _mode_table(8, 3, coeffs)
     K1, K2, weights, grid_r, grid_rinv = _riemann_grid(coeffs, 16)
-    for a in (modes.r1, modes.r2, modes.k, phis, rvals, K1, K2, weights, grid_r, grid_rinv):
+    for a in (modes.r1, modes.r2, modes.k, phis, rvals, rinv, K1, K2, weights, grid_r,
+              grid_rinv):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     assert fourier_modes(8, 3).k.flags.writeable  # the public builder is not shared

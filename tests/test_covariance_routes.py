@@ -9,8 +9,10 @@ import pytest
 from akpz import correlations
 from akpz.correlations import (AccuracyError, CovarianceQuery, FourPointQuery,
                                covariance_finite_m, covariance_quadrature,
-                               stationary_cov_infinite)
+                               gff_lattice_bilinear, stationary_cov_finite,
+                               stationary_cov_infinite, two_bump_test_function)
 from akpz.sde import ModelParams, drift_coeffs, spectral_data
+from test_correlations import _random_sparse_mean_zero
 
 PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
 FINITE_SIZES = [(32, 5), (9, 4), (256, 128)]
@@ -81,6 +83,81 @@ RECORDED_STATIONARY = {
     },
 }
 
+# Recorded with numpy 2.4.6 from the m^2 complex-exponential mode sums.  (C, D)
+# -> four-point query of RECORDED_STATIONARY -> stationary_cov_finite at each
+# of STATIONARY_SIZES.
+STATIONARY_SIZES = [(32, 5), (11, 3), (128, 64), (256, 128)]
+RECORDED_STATIONARY_FINITE = {
+    (0.5, 1.5): {
+        ((0, 0), (1, 0), (0, 0), (1, 0)):
+            (1.0926450476420169, 1.1396451686476468,
+             1.090273182002943, 1.0904176937131351),
+        ((0, 0), (2, 1), (1, -1), (3, 2)):
+            (0.5368569300970826, 0.7066840075059462,
+             0.5380001641112236, 0.5384266405849908),
+        ((2, 2), (1, 2), (2, -2), (-2, 2)):
+            (0.026988468669812422, 0.00520385262117723,
+             0.013290050586101939, 0.013923738201403225),
+        ((-2, 2), (2, 2), (-1, -2), (0, 2)):
+            (0.3975583742478294, 0.6378338346085441,
+             0.3995598471526572, 0.39988208597601166),
+        ((2, 2), (-2, 2), (2, -1), (0, 0)):
+            (0.5298185970977592, 0.747730496765376,
+             0.5077322205567855, 0.5089471111238323),
+        ((1, 0), (-2, 2), (1, -2), (2, 1)):
+            (0.02029025516589294, -0.06408696115487307,
+             0.027094042827712956, 0.026735754364746903),
+    },
+    (0.75, 1.5): {
+        ((0, 0), (1, 0), (0, 0), (1, 0)):
+            (1.0872360558421372, 1.0777025087745187,
+             1.0907502005699194, 1.0905371903678647),
+        ((0, 0), (2, 1), (1, -1), (3, 2)):
+            (0.652209520851158, 0.5496852318408612,
+             0.6880714049386791, 0.6863559776702335),
+        ((2, 2), (1, 2), (2, -2), (-2, 2)):
+            (-0.031753289222067986, -0.007412512081450672,
+             -0.02727459880847455, -0.02768811245147986),
+        ((-2, 2), (2, 2), (-1, -2), (0, 2)):
+            (0.30978160496480467, 0.27774881522847994,
+             0.3583960014198924, 0.35586704727680524),
+        ((2, 2), (-2, 2), (2, -1), (0, 0)):
+            (0.42327437390136835, 0.4161032811357939,
+             0.442257945162568, 0.4409844112474815),
+        ((1, 0), (-2, 2), (1, -2), (2, 1)):
+            (-0.12880262682618937, -0.09150895878691685,
+             -0.14515103451824912, -0.14382707923725813),
+    },
+    (0.3, 2.0): {
+        ((0, 0), (1, 0), (0, 0), (1, 0)):
+            (1.5408778182171294, 1.4250406600921932,
+             1.5318691291311703, 1.5321931346374185),
+        ((0, 0), (2, 1), (1, -1), (3, 2)):
+            (0.611265521445228, 0.3847767818970984,
+             0.5231704647535316, 0.5249116416751969),
+        ((2, 2), (1, 2), (2, -2), (-2, 2)):
+            (0.3664745896279405, 0.26769832316706926,
+             0.336607067600722, 0.3376926014466602),
+        ((-2, 2), (2, 2), (-1, -2), (0, 2)):
+            (0.6383889995490614, 0.41018625644877965,
+             0.5124725487788995, 0.514570800322824),
+        ((2, 2), (-2, 2), (2, -1), (0, 0)):
+            (1.035022419304018, 0.7351786143154911,
+             0.9465157215665868, 0.9489022851510561),
+        ((1, 0), (-2, 2), (1, -2), (2, 1)):
+            (0.28000712554634877, 0.15028364180405848,
+             0.3639403710493352, 0.3627127180798083),
+    },
+}
+
+# (C, D) -> gff_lattice_bilinear on the inputs of the layer digest in
+# tests/test_correlations.py: (phi, phi) at m2=7 and (phi, psi) at m2=13.
+RECORDED_GFF = {
+    (0.5, 1.5): (0.5603819317600763, -0.05192502639088759),
+    (0.75, 1.5): (0.35961419777883746, -0.047978365277838726),
+    (0.3, 2.0): (0.6535810194839562, -0.0487422390954846),
+}
+
 
 def _assert_close(new, old):
     tol = 1e-12 * abs(old)
@@ -126,6 +203,25 @@ def test_stationary_route_matches_recorded_values(C, D, monkeypatch):
         seen.clear()
         _assert_close(stationary_cov_infinite(FourPointQuery(*points), params, **kw), value)
         assert seen[-1] == last_m
+
+
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_stationary_finite_route_matches_recorded_values(C, D):
+    params = ModelParams(C=C, D=D)
+    for points, finite in RECORDED_STATIONARY_FINITE[C, D].items():
+        for (m, m2), old in zip(STATIONARY_SIZES, finite):
+            _assert_close(stationary_cov_finite(FourPointQuery(*points), m, m2, params), old)
+
+
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_gff_lattice_route_matches_recorded_values(C, D):
+    params = ModelParams(C=C, D=D)
+    delta, m = 0.25, 32
+    phi = two_bump_test_function(delta, m)
+    psi = _random_sparse_mean_zero(m, np.random.default_rng(5))
+    same, other = RECORDED_GFF[C, D]
+    _assert_close(gff_lattice_bilinear(phi, phi, delta, m, 7, params), same)
+    _assert_close(gff_lattice_bilinear(phi, psi, delta, m, 13, params), other)
 
 
 def test_refinement_failures_keep_their_messages():
@@ -209,8 +305,9 @@ def test_finite_m_rejects_an_imaginary_residue(monkeypatch):
     # with a drift phase that is not odd in k, conjugate modes no longer pair
     # off and the sine sum survives
     m, m2 = 8, 4
-    modes, phis, rvals = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
-    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, phis + 0.3, rvals))
+    modes, phis, rvals, rinv = correlations._mode_table(m, m2,
+                                                        drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, phis + 0.3, rvals, rinv))
     query = CovarianceQuery(y=(2, 1), t=4.0, s=3.0)
     with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
         covariance_finite_m(query, m, m2, ModelParams(C=0.5, D=1.5))
@@ -262,14 +359,8 @@ def test_riemann_covariance_matches_an_extended_precision_sum(C, D, m):
         assert abs(correlations._riemann_covariance(q, params, coeffs, m) - ref) <= 1e-13, q
 
 
-def test_riemann_covariance_calls_sin_and_cos_on_length_m_tables_only(monkeypatch):
-    # the phase comes from three length-m tables; sines and cosines of the
-    # whole grid cost 9-45 ns per entry against about 1.3 ns for exp
-    m = 256
-    params = ModelParams(C=0.5, D=1.5)
-    coeffs = drift_coeffs(params)
-    correlations._riemann_grid(coeffs, m)  # R on the grid is built once, outside the spy
-    queries = REFERENCE_QUERIES + _cor2_queries()[:2]
+def _argument_sizes(monkeypatch, *names):
+    """Record the size of the first argument of every later call to np.<name>."""
     sizes = []
 
     def spy(ufunc):
@@ -278,8 +369,77 @@ def test_riemann_covariance_calls_sin_and_cos_on_length_m_tables_only(monkeypatc
             return ufunc(x, *args, **kw)
         return call
 
-    monkeypatch.setattr(np, "sin", spy(np.sin))
-    monkeypatch.setattr(np, "cos", spy(np.cos))
+    for name in names:
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    return sizes
+
+
+def test_riemann_covariance_calls_sin_and_cos_on_length_m_tables_only(monkeypatch):
+    # the phase comes from three length-m tables; sines and cosines of the
+    # whole grid cost 9-45 ns per entry against about 1.3 ns for exp
+    m = 256
+    params = ModelParams(C=0.5, D=1.5)
+    coeffs = drift_coeffs(params)
+    correlations._riemann_grid(coeffs, m)  # R on the grid is built once, outside the spy
+    queries = REFERENCE_QUERIES + _cor2_queries()[:2]
+    sizes = _argument_sizes(monkeypatch, "sin", "cos")
     for q in queries:
         correlations._riemann_covariance(q, params, coeffs, m)
     assert sizes and max(sizes) <= m, sizes
+
+
+def test_stationary_finite_calls_exp_cos_and_sin_on_length_m_tables_only(monkeypatch):
+    # the twisted sum separates by rows; the complex route took four m^2
+    # exponentials per query
+    m, m2 = 256, 128
+    params = ModelParams(C=0.5, D=1.5)
+    queries = [FourPointQuery(*points) for points in RECORDED_STATIONARY[0.5, 1.5]]
+    stationary_cov_finite(queries[0], m, m2, params)  # the mode table is built outside the spy
+    sizes = _argument_sizes(monkeypatch, "exp", "cos", "sin")
+    for q4 in queries:
+        stationary_cov_finite(q4, m, m2, params)
+    assert sizes and max(sizes) <= 4 * m, sizes
+
+
+@pytest.mark.parametrize("m, m2", [(8, 3), (9, 4), (32, 5), (11, 3)])
+def test_twisted_rows_are_the_fourier_modes(m, m2, monkeypatch):
+    rows = []
+    four_point_sum = correlations._four_point_sum
+
+    def spy(qry, K1, twist, K2, weights, rinv):
+        rows.append((K1, twist, K2))
+        return four_point_sum(qry, K1, twist, K2, weights, rinv)
+
+    monkeypatch.setattr(correlations, "_four_point_sum", spy)
+    stationary_cov_finite(FourPointQuery(*LAYER_FOURS[1]), m, m2, ModelParams(C=0.5, D=1.5))
+    K1, twist, K2 = rows[0]
+    k = correlations.fourier_modes(m, m2).k.reshape(m, m, 2)
+    assert np.abs(np.broadcast_to(K1, (m, m)) - k[..., 0]).max() <= 1e-14
+    assert np.abs(twist + K2 - k[..., 1]).max() <= 1e-14
+
+
+def test_stationary_finite_rejects_an_imaginary_residue(monkeypatch):
+    # with a 1/R that is not even in k, the terms at k and -k no longer pair
+    # off and the sine sum survives
+    m, m2 = 8, 3
+    modes, phis, rvals, rinv = correlations._mode_table(m, m2,
+                                                        drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    odd = rinv * (1 + 0.3 * np.sin(modes.k[:, 0]))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, phis, rvals, odd))
+    with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
+        stationary_cov_finite(FourPointQuery(*LAYER_FOURS[1]), m, m2, ModelParams(C=0.5, D=1.5))
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_growth_factor_is_s_at_the_origin_where_r_rounds_off_zero(m):
+    # at (C, D) = (1.0, 1.3) R(0) evaluates to -5.55e-17, not 0, on both
+    # tables, so a test for R s == 0 missed the origin and gave 299.9999999999975
+    coeffs = drift_coeffs(ModelParams(C=1.0, D=1.3))
+    modes, _, rvals, rinv = correlations._mode_table(m, 3, coeffs)
+    grid_r, grid_rinv = correlations._riemann_grid(coeffs, m)[3:]
+    for r, r_inv, origin in ((rvals, rinv, modes.zero_index),
+                             (grid_r, grid_rinv, (1 - m % 2, m // 2))):
+        assert r[origin] != 0.0
+        assert r_inv[origin] == 0.0
+        for s in (0.0, 12.5, 300.0):
+            assert correlations._growth_factor(r, s, origin)[origin] == s

@@ -289,9 +289,11 @@ def test_fourier_modes_closed_under_negation():
 
 
 def test_fourier_count():
-    modes = fourier_modes(5, 2)
-    assert len(modes.k) == 25
-    assert modes.k[modes.zero_index] @ modes.k[modes.zero_index] == 0.0
+    for m, m2 in [(5, 2), (4, 2), (6, 1), (7, 3)]:
+        modes = fourier_modes(m, m2)
+        assert len(modes.k) == m * m
+        assert modes.k[modes.zero_index] @ modes.k[modes.zero_index] == 0.0
+        assert np.flatnonzero((modes.r1 == 0) & (modes.r2 == 0)).tolist() == [modes.zero_index]
 
 
 def test_serialization_roundtrip_bit_exact():
