@@ -334,14 +334,20 @@ def _four_point_sum(qry, K1, twist, K2, weights, rinv):
                    np.sum(signs * (sin * sums[:, :4] + cos * sums[:, 4:])))
 
 
-def stationary_cov_finite(qry, m, m2, params) -> float:
-    """Stationary gradient covariance as an exact sum over nonzero modes: mode
-    (r1, r2) has k = (K1, twist + K2), K1 = 2 pi r1/m, twist = 2 pi m2 r1/m^2
-    and K2 = 2 pi r2/m, so the twisted set separates by rows too."""
-    modes, _, _, rinv = _mode_table(m, m2, drift_coeffs(params))
+def _row_form(modes):
+    """Mode (r1, r2) has k = (K1, twist + K2), K1 = 2 pi r1/m, twist =
+    2 pi m2 r1/m^2 and K2 = 2 pi r2/m, so the twisted set separates by rows:
+    K1 and twist as (m, 1) columns over r1, K2 as a (1, m) row over r2."""
+    m = modes.m
     r1, r2 = modes.r1[::m, None], modes.r2[None, :m]
-    total = _four_point_sum(qry, 2 * np.pi * r1 / m, 2 * np.pi * m2 * r1 / m ** 2,
-                            2 * np.pi * r2 / m, 1.0, rinv.reshape(m, m))
+    return 2 * np.pi * r1 / m, 2 * np.pi * modes.m2 * r1 / m ** 2, 2 * np.pi * r2 / m
+
+
+def stationary_cov_finite(qry, m, m2, params) -> float:
+    """Stationary gradient covariance as an exact sum over nonzero modes, on
+    the row form of the twisted mode set."""
+    modes, _, _, rinv = _mode_table(m, m2, drift_coeffs(params))
+    total = _four_point_sum(qry, *_row_form(modes), 1.0, rinv.reshape(m, m))
     return _real_value(-params.v / m ** 2 * total, "mode sum")
 
 
@@ -420,8 +426,12 @@ def _check_mean_zero(phi, delta):
 
 def _smoothed_transform(phi, delta, modes):
     """S(k) = delta^2 sum_p phi(delta p)(e^{i k p} - 1) over centered labels
-    p = j - c, c = (m//2, m//2): m e^{-i k c} conj(hat(phi)_k) for real phi."""
-    shift = np.exp(-1j * (modes.m // 2) * modes.k.sum(axis=1))
+    p = j - c, c = (m//2, m//2): m e^{-i k c} conj(hat(phi)_k) for real phi.
+    On the row form k.c = (K1 + twist) c + K2 c, so the shift is a row
+    table times a column table: 2m exponentials."""
+    K1, twist, K2 = _row_form(modes)
+    c = modes.m // 2
+    shift = (np.exp(-1j * c * (K1 + twist)) * np.exp(-1j * c * K2)).ravel()
     return delta ** 2 * (modes.m * shift * np.conj(modes.field_transform(phi)) - float(phi.sum()))
 
 

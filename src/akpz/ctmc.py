@@ -11,6 +11,8 @@ that checkable to rounding error on small tori.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,20 +42,24 @@ def log_q_pochhammer(q: float, n: int) -> float:
 
 @lru_cache(maxsize=64)
 def _rate_kernel(torus, q):
-    """The one implementation of the clock rate: rate(positions, p) of the
-    canonical label p, with the powers of q from a table and the gaps b, c, d
-    read from p's below-right, below and left neighbours (unchecked)."""
+    """The one implementation of the clock rate: rate(pos, i) of the label at
+    index i of torus.labels(), for positions pos listed in that order, with
+    the powers of q from a table and the gaps b, c, d read from the label's
+    below-right, below and left neighbours (unchecked)."""
     _check_q(q)
     L = torus.L
     qpow = [q ** k for k in range(L + 1)]
-    reads = {p: (n.below_right, n.below, n.left) for p, n in torus.neighbors.items()}
+    labels = torus.labels()
+    index = {p: i for i, p in enumerate(labels)}
+    reads = [(index[n.below_right], index[n.below], index[n.left])
+             for n in map(torus.neighbors.get, labels)]
 
-    def rate(positions, p):
-        below_right, below, left = reads[p]
-        x = positions[p]
-        return ((1 - qpow[(positions[below_right] - x - 1) % L])
-                * (1 - qpow[(x - positions[left] - 1) % L + 1])
-                / (1 - qpow[(x - positions[below]) % L + 1]))
+    def rate(pos, i):
+        below_right, below, left = reads[i]
+        x = pos[i]
+        return ((1 - qpow[(pos[below_right] - x - 1) % L])
+                * (1 - qpow[(x - pos[left] - 1) % L + 1])
+                / (1 - qpow[(x - pos[below]) % L + 1]))
     return rate
 
 
@@ -61,7 +67,9 @@ def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
     p = config.torus.canonical(p)
     neighbor_distances(config, p)  # raises on violated interlacing
-    return _rate_kernel(config.torus, q)(config.positions, p)
+    labels = config.torus.labels()
+    pos = [config.positions[s] for s in labels]
+    return _rate_kernel(config.torus, q)(pos, labels.index(p))
 
 
 def push_set(config, p):
@@ -136,16 +144,39 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     if observe_every is not None and not 0 <= observe_every < math.inf:
         raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
-    labels = torus.labels()
-    positions = dict(config.positions)
+    L, labels = torus.L, torus.labels()
+    # positions, rates and displacements are lists in label order; snapshots
+    # and the final state are dicts with the key order of config.positions
+    index = {p: i for i, p in enumerate(labels)}
+    keys = list(config.positions)
+    key_index = [index[p] for p in keys]
+    pos = [config.positions[p] for p in labels]
+    up = [index[torus.neighbors[p].up] for p in labels]
     rate = _rate_kernel(torus, q)
-    rates = {p: rate(positions, p) for p in labels}
-    # r and its up-left, up and right neighbours: the labels whose rate reads r
-    readers = {r: (r, n.up_left, n.up, n.right) for r, n in torus.neighbors.items()}
-    total = sum(rates.values())
+    rates = [rate(pos, i) for i in range(len(labels))]
+    displacement = [0] * len(labels)
+    total = sum(rates)
     rng = np.random.default_rng(seed)
-    traj = Trajectory(torus=torus, q=q, T=T, seed=seed,
-                      displacement={p: 0 for p in labels})
+    traj = Trajectory(torus=torus, q=q, T=T, seed=seed)
+    events, samples = traj.events, traj.samples
+
+    def snapshot():
+        return dict(zip(keys, [pos[i] for i in key_index]))
+
+    # (trigger index, push length) -> (moved indices, pushed labels, touched
+    # indices).  The touched particles are those whose rate reads a moved
+    # one r: r and its up-left, up and right neighbours.  They are updated in
+    # the iteration order of the set of their labels built below, since the
+    # update order fixes the rounding of the running total.
+    plans = {}
+
+    def push_plan(i, length):
+        moved = _push_set(torus, dict(zip(labels, pos)), labels[i])
+        nb = torus.neighbors
+        touched = {s for r in moved for s in (r, nb[r].up_left, nb[r].up, nb[r].right)}
+        plan = plans[i, length] = ([index[r] for r in moved], tuple(sorted(moved)),
+                                   [index[s] for s in touched])
+        return plan
 
     grid = _observation_times(T, observe_every) if observe_every is not None else iter(())
     next_obs = next(grid, None)
@@ -155,48 +186,50 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         wait = rng.exponential(1.0 / total) if total > 0 else math.inf
         t_next = t + wait
         while next_obs is not None and next_obs <= min(t_next, T) + 1e-12:
-            traj.samples.append((next_obs, dict(positions)))
+            samples.append((next_obs, snapshot()))
             next_obs = next(grid, None)
         if t_next > T:
             break
         t = t_next
 
+        # the first label whose cumulative rate, summed in label order, exceeds u
         u = rng.random() * total
-        acc = 0.0
-        trigger = None
-        for p in labels:
-            acc += rates[p]
+        for trigger, acc in enumerate(accumulate(rates)):
             if u < acc:
-                trigger = p
                 break
-        if trigger is None:  # rounding at the top of the cumulative sum
-            trigger = max(labels, key=lambda p: rates[p])
+        else:  # rounding at the top of the cumulative sum
+            trigger = rates.index(max(rates))
 
-        moved = _push_set(torus, positions, trigger)
-        for r in moved:
-            positions[r] = (positions[r] + 1) % torus.L
-            traj.displacement[r] += 1
-        traj.events.append(JumpRecord(time=t, trigger=trigger, pushed=tuple(sorted(moved))))
+        # the length of _push_set(trigger): follow up-edges while the up-gap f
+        # is zero, stopping on loop closure
+        x, nxt, length = pos[trigger], up[trigger], 1
+        while pos[nxt] == x and nxt != trigger:
+            nxt, length = up[nxt], length + 1
+        moved, pushed, touched = plans.get((trigger, length)) or push_plan(trigger, length)
+        for i in moved:
+            pos[i] = (pos[i] + 1) % L
+            displacement[i] += 1
+        events.append(JumpRecord(t, labels[trigger], pushed))
 
-        touched = {s for r in moved for s in readers[r]}
-        for p in touched:
-            old = rates[p]
-            rates[p] = rate(positions, p)
-            total += rates[p] - old
+        for i in touched:
+            old = rates[i]
+            rates[i] = rate(pos, i)
+            total += rates[i] - old
         events_since_resync += 1
         if events_since_resync >= 1024:
-            total = sum(rates.values())
+            total = sum(rates)
             events_since_resync = 0
 
         if debug_validate:
-            report = validate(ParticleConfig(torus, positions))
+            report = validate(ParticleConfig(torus, snapshot()))
             if not report.ok:
                 raise ConfigError(f"invalid state after event at t={t}: {report.failures}")
-            drift = max(abs(rate(positions, p) - rates[p]) for p in labels)
+            drift = max(abs(rate(pos, i) - rates[i]) for i in range(len(labels)))
             if drift > 1e-12:
                 raise ConfigError(f"incremental rate table drifted by {drift}")
 
-    traj.final = ParticleConfig(torus, positions)
+    traj.displacement = dict(zip(labels, displacement))
+    traj.final = ParticleConfig(torus, snapshot())
     return traj
 
 
@@ -204,14 +237,44 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
 _log_qpoch = lru_cache(maxsize=4096)(log_q_pochhammer)
 
 
+def _log_weights(torus, pos, q):
+    """Unnormalized log Gibbs weights of the states whose positions, in label
+    order, are the rows of the integer array pos (interlacing unchecked).
+    One label column at a time, in label order, tot += (lq[a] - lq[b]) - lq[c]:
+    the operation order of a per-state loop over the labels."""
+    _check_q(q)
+    L, labels = torus.L, torus.labels()
+    index = {p: i for i, p in enumerate(labels)}
+    reads = [(index[n.right], index[n.below_right], index[n.below])
+             for n in map(torus.neighbors.get, labels)]
+
+    def gaps(i):
+        right, below_right, below = reads[i]
+        x = pos[:, i]
+        return (pos[:, right] - x - 1) % L, (pos[:, below_right] - x - 1) % L, (x - pos[:, below]) % L
+
+    # log (q;q)_n only for the gap counts that occur: L can be large
+    seen = np.zeros(L, dtype=bool)
+    for i in range(len(labels)):
+        for g in gaps(i):
+            seen[g] = True
+    lq = np.zeros(L)
+    lq[seen] = [_log_qpoch(q, int(n)) for n in np.flatnonzero(seen)]
+    tot = np.zeros(len(pos))
+    for i in range(len(labels)):
+        a, b, c = gaps(i)
+        tot += (lq[a] - lq[b]) - lq[c]
+    return tot
+
+
 def log_stationary_weight(config, q: float) -> float:
     """Unnormalized log Gibbs weight: sum over particles of
     log(q;q)_a - log(q;q)_b - log(q;q)_c."""
-    total = 0.0
-    for p in config.torus.labels():
-        g = neighbor_distances(config, p)
-        total += _log_qpoch(q, g.a) - _log_qpoch(q, g.b) - _log_qpoch(q, g.c)
-    return total
+    labels = config.torus.labels()
+    for p in labels:
+        neighbor_distances(config, p)  # raises on violated interlacing
+    pos = np.array([[config.positions[p] for p in labels]])
+    return float(_log_weights(config.torus, pos, q)[0])
 
 
 @dataclass(frozen=True)
@@ -234,11 +297,13 @@ def build_generator(torus, q) -> GeneratorMatrix:
     n = len(states)
     Q = np.zeros((n, n))
     rate = _rate_kernel(torus, q)
+    labels = torus.labels()
     for i, cfg in enumerate(states):
         positions = cfg.positions
+        pos = [positions[p] for p in labels]
         occupancy = cfg.occupancy()
-        for p in torus.labels():
-            r = rate(positions, p)
+        for k, p in enumerate(labels):
+            r = rate(pos, k)
             if r <= 0:
                 continue
             moved = _push_set(torus, positions, p)
@@ -252,7 +317,10 @@ def build_generator(torus, q) -> GeneratorMatrix:
 
 def stationary_distribution(generator, q):
     """Normalized Gibbs weights over the generator's states."""
-    logs = np.array([log_stationary_weight(cfg, q) for cfg in generator.states])
+    torus = generator.states[0].torus
+    in_label_order = itemgetter(*torus.labels())
+    pos = np.array([in_label_order(cfg.positions) for cfg in generator.states])
+    logs = _log_weights(torus, pos, q)
     w = np.exp(logs - logs.max())
     return w / w.sum()
 

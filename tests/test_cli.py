@@ -189,6 +189,19 @@ def test_cli_ctmc_csv_deterministic(tmp_path):
     assert header == "time,p1,p2,x_p"
 
 
+def test_cli_ctmc_csv_and_final_are_pinned(tmp_path):
+    # CSV and --dump-final bytes of a cascade run from the crystalline start,
+    # recorded with numpy 2.4.6
+    out, final = tmp_path / "c.csv", tmp_path / "f.txt"
+    assert main(["ctmc", "--L", "32", "--N", "8", "--m1", "8", "--m2", "2", "--q", "0.7",
+                 "--T", "5", "--seed", "1", "--crystalline", "--observe-every", "1",
+                 "--out", str(out), "--dump-final", str(final)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "92cdaf4b297d295b3791eedae23323d940f89e1646bdf9879fe7f1c097d95345")
+    assert hashlib.sha256(final.read_bytes()).hexdigest() == (
+        "f46fe5c956db722e45db3bb38b715e29fe257878279807c240ea3cbd443c35af")
+
+
 def test_cli_ctmc_zero_horizon_writes_the_start_snapshot(tmp_path, capsys):
     out = tmp_path / "a.csv"
     assert main(["ctmc", "--L", "6", "--N", "3", "--m1", "2", "--m2", "1", "--q", "0.5",

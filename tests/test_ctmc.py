@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from akpz import ctmc
 from akpz.ctmc import (DomainError, apply_jump, build_generator, check_stationarity,
                        gaussian_log_weight, jump_rate, log_q_pochhammer,
                        log_stationary_weight, push_set, simulate,
@@ -452,6 +453,52 @@ def test_simulate_stream_is_pinned():
     traj = simulate(crystalline(drift), math.exp(-0.01), 100.0, seed=0)
     assert _stream_digest(traj) == (
         "0f2a99c31ade8ac8eb578469b11336328a08ec84c86b0109d46b2b146071b395")
+
+
+def _state_digest(traj):
+    # samples, displacements and final positions, each dict with its key order
+    state = ([(t.hex(), list(positions.items())) for t, positions in traj.samples],
+             list(traj.displacement.items()), list(traj.final.positions.items()))
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+def test_simulate_state_is_pinned():
+    # everything simulate returns besides the events, recorded with numpy
+    # 2.4.6 on the runs of test_simulate_stream_is_pinned (the cascade run
+    # observed every 0.5) and on a start whose dict is not in label order
+    cascade = simulate(crystalline(CASCADE_TORUS), 0.7, 5.0, seed=1, observe_every=0.5)
+    assert _state_digest(cascade) == (
+        "3d0a1bcea2ee2d45359367194cdf575d96eeff407c3a912501e7a778ba93c04c")
+    drift = TorusParams.from_scaling(epsilon=0.01, ell=4.0, m=4, m2=2)
+    traj = simulate(crystalline(drift), math.exp(-0.01), 100.0, seed=0)
+    assert _state_digest(traj) == (
+        "aa962a801b12715a8fc8205e329654ac6f608dff59950105cbd996d568041681")
+    start = configs()[3]
+    reordered = ParticleConfig(TORUS, dict(sorted(start.positions.items(), reverse=True)))
+    traj = simulate(reordered, 0.7, 10.0, seed=2, observe_every=1.0)
+    assert list(traj.final.positions) == list(reordered.positions)
+    assert _state_digest(traj) == (
+        "2d95c315f76c9de8a3ab99230656d3ca7a23fc2b08d3dcac3ed02035f6e88147")
+
+
+def test_simulate_calls_share_no_state():
+    # calls on two tori at two q, interleaved, give the events and final
+    # state of the same call run alone on cleared caches
+    calls = [(crystalline(CASCADE_TORUS), 0.7, 2.0, 1), (configs()[5], 0.3, 20.0, 4),
+             (crystalline(CASCADE_TORUS), 0.3, 2.0, 1), (configs()[5], 0.7, 20.0, 4)]
+
+    def run(call):
+        traj = simulate(*call[:3], seed=call[3])
+        return traj.events, traj.final.positions
+
+    alone = []
+    for call in calls:
+        for cached in vars(ctmc).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        alone.append(run(call))
+    for i in (0, 1, 2, 3, 3, 1, 0, 2):
+        assert run(calls[i]) == alone[i]
 
 
 def test_simulate_stream_at_q_zero_is_pinned():
