@@ -345,6 +345,7 @@ def _rel_gap(row):
 def _read_phi(path, m):
     """Test function from 'p1 p2 value' rows with centred labels in [-m/2, m/2)."""
     phi = np.zeros((m, m))
+    seen = set()
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         fields = raw.partition("#")[0].split()
         if not fields:
@@ -361,6 +362,9 @@ def _read_phi(path, m):
         if not (0 <= i1 < m and 0 <= i2 < m):
             raise ConfigError(f"{path} line {lineno}: label ({int(p1)}, {int(p2)}) "
                               f"outside [-m/2, m/2) for m={m}")
+        if (i1, i2) in seen:
+            raise ConfigError(f"{path} line {lineno}: repeated label ({int(p1)}, {int(p2)})")
+        seen.add((i1, i2))
         phi[i1, i2] = val
     if not phi.any():
         raise ConfigError(f"{path}: no nonzero value")

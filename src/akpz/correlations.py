@@ -134,6 +134,12 @@ def _half_rows(m):
     return np.r_[-(m // 2), j1] if m % 2 == 0 else j1
 
 
+def _half_origin(m):
+    """Index of K = 0 on the half grid: row j1 = 0 (after the -m/2 row at
+    even m), column m//2."""
+    return 1 - m % 2, m // 2
+
+
 @functools.lru_cache(maxsize=8)  # 8 m^2 bytes each, 8 MB at m=1024
 def _riemann_grid(coeffs, m):
     """Half of the m x m periodic lattice: momenta K1 (rows, 1), K2 (1, m),
@@ -154,7 +160,7 @@ def _riemann_grid(coeffs, m):
     K2 = 2 * np.pi * np.arange(-(m // 2), m - m // 2)[None, :] / m
     rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - K2) - coeffs.d1 * np.cos(K1)
                  + coeffs.d3 * np.cos(K2))
-    rinv = _reciprocal(rvals, (1 - m % 2, m // 2))  # K = 0 is row j1 = 0, column m//2
+    rinv = _reciprocal(rvals, _half_origin(m))
     _read_only(K1, K2, weights, rvals, rinv)
     return K1, K2, weights, rvals, rinv
 
@@ -188,7 +194,7 @@ def _riemann_covariance(query, params, coeffs, m):
     tau = query.t - query.s
     y1, y2 = query.y
     K1, K2, weights, rvals, _ = _riemann_grid(coeffs, m)
-    acc = _growth_factor(rvals, query.s, (1 - m % 2, m // 2))
+    acc = _growth_factor(rvals, query.s, _half_origin(m))
     tmp = np.multiply(0.5, rvals)
     tmp *= tau
     acc *= np.exp(tmp, out=tmp)

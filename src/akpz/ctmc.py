@@ -17,8 +17,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .lattice import (ParticleConfig, enumerate_configs, fourier_modes, neighbor_distances,
-                      validate)
+from .lattice import (Neighbors, ParticleConfig, enumerate_configs, fourier_modes,
+                      neighbor_distances, validate)
 from .sde import SdeState, _f, shift_field, symbol_Q
 
 
@@ -41,6 +41,17 @@ def log_q_pochhammer(q: float, n: int) -> float:
 
 
 @lru_cache(maxsize=64)
+def _label_table(torus):
+    """The one integer view of the torus: its labels in order, each label's
+    index, and a Neighbors whose fields are index columns in label order
+    (nb.up[i] is the index of the up neighbour of label i)."""
+    labels = tuple(torus.labels())
+    index = {p: i for i, p in enumerate(labels)}
+    columns = zip(*(map(index.get, torus.neighbors[p]) for p in labels))
+    return labels, index, Neighbors(*map(tuple, columns))
+
+
+@lru_cache(maxsize=64)
 def _rate_kernel(torus, q):
     """The one implementation of the clock rate: rate(pos, i) of the label at
     index i of torus.labels(), for positions pos listed in that order, with
@@ -49,10 +60,8 @@ def _rate_kernel(torus, q):
     _check_q(q)
     L = torus.L
     qpow = [q ** k for k in range(L + 1)]
-    labels = torus.labels()
-    index = {p: i for i, p in enumerate(labels)}
-    reads = [(index[n.below_right], index[n.below], index[n.left])
-             for n in map(torus.neighbors.get, labels)]
+    nb = _label_table(torus)[2]
+    reads = list(zip(nb.below_right, nb.below, nb.left))
 
     def rate(pos, i):
         below_right, below, left = reads[i]
@@ -67,28 +76,27 @@ def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
     p = config.torus.canonical(p)
     neighbor_distances(config, p)  # raises on violated interlacing
-    labels = config.torus.labels()
+    labels, index, _ = _label_table(config.torus)
     pos = [config.positions[s] for s in labels]
-    return _rate_kernel(config.torus, q)(pos, labels.index(p))
+    return _rate_kernel(config.torus, q)(pos, index[p])
 
 
 def push_set(config, p):
     """Labels moved together with p: follow up-edges while the up-gap f is
     zero, stopping at the first positive gap or on loop closure."""
-    return _push_set(config.torus, config.positions, config.torus.canonical(p))
+    labels, index, nb = _label_table(config.torus)
+    pos = [config.positions[s] for s in labels]
+    return frozenset(labels[i] for i in _push_walk(pos, nb.up, index[config.torus.canonical(p)]))
 
 
-def _push_set(torus, positions, p):
-    """push_set of the canonical label p (f = 0: the up neighbour sits at x)."""
-    neighbors = torus.neighbors
-    members = [p]
-    cur = p
-    while positions[neighbors[cur].up] == positions[cur]:
-        cur = neighbors[cur].up
-        if cur == p:
-            break
-        members.append(cur)
-    return frozenset(members)
+def _push_walk(pos, up, i):
+    """Indices moved together with index i, in walk order, for positions pos
+    and up-neighbour indices up in label order (f = 0: pos[up[j]] == pos[j])."""
+    moved, x, cur = [i], pos[i], up[i]
+    while pos[cur] == x and cur != i:
+        moved.append(cur)
+        cur = up[cur]
+    return moved
 
 
 def apply_jump(config, p) -> ParticleConfig:
@@ -144,14 +152,14 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     if observe_every is not None and not 0 <= observe_every < math.inf:
         raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
-    L, labels = torus.L, torus.labels()
+    L = torus.L
+    labels, index, nb = _label_table(torus)
     # positions, rates and displacements are lists in label order; snapshots
     # and the final state are dicts with the key order of config.positions
-    index = {p: i for i, p in enumerate(labels)}
     keys = list(config.positions)
     key_index = [index[p] for p in keys]
     pos = [config.positions[p] for p in labels]
-    up = [index[torus.neighbors[p].up] for p in labels]
+    up = nb.up
     rate = _rate_kernel(torus, q)
     rates = [rate(pos, i) for i in range(len(labels))]
     displacement = [0] * len(labels)
@@ -163,19 +171,18 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     def snapshot():
         return dict(zip(keys, [pos[i] for i in key_index]))
 
-    # (trigger index, push length) -> (moved indices, pushed labels, touched
-    # indices).  The touched particles are those whose rate reads a moved
-    # one r: r and its up-left, up and right neighbours.  They are updated in
-    # the iteration order of the set of their labels built below, since the
-    # update order fixes the rounding of the running total.
+    # (trigger index, push length) -> (pushed labels, touched indices).  The
+    # touched particles are those whose rate reads a moved one r: r and its
+    # up-left, up and right neighbours.  They are updated in the iteration
+    # order of the set of their labels built below, since the update order
+    # fixes the rounding of the running total.
     plans = {}
 
-    def push_plan(i, length):
-        moved = _push_set(torus, dict(zip(labels, pos)), labels[i])
-        nb = torus.neighbors
-        touched = {s for r in moved for s in (r, nb[r].up_left, nb[r].up, nb[r].right)}
-        plan = plans[i, length] = ([index[r] for r in moved], tuple(sorted(moved)),
-                                   [index[s] for s in touched])
+    def push_plan(trigger, moved):
+        members = frozenset(labels[r] for r in moved)
+        nbr = torus.neighbors
+        touched = {s for r in members for s in (r, nbr[r].up_left, nbr[r].up, nbr[r].right)}
+        plan = plans[trigger, len(moved)] = (tuple(sorted(members)), [index[s] for s in touched])
         return plan
 
     grid = _observation_times(T, observe_every) if observe_every is not None else iter(())
@@ -200,12 +207,8 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         else:  # rounding at the top of the cumulative sum
             trigger = rates.index(max(rates))
 
-        # the length of _push_set(trigger): follow up-edges while the up-gap f
-        # is zero, stopping on loop closure
-        x, nxt, length = pos[trigger], up[trigger], 1
-        while pos[nxt] == x and nxt != trigger:
-            nxt, length = up[nxt], length + 1
-        moved, pushed, touched = plans.get((trigger, length)) or push_plan(trigger, length)
+        moved = _push_walk(pos, up, trigger)
+        pushed, touched = plans.get((trigger, len(moved))) or push_plan(trigger, moved)
         for i in moved:
             pos[i] = (pos[i] + 1) % L
             displacement[i] += 1
@@ -243,10 +246,9 @@ def _log_weights(torus, pos, q):
     One label column at a time, in label order, tot += (lq[a] - lq[b]) - lq[c]:
     the operation order of a per-state loop over the labels."""
     _check_q(q)
-    L, labels = torus.L, torus.labels()
-    index = {p: i for i, p in enumerate(labels)}
-    reads = [(index[n.right], index[n.below_right], index[n.below])
-             for n in map(torus.neighbors.get, labels)]
+    L = torus.L
+    labels, _, nb = _label_table(torus)
+    reads = list(zip(nb.right, nb.below_right, nb.below))
 
     def gaps(i):
         right, below_right, below = reads[i]
@@ -288,28 +290,33 @@ class GeneratorMatrix:
 
 
 def build_generator(torus, q) -> GeneratorMatrix:
-    """Dense generator over all enumerated configurations of the sector."""
+    """Dense generator over all enumerated configurations of the sector.
+
+    A state is found by its label-free occupancy bitmask, bit row*L + x per
+    particle; a jump flips the two bits of each moved particle."""
     _check_q(q)
     states = enumerate_configs(torus)
     if not states:
         raise ParameterError("empty configuration space")
-    index = {cfg.occupancy(): i for i, cfg in enumerate(states)}
+    L = torus.L
+    labels, _, nb = _label_table(torus)
+    rows = [L * p[1] for p in labels]  # the bit of (row, x = 0) for each label
+    positions = list(map(itemgetter(*labels), (cfg.positions for cfg in states)))
+    keys = [sum(1 << (row + x) for row, x in zip(rows, pos)) for pos in positions]
+    index = {key: i for i, key in enumerate(keys)}
     n = len(states)
     Q = np.zeros((n, n))
     rate = _rate_kernel(torus, q)
-    labels = torus.labels()
-    for i, cfg in enumerate(states):
-        positions = cfg.positions
-        pos = [positions[p] for p in labels]
-        occupancy = cfg.occupancy()
-        for k, p in enumerate(labels):
+    for i, (pos, key) in enumerate(zip(positions, keys)):
+        for k in range(len(labels)):
             r = rate(pos, k)
             if r <= 0:
                 continue
-            moved = _push_set(torus, positions, p)
             # the target state: the moved particles one site further right
-            j = index[occupancy.difference((s[1], positions[s]) for s in moved)
-                      | {(s[1], (positions[s] + 1) % torus.L) for s in moved}]
+            target = key
+            for s in _push_walk(pos, nb.up, k):
+                target ^= (1 << (rows[s] + pos[s])) | (1 << (rows[s] + (pos[s] + 1) % L))
+            j = index[target]
             Q[i, j] += r
             Q[i, i] -= r
     return GeneratorMatrix(states=tuple(states), matrix=Q)

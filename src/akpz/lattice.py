@@ -350,5 +350,7 @@ def config_from_text(text):
             p1, p2, x = map(int, ln.split())
         except ValueError as err:
             raise ParameterError(f"bad particle line: {ln!r}") from err
+        if (p1, p2) in positions:
+            raise ConfigError(f"repeated label ({p1}, {p2}) in particle line {ln!r}")
         positions[(p1, p2)] = x
     return ParticleConfig(torus, positions)

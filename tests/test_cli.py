@@ -308,6 +308,19 @@ def _non_utf8_file(tmp_path):
     return str(bad)
 
 
+def _start_with_repeated_label(tmp_path):
+    # the first enumerated 4x3 state, with label (0, 0) given twice
+    start = tmp_path / "start.txt"
+    start.write_text("4 3 2 1\n0 0 3\n0 0 0\n0 1 0\n0 2 1\n1 0 1\n1 1 2\n1 2 2\n")
+    return str(start)
+
+
+def _phi_with_repeated_label(tmp_path):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("0 0 1\n0 0 1\n1 0 -1\n")
+    return str(phi)
+
+
 @pytest.mark.parametrize("argv", [
     ["ctmc", *_TORUS, "--q", "1.5", "--T", "1", "--crystalline"],
     ["ctmc", *_TORUS, "--q", "-0.5", "--T", "1", "--crystalline"],
@@ -351,6 +364,8 @@ def _non_utf8_file(tmp_path):
     ["run", "BAD"],
     ["gff", "--m", "16", "--delta", "0.5", "--phi", "BAD"],
     ["ctmc", "--start", "BAD", "--q", "0.5", "--T", "1"],
+    ["ctmc", "--start", "DUPSTART", "--q", "0.5", "--T", "1"],
+    ["gff", "--m", "16", "--delta", "0.5", "--phi", "DUPPHI"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -364,10 +379,12 @@ def _non_utf8_file(tmp_path):
         "sde-T-off-dt-grid",
         "sde-observe-every-off-dt-grid", "cov-unknown-method", "cov-finite-inf-t",
         "cov-asymptotic-inf-t", "gff-variance-overflows", "gff-phi-variance-overflows",
-        "run-non-utf8-config", "gff-non-utf8-phi", "ctmc-non-utf8-start"])
+        "run-non-utf8-config", "gff-non-utf8-phi", "ctmc-non-utf8-start",
+        "ctmc-start-repeated-label", "gff-phi-repeated-label"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    files = {"PHI": _two_point_phi, "BAD": _non_utf8_file}
+    files = {"PHI": _two_point_phi, "BAD": _non_utf8_file,
+             "DUPSTART": _start_with_repeated_label, "DUPPHI": _phi_with_repeated_label}
     paths = {a: files[a](tmp_path) for a in argv if a in files}
     argv = [paths.get(a, a) for a in argv]
     # validate writes no file and run reads its out from the config, so neither takes --out
@@ -380,6 +397,10 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
         assert "observe_every" in lines[0]
     if "BAD" in paths:  # the file that is not UTF-8 and where its first bad byte sits
         assert paths["BAD"] in lines[0] and "offset 0" in lines[0]
+    if "DUPSTART" in paths:  # the second line that gives label (0, 0)
+        assert "repeated label (0, 0)" in lines[0] and "'0 0 0'" in lines[0]
+    if "DUPPHI" in paths:
+        assert paths["DUPPHI"] in lines[0] and "line 2" in lines[0]
     assert not out.exists()
 
 

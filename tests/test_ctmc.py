@@ -245,6 +245,27 @@ def test_generator_irreducible():
     assert reach(adj.T) == set(range(gen.n))
 
 
+@pytest.mark.parametrize("torus", [TORUS, TorusParams(L=4, N=4, m1=2, m2=1),
+                                   TorusParams(L=6, N=4, m1=3, m2=1)], ids=["4x3", "4x4", "6x4"])
+def test_generator_matches_jump_rate_and_apply_jump(torus):
+    # a second route to every entry: each off-diagonal entry is the label-order
+    # sum of jump_rate over the labels whose apply_jump lands on that state,
+    # matched by occupancy(); the diagonal is minus the row's sum
+    q = 0.6
+    gen = build_generator(torus, q)
+    index = {cfg.occupancy(): i for i, cfg in enumerate(gen.states)}
+    off = ~np.eye(gen.n, dtype=bool)
+    for i, cfg in enumerate(gen.states):
+        want = np.zeros(gen.n)
+        for p in torus.labels():
+            r = jump_rate(cfg, p, q)
+            if r > 0:
+                want[index[apply_jump(cfg, p).occupancy()]] += r
+        row = gen.matrix[i]
+        assert np.array_equal(row[off[i]], want[off[i]])
+        assert row[i] == pytest.approx(-row[off[i]].sum(), rel=1e-13, abs=0)
+
+
 def test_stationarity_residuals():
     assert check_stationarity(TORUS, 0.0) < 1e-12
     assert check_stationarity(TORUS, 0.5) < 1e-10

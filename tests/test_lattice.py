@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
+from akpz.ctmc import _label_table
+from akpz.lattice import (STENCIL, Neighbors, ParameterError, ParticleConfig,
                           StateSpaceError, TorusParams, canonicalize,
                           config_from_text, config_to_text, crystalline,
                           enumerate_configs, fourier_modes, neighbor_distances,
@@ -70,6 +71,12 @@ def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
                 want = canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N)
                 assert (i1[p1, p2], i2[p1, p2]) == want
                 assert getattr(torus.neighbors[(p1, p2)], name) == want
+    # the integer view of the particle layer: index columns in label order
+    labels, index, columns = _label_table(torus)
+    assert labels == tuple(torus.labels())
+    for i, p in enumerate(labels):
+        assert index[p] == i
+        assert Neighbors(*(labels[col[i]] for col in columns)) == torus.neighbors[p]
 
 
 @pytest.mark.parametrize("m1, N, m2", [(0, 0, 1), (1, 1, 1), (4, 4, 0), (4, 4, 4)])
