@@ -5,7 +5,8 @@ Each particle p carries an exponential clock of rate
 particles stacked above it through zero up-gaps all shift right by one.
 The Gibbs product weight built from q-Pochhammer symbols of the gap counts
 is stationary; a brute-force generator over enumerated configurations makes
-that checkable to rounding error on small tori.
+that checkable to rounding error on small tori.  Rates, push walks and
+weights read the index columns of lattice.label_table and its gap formulas.
 """
 
 import math
@@ -17,8 +18,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .lattice import (Neighbors, ParticleConfig, enumerate_configs, fourier_modes,
-                      neighbor_distances, validate)
+from .lattice import (ParticleConfig, check_interlacing, enumerate_configs, fourier_modes,
+                      gap_columns, label_table, neighbor_distances, validate)
 from .sde import SdeState, _f, shift_field, symbol_Q
 
 
@@ -41,26 +42,15 @@ def log_q_pochhammer(q: float, n: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _label_table(torus):
-    """The one integer view of the torus: its labels in order, each label's
-    index, and a Neighbors whose fields are index columns in label order
-    (nb.up[i] is the index of the up neighbour of label i)."""
-    labels = tuple(torus.labels())
-    index = {p: i for i, p in enumerate(labels)}
-    columns = zip(*(map(index.get, torus.neighbors[p]) for p in labels))
-    return labels, index, Neighbors(*map(tuple, columns))
-
-
-@lru_cache(maxsize=64)
 def _rate_kernel(torus, q):
-    """The one implementation of the clock rate: rate(pos, i) of the label at
-    index i of torus.labels(), for positions pos listed in that order, with
-    the powers of q from a table and the gaps b, c, d read from the label's
-    below-right, below and left neighbours (unchecked)."""
+    """The one clock rate: rate(pos, i) of the label at index i for positions
+    pos in label order, with q-powers from a table and the gaps b, c, d of
+    lattice.gap_columns read from the same index columns (unchecked), as
+    scalars: it runs once per event, where a NumPy call costs more."""
     _check_q(q)
     L = torus.L
     qpow = [q ** k for k in range(L + 1)]
-    nb = _label_table(torus)[2]
+    nb = label_table(torus).neighbors
     reads = list(zip(nb.below_right, nb.below, nb.left))
 
     def rate(pos, i):
@@ -76,7 +66,7 @@ def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
     p = config.torus.canonical(p)
     neighbor_distances(config, p)  # raises on violated interlacing
-    labels, index, _ = _label_table(config.torus)
+    labels, index, _ = label_table(config.torus)
     pos = [config.positions[s] for s in labels]
     return _rate_kernel(config.torus, q)(pos, index[p])
 
@@ -84,7 +74,7 @@ def jump_rate(config, p, q: float) -> float:
 def push_set(config, p):
     """Labels moved together with p: follow up-edges while the up-gap f is
     zero, stopping at the first positive gap or on loop closure."""
-    labels, index, nb = _label_table(config.torus)
+    labels, index, nb = label_table(config.torus)
     pos = [config.positions[s] for s in labels]
     return frozenset(labels[i] for i in _push_walk(pos, nb.up, index[config.torus.canonical(p)]))
 
@@ -153,7 +143,7 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
     L = torus.L
-    labels, index, nb = _label_table(torus)
+    labels, index, nb = label_table(torus)
     # positions, rates and displacements are lists in label order; snapshots
     # and the final state are dicts with the key order of config.positions
     keys = list(config.positions)
@@ -180,8 +170,8 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
 
     def push_plan(trigger, moved):
         members = frozenset(labels[r] for r in moved)
-        nbr = torus.neighbors
-        touched = {s for r in members for s in (r, nbr[r].up_left, nbr[r].up, nbr[r].right)}
+        touched = {labels[s] for r in map(index.get, members)
+                   for s in (r, nb.up_left[r], nb.up[r], nb.right[r])}
         plan = plans[trigger, len(moved)] = (tuple(sorted(members)), [index[s] for s in touched])
         return plan
 
@@ -240,43 +230,26 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
 _log_qpoch = lru_cache(maxsize=4096)(log_q_pochhammer)
 
 
-def _log_weights(torus, pos, q):
-    """Unnormalized log Gibbs weights of the states whose positions, in label
-    order, are the rows of the integer array pos (interlacing unchecked).
-    One label column at a time, in label order, tot += (lq[a] - lq[b]) - lq[c]:
-    the operation order of a per-state loop over the labels."""
+def _log_weights(g, q):
+    """Unnormalized log Gibbs weights of the states whose gap columns (from
+    lattice.gap_columns) are g.  One label column at a time, in label order,
+    tot += (lq[a] - lq[b]) - lq[c]: the operation order of a per-state loop
+    over the labels."""
     _check_q(q)
-    L = torus.L
-    labels, _, nb = _label_table(torus)
-    reads = list(zip(nb.right, nb.below_right, nb.below))
-
-    def gaps(i):
-        right, below_right, below = reads[i]
-        x = pos[:, i]
-        return (pos[:, right] - x - 1) % L, (pos[:, below_right] - x - 1) % L, (x - pos[:, below]) % L
-
     # log (q;q)_n only for the gap counts that occur: L can be large
-    seen = np.zeros(L, dtype=bool)
-    for i in range(len(labels)):
-        for g in gaps(i):
-            seen[g] = True
-    lq = np.zeros(L)
-    lq[seen] = [_log_qpoch(q, int(n)) for n in np.flatnonzero(seen)]
-    tot = np.zeros(len(pos))
-    for i in range(len(labels)):
-        a, b, c = gaps(i)
-        tot += (lq[a] - lq[b]) - lq[c]
-    return tot
+    seen = np.unique(g[:3])
+    lq = np.zeros(seen[-1] + 1)
+    lq[seen] = [_log_qpoch(q, int(n)) for n in seen]
+    return sum(np.moveaxis((lq[g.a] - lq[g.b]) - lq[g.c], -1, 0))
 
 
 def log_stationary_weight(config, q: float) -> float:
     """Unnormalized log Gibbs weight: sum over particles of
     log(q;q)_a - log(q;q)_b - log(q;q)_c."""
-    labels = config.torus.labels()
-    for p in labels:
-        neighbor_distances(config, p)  # raises on violated interlacing
-    pos = np.array([[config.positions[p] for p in labels]])
-    return float(_log_weights(config.torus, pos, q)[0])
+    labels = label_table(config.torus).labels
+    g = gap_columns(config.torus, [config.positions[p] for p in labels])
+    check_interlacing(labels, g)
+    return float(_log_weights(g, q))
 
 
 @dataclass(frozen=True)
@@ -299,7 +272,7 @@ def build_generator(torus, q) -> GeneratorMatrix:
     if not states:
         raise ParameterError("empty configuration space")
     L = torus.L
-    labels, _, nb = _label_table(torus)
+    labels, _, nb = label_table(torus)
     rows = [L * p[1] for p in labels]  # the bit of (row, x = 0) for each label
     positions = list(map(itemgetter(*labels), (cfg.positions for cfg in states)))
     keys = [sum(1 << (row + x) for row, x in zip(rows, pos)) for pos in positions]
@@ -327,7 +300,7 @@ def stationary_distribution(generator, q):
     torus = generator.states[0].torus
     in_label_order = itemgetter(*torus.labels())
     pos = np.array([in_label_order(cfg.positions) for cfg in generator.states])
-    logs = _log_weights(torus, pos, q)
+    logs = _log_weights(gap_columns(torus, pos), q)
     w = np.exp(logs - logs.max())
     return w / w.sum()
 
@@ -349,8 +322,8 @@ def gaussian_log_weight(etas, params, m2, mode="direct") -> float:
     evaluates sum_k |hat(eta)_k|^2 Q(k).  The two agree to rounding.
     """
     if isinstance(etas, dict):
-        m = int(round(math.sqrt(len(etas))))
-        etas = SdeState.from_mapping(etas, m, m2).xi
+        # from_mapping rejects a count that is not m*m and a repeated site
+        etas = SdeState.from_mapping(etas, math.isqrt(len(etas)), m2).xi
     etas = np.asarray(etas, dtype=float)
     m = etas.shape[-1]
     if mode == "direct":

@@ -8,12 +8,15 @@ Particle labels are classes of Z^2 under
 where m2 is the conserved winding sector of the up-right loop through the
 configuration.  A configuration assigns each label a horizontal position
 modulo L, subject to the interlacing constraints between adjacent rows.
+
+Every particle routine reads label_table(torus), the labels and their six
+neighbours as integer indices, and gap_columns(torus, pos), their six gaps.
 """
 
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,14 +101,6 @@ class TorusParams:
     def labels(self):
         return [(j, i) for i in range(self.N) for j in range(self.m1)]
 
-    @cached_property
-    def neighbors(self):
-        """Map from each canonical label to the canonical labels of its
-        STENCIL neighbours, built once per torus."""
-        tables = [neighbor_index(self.m1, self.N, self.m2, dp) for dp in STENCIL]
-        return {p: Neighbors(*((int(i1[p]), int(i2[p])) for i1, i2 in tables))
-                for p in self.labels()}
-
     @property
     def ideal_spacing_row(self):
         """Ideal same-row spacing L/m1 (the average of D_p + 1)."""
@@ -136,29 +131,61 @@ class ParticleConfig:
         return frozenset((p[1], x) for p, x in self.positions.items())
 
 
+LabelTable = namedtuple("LabelTable", "labels index neighbors")
+
+
+@lru_cache(maxsize=64)
+def label_table(torus):
+    """The one integer view of the torus: its labels in order, each label's
+    index (i*m1 + j for label (j, i)), and a Neighbors of index columns in label
+    order (neighbors.up[k] is the index of the up neighbour of label k)."""
+    def column(dp):
+        i1, i2 = neighbor_index(torus.m1, torus.N, torus.m2, dp)
+        return tuple((i2 * torus.m1 + i1).T.ravel().tolist())
+    labels = tuple(torus.labels())
+    index = {p: k for k, p in enumerate(labels)}
+    return LabelTable(labels, index, Neighbors(*map(column, STENCIL)))
+
+
 Gaps = namedtuple("Gaps", "a b c d e f")
 
 
-def neighbor_distances(config, p):
-    """Six non-negative gap counts around particle p.
-
-    a, d count empty sites to the right/left neighbor on the same row,
-    b, c locate the two interlacing partners in the row below, and
-    e, f the two partners in the row above.
-    """
-    torus, positions = config.torus, config.positions
-    p = torus.canonical(p)
-    L, n, x = torus.L, torus.neighbors[p], positions[p]
-    g = Gaps(
-        a=(positions[n.right] - x - 1) % L,
-        b=(positions[n.below_right] - x - 1) % L,
-        c=(x - positions[n.below]) % L,
-        d=(x - positions[n.left] - 1) % L,
-        e=(x - positions[n.up_left] - 1) % L,
-        f=(positions[n.up] - x) % L,
+def gap_columns(torus, pos):
+    """The six gap counts of every label, as arrays of pos's shape, for integer
+    positions pos[..., n] in label order (interlacing unchecked).  a, d count
+    empty sites to the right/left neighbor on the same row, b, c locate the two
+    interlacing partners in the row below, and e, f the two in the row above."""
+    pos = np.asarray(pos)
+    L, nb = torus.L, label_table(torus).neighbors
+    return Gaps(
+        a=(pos[..., nb.right] - pos - 1) % L,
+        b=(pos[..., nb.below_right] - pos - 1) % L,
+        c=(pos - pos[..., nb.below]) % L,
+        d=(pos - pos[..., nb.left] - 1) % L,
+        e=(pos - pos[..., nb.up_left] - 1) % L,
+        f=(pos[..., nb.up] - pos) % L,
     )
-    if g.b > g.a or g.f > g.a or g.c > g.d or g.e > g.d:
-        raise ConfigError(f"interlacing violated at label {p}")
+
+
+def check_interlacing(labels, g):
+    """Raise ConfigError naming the first of labels, in order, whose gaps in
+    the columns of g break interlacing: b or f above a, or c or e above d."""
+    bad = np.flatnonzero((g.b > g.a) | (g.f > g.a) | (g.c > g.d) | (g.e > g.d))
+    if bad.size:
+        raise ConfigError(f"interlacing violated at label {labels[bad[0]]}")
+
+
+def _label_positions(config):
+    return [config.positions[p] for p in label_table(config.torus).labels]
+
+
+def neighbor_distances(config, p):
+    """The six gap counts of particle p, as ints: the one-label view of
+    gap_columns.  Raises ConfigError when p breaks interlacing."""
+    p = config.torus.canonical(p)
+    k = label_table(config.torus).index[p]
+    g = Gaps(*(int(col[k]) for col in gap_columns(config.torus, _label_positions(config))))
+    check_interlacing((p,), g)
     return g
 
 
@@ -183,16 +210,15 @@ def validate(config):
     for x in config.positions.values():
         if not isinstance(x, (int, np.integer)) or not 0 <= x < torus.L:
             return ValidationReport(False, [f"position {x} outside [0, {torus.L})"])
+    pos = _label_positions(config)
     for i in range(torus.N):
-        row = [config.positions[(j, i)] for j in range(torus.m1)]
-        if len(set(row)) != torus.m1:
+        if len(set(pos[i * torus.m1:(i + 1) * torus.m1])) != torus.m1:
             return ValidationReport(False, [f"row {i} has colliding particles"])
-    for p in torus.labels():
-        try:
-            neighbor_distances(config, p)
-        except ConfigError as err:
-            return ValidationReport(False, [str(err)])
-    sec = sector(config)
+    try:
+        check_interlacing(label_table(torus).labels, gap_columns(torus, pos))
+    except ConfigError as err:
+        return ValidationReport(False, [str(err)])
+    sec = _up_winding(torus, pos)
     if sec != torus.m2:
         return ValidationReport(False, [f"sector {sec} != m2 {torus.m2}"])
     return ValidationReport(True)
@@ -204,18 +230,19 @@ def sector(config, start_label=(0, 0)):
     Follows the up neighbours of start_label until the label returns,
     summing the horizontal steps; independent of the starting particle.
     """
-    torus, positions = config.torus, config.positions
-    p = start = torus.canonical(start_label)
-    steps = disp = 0
-    while True:
-        up = torus.neighbors[p].up
-        disp += (positions[up] - positions[p]) % torus.L
-        steps += 1
-        p = up
-        if p == start:
-            break
+    torus = config.torus
+    start = label_table(torus).index[torus.canonical(start_label)]
+    return _up_winding(torus, _label_positions(config), start)
+
+
+def _up_winding(torus, pos, start=0):
+    """sector for positions pos in label order, from the label at index start."""
+    up, loop = label_table(torus).neighbors.up, [start]
+    while up[loop[-1]] != start:
+        loop.append(up[loop[-1]])
+    disp = sum((pos[up[k]] - pos[k]) % torus.L for k in loop)
     # the label loop has N_v = m1/gcd(m1, m2) windings, a divisor of m1
-    return torus.m1 * (disp // torus.L) // (steps // torus.N)
+    return torus.m1 * (disp // torus.L) // (len(loop) // torus.N)
 
 
 def crystalline(torus):
@@ -230,12 +257,7 @@ def crystalline(torus):
             f"ideal spacings ({dd}, {dc}) must be integers; adjust the parameter grid"
         )
     dd, dc = int(round(dd)), int(round(dc))
-    positions = {
-        (j, i): (j * dd + i * dc) % torus.L
-        for i in range(torus.N)
-        for j in range(torus.m1)
-    }
-    return ParticleConfig(torus, positions)
+    return ParticleConfig(torus, {p: (p[0] * dd + p[1] * dc) % torus.L for p in torus.labels()})
 
 
 def enumerate_configs(torus):
@@ -251,28 +273,29 @@ def enumerate_configs(torus):
         raise StateSpaceError(f"torus with {torus.L * torus.N} sites is too large to enumerate")
     if not torus.sector_feasible:
         return []
-    L, N, m1, nb = torus.L, torus.N, torus.m1, torus.neighbors
-    rows = [[(j, i) for j in range(m1)] for i in range(N)]
+    L, N, m1 = torus.L, torus.N, torus.m1
+    labels, _, nb = label_table(torus)
+    rows = [range(i * m1, (i + 1) * m1) for i in range(N)]
     out = []
 
-    def window(positions, p):
-        """Sites x_below, ..., x_below_right - 1 that interlacing leaves to p."""
-        lo = positions[nb[p].below]
-        return [x % L for x in range(lo, lo + (positions[nb[p].below_right] - lo) % L)]
+    def window(pos, k):
+        """Sites x_below, ..., x_below_right - 1 that interlacing leaves to index k."""
+        lo = pos[nb.below[k]]
+        return [x % L for x in range(lo, lo + (pos[nb.below_right[k]] - lo) % L)]
 
-    def extend(positions, i):
+    def extend(pos, i):
         if i == N:
-            config = ParticleConfig(torus, positions)
-            wraps = all(positions[p] in window(positions, p) for p in rows[0])
-            if wraps and sector(config) == torus.m2:
-                out.append(config)
+            wraps = all(pos[k] in window(pos, k) for k in rows[0])
+            if wraps and _up_winding(torus, pos) == torus.m2:
+                out.append(pos)
             return
-        for xs in itertools.product(*(window(positions, p) for p in rows[i])):
-            extend({**positions, **dict(zip(rows[i], xs))}, i + 1)
+        for xs in itertools.product(*(window(pos, k) for k in rows[i])):
+            extend(pos + list(xs), i + 1)
 
     for xs in itertools.combinations(range(L), m1):
-        extend(dict(zip(rows[0], xs)), 1)
-    return sorted(out, key=lambda c: [sorted(c.positions[p] for p in row) for row in rows])
+        extend(list(xs), 1)
+    out.sort(key=lambda pos: [sorted(pos[k] for k in row) for row in rows])
+    return [ParticleConfig(torus, dict(zip(labels, pos))) for pos in out]
 
 
 @dataclass(frozen=True)

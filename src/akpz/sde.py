@@ -316,10 +316,14 @@ class SdeState:
 
     @classmethod
     def from_mapping(cls, mapping, m, m2, t=0.0):
+        """State from a map label -> value that names each of the m*m sites once."""
+        sites = {canonicalize(p, m, m2): val for p, val in mapping.items()}
+        if not len(mapping) == len(sites) == m * m:
+            raise ParameterError(f"{len(mapping)} labels name {len(sites)} of the {m * m} "
+                                 f"sites of an {m}x{m} field")
         xi = np.zeros((m, m))
-        for p, val in mapping.items():
-            q1, q2 = canonicalize(p, m, m2)
-            xi[q1, q2] = val
+        for q, val in sites.items():
+            xi[q] = val
         return cls(xi=xi, t=t)
 
 

@@ -302,6 +302,21 @@ def test_criterion_11_stationary_measure():
            f"rel err {rel_g * 100:.2f}% < 5%")
 
 
+def test_criterion_11b_remainder_at_d_80():
+    # one row further out than the d = 10, 20, 40 rows of criterion 11(b):
+    # the residual keeps shrinking and the envelope stays bounded
+    params_inf = ModelParams(C=0.5, D=1.5)
+    spectral = spectral_data(drift_coeffs(params_inf))
+    diffs = []
+    for d in (40, 80):
+        q = FourPointQuery((0, 0), (d, d), (d, 0), (0, d))
+        diffs.append(abs(four_point_closed_form(q, spectral, params_inf)
+                         - stationary_cov_infinite(q, params_inf, tol=1e-5)))
+    env = diffs[1] * (1 + 80)
+    report(11, "four-point remainder at d = 80", diffs[1] < diffs[0] and env < 0.5,
+           f"residual {diffs[1]:.3g} < {diffs[0]:.3g} at d = 40; envelope {env:.4f} < 0.5")
+
+
 def test_criterion_12_qpoch_asymptotics():
     errs, ok = decreasing_errors(recipe_rows("qpoch-asymptotics"), 1e-2)
     report(12, "q-Pochhammer asymptotics", ok,

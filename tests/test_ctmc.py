@@ -10,8 +10,8 @@ from akpz.ctmc import (DomainError, apply_jump, build_generator, check_stationar
                        log_stationary_weight, push_set, simulate,
                        stationary_distribution)
 from akpz.lattice import (ConfigError, ParameterError, ParticleConfig, TorusParams,
-                          crystalline, enumerate_configs, neighbor_distances, sector,
-                          validate)
+                          crystalline, enumerate_configs, label_table, neighbor_distances,
+                          sector, validate)
 from akpz.sde import ModelParams
 
 TORUS = TorusParams(L=4, N=3, m1=2, m2=1)
@@ -98,9 +98,10 @@ def test_push_set_bounded_by_loop_length():
     # zero horizontal winding, which the sector constraint m2 >= 1 excludes
     for torus in (TORUS, TorusParams(L=4, N=4, m1=2, m2=1)):
         # length of the up-right loop = N_v * N: the up chain of (0, 0)
-        loop_steps, p = 1, torus.neighbors[(0, 0)].up
-        while p != (0, 0):
-            loop_steps, p = loop_steps + 1, torus.neighbors[p].up
+        up = label_table(torus).neighbors.up
+        loop_steps, k = 1, up[0]
+        while k != 0:
+            loop_steps, k = loop_steps + 1, up[k]
         for cfg in enumerate_configs(torus)[::7]:
             for p in torus.labels():
                 assert len(push_set(cfg, p)) < loop_steps + 1
@@ -408,6 +409,20 @@ def test_gaussian_log_weight_accepts_label_mapping():
         gaussian_log_weight(eta, params, 1), rel=1e-14)
 
 
+def test_gaussian_log_weight_rejects_a_mapping_that_misses_or_repeats_a_site():
+    params = ModelParams(C=0.75, D=1.5)
+    labels = [(p1, p2) for p1 in range(4) for p2 in range(4)]
+    with pytest.raises(ParameterError, match="15 labels name 9 of the 9 sites"):
+        gaussian_log_weight(dict.fromkeys(labels[:-1], 1.0), params, 2)
+    grid_4x5 = {(p1, p2): 1.0 for p1 in range(4) for p2 in range(5)}
+    with pytest.raises(ParameterError, match="20 labels name 16 of the 16 sites"):
+        gaussian_log_weight(grid_4x5, params, 2)
+    # (0, 4) is the site (2, 0) again on the m2 = 2 quotient; (3, 3) is left out
+    colliding = dict.fromkeys(labels[:-1] + [(0, 4)], 1.0)
+    with pytest.raises(ParameterError, match="16 labels name 15 of the 16 sites"):
+        gaussian_log_weight(colliding, params, 2)
+
+
 def test_exact_weight_differences_approach_gaussian_form():
     # log Gibbs-weight differences between perturbed and crystalline states
     # approach the quadratic form as the lattice refines (the normalization
@@ -564,3 +579,25 @@ def test_weight_and_rate_match_the_gap_definitions(torus):
             for rate_q in (0.0, q):
                 assert (jump_rate(cfg, p, rate_q) == 0) == (g.b == 0)
         assert log_stationary_weight(cfg, q) == total
+
+
+def test_interlacing_failure_names_the_first_label_in_label_order():
+    # moving (2, 2) of the crystalline state from 16 to 13 keeps every row
+    # collision-free but breaks interlacing at four labels, none of them (0, 0)
+    torus = TorusParams(L=18, N=3, m1=3, m2=1)
+    positions = dict(crystalline(torus).positions)
+    positions[(2, 2)] = 13
+    bad = ParticleConfig(torus, positions)
+    failing = []
+    for p in torus.labels():
+        try:
+            neighbor_distances(bad, p)
+        except ConfigError as err:
+            assert str(err) == f"interlacing violated at label {p}"
+            failing.append(p)
+    assert failing == [(0, 1), (2, 1), (1, 2), (2, 2)]
+    message = "interlacing violated at label (0, 1)"
+    assert validate(bad).failures == [message]
+    with pytest.raises(ConfigError) as err:
+        log_stationary_weight(bad, 0.5)
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
-"""The runtime dependency of akpz is numpy only, and its configuration is
-its flags and config files: no module reads the environment."""
+"""The runtime dependency of akpz is numpy only, its configuration is its
+flags and config files (no module reads the environment), and its modules
+import each other in layers."""
 
 import ast
 import re
@@ -23,6 +24,31 @@ def test_modules_import_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, node.lineno, name)
+
+
+# the package modules each engine module may import; cli, __init__ and
+# __main__ sit on top of all of them
+LAYERS = {
+    "errors": set(),
+    "specfun": {"errors"},
+    "lattice": {"errors"},
+    "sde": {"errors", "lattice"},
+    "ctmc": {"errors", "lattice", "sde"},
+    "correlations": {"errors", "lattice", "sde", "specfun"},
+}
+
+
+def test_internal_imports_follow_the_layers():
+    paths = sorted((ROOT / "src" / "akpz").glob("*.py"))
+    assert {p.stem for p in paths} == set(LAYERS) | {"cli", "__init__", "__main__"}
+    for path in paths:
+        if path.stem not in LAYERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                for name in names:
+                    assert name.split(".")[0] in LAYERS[path.stem], (path.name, node.lineno, name)
 
 
 def test_modules_do_not_read_the_environment():

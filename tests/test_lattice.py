@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akpz.ctmc import _label_table
-from akpz.lattice import (STENCIL, Neighbors, ParameterError, ParticleConfig,
+from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
                           StateSpaceError, TorusParams, canonicalize,
                           config_from_text, config_to_text, crystalline,
-                          enumerate_configs, fourier_modes, neighbor_distances,
-                          neighbor_index, sector, validate)
+                          enumerate_configs, fourier_modes, gap_columns, label_table,
+                          neighbor_distances, neighbor_index, sector, validate)
 
 
 def orbit(p, m, m2, n, span=3):
@@ -63,6 +62,11 @@ def test_canonicalize_partitions_box_into_m_squared_classes(m, data):
 @pytest.mark.parametrize("m1, N, m2", [(2, 3, 1), (3, 4, 1), (4, 8, 2)])
 def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
     torus = TorusParams(L=4 * m1, N=N, m1=m1, m2=m2)
+    # the integer view of the particle layer: index columns in label order
+    labels, index, columns = label_table(torus)
+    assert labels == tuple(torus.labels())
+    for i, p in enumerate(labels):
+        assert index[p] == i == p[1] * m1 + p[0]
     for name, dp in STENCIL._asdict().items():
         i1, i2 = neighbor_index(m1, N, m2, dp)
         assert i1.shape == i2.shape == (m1, N)
@@ -70,13 +74,7 @@ def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
             for p2 in range(N):
                 want = canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N)
                 assert (i1[p1, p2], i2[p1, p2]) == want
-                assert getattr(torus.neighbors[(p1, p2)], name) == want
-    # the integer view of the particle layer: index columns in label order
-    labels, index, columns = _label_table(torus)
-    assert labels == tuple(torus.labels())
-    for i, p in enumerate(labels):
-        assert index[p] == i
-        assert Neighbors(*(labels[col[i]] for col in columns)) == torus.neighbors[p]
+                assert labels[getattr(columns, name)[index[(p1, p2)]]] == want
 
 
 @pytest.mark.parametrize("m1, N, m2", [(0, 0, 1), (1, 1, 1), (4, 4, 0), (4, 4, 4)])
@@ -177,6 +175,21 @@ def test_validate_rejects_broken_interlacing():
     assert not report.ok
 
 
+def test_gap_columns_match_neighbor_distances_for_any_leading_shape():
+    torus = TorusParams(L=6, N=4, m1=3, m2=1)
+    configs = enumerate_configs(torus)
+    labels = label_table(torus).labels
+    pos = np.array([[cfg.positions[p] for p in labels] for cfg in configs])
+    batch = gap_columns(torus, pos)
+    one = gap_columns(torus, pos[7])
+    for col, one_col in zip(batch, one):
+        assert col.shape == pos.shape and one_col.shape == (len(labels),)
+        assert np.array_equal(one_col, col[7])
+    for s, cfg in enumerate(configs):
+        for k, p in enumerate(labels):
+            assert neighbor_distances(cfg, p) == tuple(int(col[s, k]) for col in batch)
+
+
 def test_enumeration_guard():
     with pytest.raises(StateSpaceError):
         enumerate_configs(TorusParams(L=12, N=12, m1=3, m2=1))
@@ -233,11 +246,11 @@ def test_up_loop_windings_divide_m1_on_every_enumerable_torus():
         for N in range(1, 24 // L + 1):
             for m1 in range(2, L):
                 for m2 in range(1, N):
-                    torus = TorusParams(L=L, N=N, m1=m1, m2=m2)
-                    p, steps = (0, 0), 0
+                    up = label_table(TorusParams(L=L, N=N, m1=m1, m2=m2)).neighbors.up
+                    k, steps = 0, 0
                     while True:
-                        p, steps = torus.neighbors[p].up, steps + 1
-                        if p == (0, 0):
+                        k, steps = up[k], steps + 1
+                        if k == 0:
                             break
                     assert steps % N == 0 and m1 % (steps // N) == 0, (L, N, m1, m2)
 
