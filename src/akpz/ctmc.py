@@ -7,6 +7,10 @@ The Gibbs product weight built from q-Pochhammer symbols of the gap counts
 is stationary; a brute-force generator over enumerated configurations makes
 that checkable to rounding error on small tori.  Rates, push walks and
 weights read the index columns of lattice.label_table and its gap formulas.
+Rates and push walks come in twins that agree bit for bit: scalar ones
+(_rate_kernel, _push_walk) that simulate calls once per event, and array
+ones (_rates, _masked_push_walk) over a (states, labels) position array on
+which the generator is built.
 """
 
 import math
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,15 +46,20 @@ def log_q_pochhammer(q: float, n: int) -> float:
     return float(np.sum(np.log1p(-np.exp(i * math.log(q)))))
 
 
+def _q_powers(q, L):
+    """q^0, ..., q^L: the one table of q-powers that every rate reads."""
+    _check_q(q)
+    return [q ** k for k in range(L + 1)]
+
+
 @lru_cache(maxsize=64)
 def _rate_kernel(torus, q):
     """The one clock rate: rate(pos, i) of the label at index i for positions
-    pos in label order, with q-powers from a table and the gaps b, c, d of
-    lattice.gap_columns read from the same index columns (unchecked), as
-    scalars: it runs once per event, where a NumPy call costs more."""
-    _check_q(q)
+    pos in label order, with the gaps b, c, d of lattice.gap_columns read from
+    the same index columns (unchecked), as scalars: it runs once per event,
+    where a NumPy call costs more.  _rates is its array twin."""
     L = torus.L
-    qpow = [q ** k for k in range(L + 1)]
+    qpow = _q_powers(q, L)
     nb = label_table(torus).neighbors
     reads = list(zip(nb.below_right, nb.below, nb.left))
 
@@ -62,11 +72,19 @@ def _rate_kernel(torus, q):
     return rate
 
 
+def _rates(torus, q, pos):
+    """The rate of every label for integer positions pos[..., n] in label
+    order (unchecked): _rate_kernel's formula on the gap columns, bit for bit."""
+    qp = np.array(_q_powers(q, torus.L))
+    g = gap_columns(torus, pos)
+    return (1 - qp[g.b]) * (1 - qp[g.d + 1]) / (1 - qp[g.c + 1])
+
+
 def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
     p = config.torus.canonical(p)
     neighbor_distances(config, p)  # raises on violated interlacing
-    labels, index, _ = label_table(config.torus)
+    labels, index, _, _ = label_table(config.torus)
     pos = [config.positions[s] for s in labels]
     return _rate_kernel(config.torus, q)(pos, index[p])
 
@@ -74,7 +92,7 @@ def jump_rate(config, p, q: float) -> float:
 def push_set(config, p):
     """Labels moved together with p: follow up-edges while the up-gap f is
     zero, stopping at the first positive gap or on loop closure."""
-    labels, index, nb = label_table(config.torus)
+    labels, index, nb, _ = label_table(config.torus)
     pos = [config.positions[s] for s in labels]
     return frozenset(labels[i] for i in _push_walk(pos, nb.up, index[config.torus.canonical(p)]))
 
@@ -89,6 +107,22 @@ def _push_walk(pos, up, i):
     return moved
 
 
+def _masked_push_walk(pos, up, flip):
+    """_push_walk from every label of every row of pos[..., n] at once, for
+    the up column as an int array: the XOR of flip[..., j] over the indices j
+    that each label's jump moves.  Walks stop one by one; the loop runs as
+    long as the longest push."""
+    start = np.arange(pos.shape[-1])
+    cur = np.broadcast_to(up, pos.shape)
+    out = flip.copy()
+    live = (np.take_along_axis(pos, cur, axis=-1) == pos) & (cur != start)
+    while live.any():
+        out[live] ^= np.take_along_axis(flip, cur, axis=-1)[live]
+        cur = np.where(live, up[cur], cur)
+        live &= (np.take_along_axis(pos, cur, axis=-1) == pos) & (cur != start)
+    return out
+
+
 def apply_jump(config, p) -> ParticleConfig:
     """Shift the push set of p right by one; requires a positive rate."""
     if neighbor_distances(config, p).b == 0:
@@ -96,8 +130,7 @@ def apply_jump(config, p) -> ParticleConfig:
     return config.shifted(push_set(config, p))
 
 
-@dataclass(frozen=True)
-class JumpRecord:
+class JumpRecord(NamedTuple):
     time: float
     trigger: tuple
     pushed: tuple
@@ -143,7 +176,7 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
     L = torus.L
-    labels, index, nb = label_table(torus)
+    labels, index, nb, _ = label_table(torus)
     # positions, rates and displacements are lists in label order; snapshots
     # and the final state are dicts with the key order of config.positions
     keys = list(config.positions)
@@ -266,32 +299,31 @@ def build_generator(torus, q) -> GeneratorMatrix:
     """Dense generator over all enumerated configurations of the sector.
 
     A state is found by its label-free occupancy bitmask, bit row*L + x per
-    particle; a jump flips the two bits of each moved particle."""
+    particle; a jump flips the two bits of each moved particle.  Rates,
+    targets and entries come as (state, label) arrays, added in that order."""
     _check_q(q)
     states = enumerate_configs(torus)
     if not states:
         raise ParameterError("empty configuration space")
     L = torus.L
-    labels, _, nb = label_table(torus)
-    rows = [L * p[1] for p in labels]  # the bit of (row, x = 0) for each label
-    positions = list(map(itemgetter(*labels), (cfg.positions for cfg in states)))
-    keys = [sum(1 << (row + x) for row, x in zip(rows, pos)) for pos in positions]
-    index = {key: i for i, key in enumerate(keys)}
+    labels, _, _, nb = label_table(torus)
+    pos = np.array(list(map(itemgetter(*labels), (cfg.positions for cfg in states))))
+    row = L * np.array([p[1] for p in labels])  # the bit of (row, x = 0) for each label
+    bit = 1 << (row + pos)
+    keys = np.bitwise_or.reduce(bit, axis=1)
+    flip = bit | (1 << (row + (pos + 1) % L))
+    order = np.argsort(keys)
+    # the target state: the moved particles one site further right
+    targets = keys[:, None] ^ _masked_push_walk(pos, nb.up, flip)
+    rates = _rates(torus, q, pos)
+    i, k = np.nonzero(rates > 0)
     n = len(states)
     Q = np.zeros((n, n))
-    rate = _rate_kernel(torus, q)
-    for i, (pos, key) in enumerate(zip(positions, keys)):
-        for k in range(len(labels)):
-            r = rate(pos, k)
-            if r <= 0:
-                continue
-            # the target state: the moved particles one site further right
-            target = key
-            for s in _push_walk(pos, nb.up, k):
-                target ^= (1 << (rows[s] + pos[s])) | (1 << (rows[s] + (pos[s] + 1) % L))
-            j = index[target]
-            Q[i, j] += r
-            Q[i, i] -= r
+    np.add.at(Q, (i, order[np.searchsorted(keys[order], targets[i, k])]), rates[i, k])
+    diag = np.zeros(n)
+    for col in rates.T:  # in label order, the rounding of a per-state loop
+        diag -= col
+    Q[np.diag_indices(n)] = diag
     return GeneratorMatrix(states=tuple(states), matrix=Q)
 
 

@@ -131,20 +131,24 @@ class ParticleConfig:
         return frozenset((p[1], x) for p, x in self.positions.items())
 
 
-LabelTable = namedtuple("LabelTable", "labels index neighbors")
+LabelTable = namedtuple("LabelTable", "labels index neighbors arrays")
 
 
 @lru_cache(maxsize=64)
 def label_table(torus):
     """The one integer view of the torus: its labels in order, each label's
     index (i*m1 + j for label (j, i)), and a Neighbors of index columns in label
-    order (neighbors.up[k] is the index of the up neighbour of label k)."""
+    order (neighbors.up[k] is the index of the up neighbour of label k), as
+    tuples for scalar reads and as read-only int arrays for array reads."""
     def column(dp):
         i1, i2 = neighbor_index(torus.m1, torus.N, torus.m2, dp)
-        return tuple((i2 * torus.m1 + i1).T.ravel().tolist())
+        col = (i2 * torus.m1 + i1).T.ravel()
+        col.flags.writeable = False
+        return col
     labels = tuple(torus.labels())
     index = {p: k for k, p in enumerate(labels)}
-    return LabelTable(labels, index, Neighbors(*map(column, STENCIL)))
+    arrays = Neighbors(*map(column, STENCIL))
+    return LabelTable(labels, index, Neighbors(*(tuple(a.tolist()) for a in arrays)), arrays)
 
 
 Gaps = namedtuple("Gaps", "a b c d e f")
@@ -156,7 +160,7 @@ def gap_columns(torus, pos):
     empty sites to the right/left neighbor on the same row, b, c locate the two
     interlacing partners in the row below, and e, f the two in the row above."""
     pos = np.asarray(pos)
-    L, nb = torus.L, label_table(torus).neighbors
+    L, nb = torus.L, label_table(torus).arrays
     return Gaps(
         a=(pos[..., nb.right] - pos - 1) % L,
         b=(pos[..., nb.below_right] - pos - 1) % L,
@@ -218,7 +222,7 @@ def validate(config):
         check_interlacing(label_table(torus).labels, gap_columns(torus, pos))
     except ConfigError as err:
         return ValidationReport(False, [str(err)])
-    sec = _up_winding(torus, pos)
+    sec = int(_up_winding(torus, pos))
     if sec != torus.m2:
         return ValidationReport(False, [f"sector {sec} != m2 {torus.m2}"])
     return ValidationReport(True)
@@ -232,15 +236,24 @@ def sector(config, start_label=(0, 0)):
     """
     torus = config.torus
     start = label_table(torus).index[torus.canonical(start_label)]
-    return _up_winding(torus, _label_positions(config), start)
+    return int(_up_winding(torus, _label_positions(config), start))
 
 
-def _up_winding(torus, pos, start=0):
-    """sector for positions pos in label order, from the label at index start."""
+@lru_cache(maxsize=64)
+def _up_loop(torus, start):
+    """The indices of the up loop from index start, and of their up neighbours."""
     up, loop = label_table(torus).neighbors.up, [start]
     while up[loop[-1]] != start:
         loop.append(up[loop[-1]])
-    disp = sum((pos[up[k]] - pos[k]) % torus.L for k in loop)
+    return np.array(loop), np.array(loop[1:] + loop[:1])
+
+
+def _up_winding(torus, pos, start=0):
+    """sector for positions pos[..., n] in label order, from the label at index
+    start: an int array of pos's leading shape."""
+    loop, ups = _up_loop(torus, start)
+    pos = np.asarray(pos)
+    disp = ((pos[..., ups] - pos[..., loop]) % torus.L).sum(axis=-1)
     # the label loop has N_v = m1/gcd(m1, m2) windings, a divisor of m1
     return torus.m1 * (disp // torus.L) // (len(loop) // torus.N)
 
@@ -264,38 +277,41 @@ def enumerate_configs(torus):
     """Every configuration of the sector in the canonical labelling.
 
     Guarded to small tori.  Row 0 is a set of m1 sites with label (0, 0)
-    leftmost; each further row puts particle p in the window
-    [x_below, x_below_right - 1] of the particle below it.  A state is kept
-    when row 0 lies in the windows of the top row as well and its sector is
-    m2.  States come in lexicographic order of their sorted rows.
+    leftmost; each further label, in label order, takes every site of the
+    window [x_below, x_below_right - 1] of the particle below it.  A state is
+    kept when row 0 lies in the windows of the top row as well and its sector
+    is m2.  States come in lexicographic order of their sorted rows, ties in
+    the order of that expansion.
     """
     if torus.L * torus.N > 24:
         raise StateSpaceError(f"torus with {torus.L * torus.N} sites is too large to enumerate")
     if not torus.sector_feasible:
         return []
-    L, N, m1 = torus.L, torus.N, torus.m1
-    labels, _, nb = label_table(torus)
-    rows = [range(i * m1, (i + 1) * m1) for i in range(N)]
-    out = []
+    L, m1 = torus.L, torus.m1
+    labels, _, _, nb = label_table(torus)
+    n = len(labels)
 
     def window(pos, k):
-        """Sites x_below, ..., x_below_right - 1 that interlacing leaves to index k."""
-        lo = pos[nb.below[k]]
-        return [x % L for x in range(lo, lo + (pos[nb.below_right[k]] - lo) % L)]
+        """First site and size of the window that interlacing leaves to index
+        (or slice of indices) k."""
+        lo = pos[:, nb.below[k]]
+        return lo, (pos[:, nb.below_right[k]] - lo) % L
 
-    def extend(pos, i):
-        if i == N:
-            wraps = all(pos[k] in window(pos, k) for k in rows[0])
-            if wraps and _up_winding(torus, pos) == torus.m2:
-                out.append(pos)
-            return
-        for xs in itertools.product(*(window(pos, k) for k in rows[i])):
-            extend(pos + list(xs), i + 1)
-
-    for xs in itertools.combinations(range(L), m1):
-        extend(list(xs), 1)
-    out.sort(key=lambda pos: [sorted(pos[k] for k in row) for row in rows])
-    return [ParticleConfig(torus, dict(zip(labels, pos))) for pos in out]
+    row0 = np.array(list(itertools.combinations(range(L), m1))).reshape(-1, m1)
+    pos = np.zeros((len(row0), n), dtype=row0.dtype)
+    pos[:, :m1] = row0
+    for k in range(m1, n):
+        lo, size = window(pos, k)
+        pos = np.repeat(pos, size, axis=0)
+        # offset 0, 1, ..., size - 1 within each repeated block
+        offset = np.arange(len(pos)) - np.repeat(np.cumsum(size) - size, size)
+        pos[:, k] = (np.repeat(lo, size) + offset) % L
+    lo, size = window(pos, slice(m1))
+    wraps = ((pos[:, :m1] - lo) % L < size).all(axis=1)
+    pos = pos[wraps & (_up_winding(torus, pos) == torus.m2)]
+    rows = np.sort(pos.reshape(len(pos), -1, m1), axis=-1).reshape(len(pos), n)
+    pos = pos[np.lexsort(rows.T[::-1])]
+    return [ParticleConfig(torus, dict(zip(labels, xs))) for xs in pos.tolist()]
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,46 @@ def test_generator_matches_jump_rate_and_apply_jump(torus):
         assert row[i] == pytest.approx(-row[off[i]].sum(), rel=1e-13, abs=0)
 
 
+def test_array_rate_and_masked_walk_match_the_scalar_twins():
+    # on every state of four tori: _rates equals _rate_kernel bit for bit, and
+    # the masked walk, XOR-ing one bit per index, gives the set _push_walk
+    # moves; the 8x3 torus (m2 = 2) has no push longer than one, the others do
+    longest = {}
+    for torus in (TORUS, TorusParams(L=4, N=4, m1=2, m2=1), TorusParams(L=6, N=4, m1=3, m2=1),
+                  TorusParams(L=8, N=3, m1=2, m2=2)):
+        labels, _, nb, arrays = label_table(torus)
+        states = [[cfg.positions[p] for p in labels] for cfg in enumerate_configs(torus)]
+        pos = np.array(states)
+        for q in (0.0, 0.3, 0.6):
+            rate = ctmc._rate_kernel(torus, q)
+            want = np.array([[rate(xs, k) for k in range(len(labels))] for xs in states])
+            assert ctmc._rates(torus, q, pos).tobytes() == want.tobytes()
+        bits = np.broadcast_to(1 << np.arange(len(labels)), pos.shape)
+        masks = ctmc._masked_push_walk(pos, arrays.up, bits)
+        lengths = []
+        for xs, row in zip(states, masks.tolist()):
+            for k, mask in enumerate(row):
+                moved = ctmc._push_walk(xs, nb.up, k)
+                assert mask == sum(1 << j for j in moved)
+                lengths.append(len(moved))
+        longest[torus.L, torus.N] = max(lengths)
+    assert longest == {(4, 3): 2, (4, 4): 3, (6, 4): 3, (8, 3): 1}
+
+
+def test_build_generator_enumerates_through_the_ctmc_module(monkeypatch):
+    # the benchmark traces ctmc.enumerate_configs; a call that bypasses the
+    # module attribute would leave its metrics at zero
+    calls = []
+
+    def counting(torus):
+        calls.append(torus)
+        return enumerate_configs(torus)
+
+    monkeypatch.setattr(ctmc, "enumerate_configs", counting)
+    build_generator(TORUS, 0.5)
+    assert calls == [TORUS]
+
+
 def test_stationarity_residuals():
     assert check_stationarity(TORUS, 0.0) < 1e-12
     assert check_stationarity(TORUS, 0.5) < 1e-10
@@ -471,6 +511,15 @@ def test_simulate_debug_validate_on_long_cascades():
     traj = simulate(crystalline(CASCADE_TORUS), 0.7, 5.0, seed=1, debug_validate=True)
     assert max(len(e.pushed) for e in traj.events) >= 3
     assert validate(traj.final).ok
+
+
+def test_jump_record_is_an_immutable_named_tuple():
+    rec = ctmc.JumpRecord(0.5, (1, 0), ((1, 0), (1, 1)))
+    assert ctmc.JumpRecord._fields == ("time", "trigger", "pushed")
+    assert rec == ctmc.JumpRecord(0.5, (1, 0), ((1, 0), (1, 1)))
+    assert (rec.time, rec.trigger, rec.pushed) == (0.5, (1, 0), ((1, 0), (1, 1)))
+    with pytest.raises(AttributeError):
+        rec.time = 1.0
 
 
 def _stream_digest(traj):

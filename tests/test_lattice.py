@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from akpz import lattice
 from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
                           StateSpaceError, TorusParams, canonicalize,
                           config_from_text, config_to_text, crystalline,
@@ -63,7 +65,7 @@ def test_canonicalize_partitions_box_into_m_squared_classes(m, data):
 def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
     torus = TorusParams(L=4 * m1, N=N, m1=m1, m2=m2)
     # the integer view of the particle layer: index columns in label order
-    labels, index, columns = label_table(torus)
+    labels, index, columns, _ = label_table(torus)
     assert labels == tuple(torus.labels())
     for i, p in enumerate(labels):
         assert index[p] == i == p[1] * m1 + p[0]
@@ -75,6 +77,17 @@ def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
                 want = canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N)
                 assert (i1[p1, p2], i2[p1, p2]) == want
                 assert labels[getattr(columns, name)[index[(p1, p2)]]] == want
+
+
+@pytest.mark.parametrize("dims", [(4, 3, 2, 1), (8, 3, 2, 2), (64, 16, 16, 4)], ids=str)
+def test_label_table_arrays_are_read_only_copies_of_the_columns(dims):
+    table = label_table(TorusParams(*dims))
+    for name, col in table.neighbors._asdict().items():
+        arr = getattr(table.arrays, name)
+        assert arr.dtype.kind == "i" and not arr.flags.writeable
+        assert arr.tolist() == list(col)
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("m1, N, m2", [(0, 0, 1), (1, 1, 1), (4, 4, 0), (4, 4, 4)])
@@ -228,6 +241,28 @@ def test_enumeration_is_pinned(dims):
     configs = enumerate_configs(TorusParams(*dims))
     text = repr([list(c.positions.items()) for c in configs])
     assert (len(configs), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[dims]
+
+
+@pytest.mark.parametrize("dims", [(4, 3, 2, 1), (4, 4, 2, 1)], ids=str)
+def test_enumeration_matches_a_brute_force_filter(dims):
+    # a second route: every position tuple in range(L)^n that interlaces, has
+    # no row collision, winds m2 times and has row 0 increasing (label (0, 0)
+    # leftmost), sorted by the sorted rows
+    torus = TorusParams(*dims)
+    L, N, m1, m2 = dims
+    pos = np.array(list(itertools.product(range(L), repeat=N * m1)))
+    g = gap_columns(torus, pos)
+    keep = ~((g.b > g.a) | (g.f > g.a) | (g.c > g.d) | (g.e > g.d)).any(axis=1)
+    rows = pos.reshape(len(pos), N, m1)
+    for j1, j2 in itertools.combinations(range(m1), 2):
+        keep &= (rows[:, :, j1] != rows[:, :, j2]).all(axis=1)
+    keep &= lattice._up_winding(torus, pos) == m2
+    keep &= (np.diff(rows[:, 0], axis=1) > 0).all(axis=1)
+    want = sorted(pos[keep].tolist(),
+                  key=lambda xs: [sorted(xs[i * m1:(i + 1) * m1]) for i in range(N)])
+    labels = label_table(torus).labels
+    got = [[cfg.positions[p] for p in labels] for cfg in enumerate_configs(torus)]
+    assert want and got == want
 
 
 def test_validate_rejects_a_sector_mismatch():
