@@ -301,7 +301,7 @@ def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
             corr.CovarianceQuery(y=y, t=t, s=s), params).value
 
     w_char = w_at(y_char)
-    off = thread_map(w_at, y_off)
+    off = [w_at(y) for y in y_off]
     report = ComparisonReport("cor2-characteristic")
     report.add("characteristic W vs log((t+s)/(t-s))", w_char, target, tol * target)
     for i, w_off in enumerate(off):

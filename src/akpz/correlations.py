@@ -309,8 +309,12 @@ def she_scaled_lattice_covariance(x, y, t, s, delta, spectral, params) -> float:
     y = np.asarray(y, dtype=float)
     vinv_x = np.linalg.solve(spectral.V, x)
     vinv_y = np.linalg.solve(spectral.V, y)
-    p_t = np.floor(spectral.U * t / delta + vinv_x / math.sqrt(delta))
-    p_s = np.floor(spectral.U * s / delta + vinv_y / math.sqrt(delta))
+    with np.errstate(over="ignore"):  # an infinite coordinate is rejected below
+        p_t = np.floor(spectral.U * t / delta + vinv_x / math.sqrt(delta))
+        p_s = np.floor(spectral.U * s / delta + vinv_y / math.sqrt(delta))
+    if not np.all(np.abs(np.concatenate([p_t, p_s])) <= 2 ** 53):
+        raise ParameterError(f"lattice coordinates {p_t}, {p_s} at delta={delta} are not "
+                             f"finite or exceed 2**53")
     disp = tuple(int(a) for a in (p_t - p_s))
     q = CovarianceQuery(y=disp, t=t / delta, s=s / delta)
     amp_sq = 4 * math.pi * spectral.w / (8 * params.v)

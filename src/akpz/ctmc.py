@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
 from .lattice import (ParticleConfig, check_interlacing, enumerate_configs, fourier_modes,
-                      gap_columns, label_table, neighbor_distances, validate)
+                      gap_columns, label_positions, label_table, neighbor_distances, validate)
 from .sde import SdeState, _f, shift_field, symbol_Q
 
 
@@ -61,7 +61,7 @@ def _rate_kernel(torus, q):
     L = torus.L
     qpow = _q_powers(q, L)
     nb = label_table(torus).neighbors
-    reads = list(zip(nb.below_right, nb.below, nb.left))
+    reads = list(zip(nb.below_right.tolist(), nb.below.tolist(), nb.left.tolist()))
 
     def rate(pos, i):
         below_right, below, left = reads[i]
@@ -84,17 +84,16 @@ def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
     p = config.torus.canonical(p)
     neighbor_distances(config, p)  # raises on violated interlacing
-    labels, index, _, _ = label_table(config.torus)
-    pos = [config.positions[s] for s in labels]
-    return _rate_kernel(config.torus, q)(pos, index[p])
+    index = label_table(config.torus).index
+    return _rate_kernel(config.torus, q)(label_positions(config), index[p])
 
 
 def push_set(config, p):
     """Labels moved together with p: follow up-edges while the up-gap f is
     zero, stopping at the first positive gap or on loop closure."""
-    labels, index, nb, _ = label_table(config.torus)
-    pos = [config.positions[s] for s in labels]
-    return frozenset(labels[i] for i in _push_walk(pos, nb.up, index[config.torus.canonical(p)]))
+    labels, index, nb = label_table(config.torus)
+    start = index[config.torus.canonical(p)]
+    return frozenset(labels[i] for i in _push_walk(label_positions(config), nb.up.tolist(), start))
 
 
 def _push_walk(pos, up, i):
@@ -176,13 +175,13 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
         raise ParameterError(f"observe_every must be finite and >= 0, got {observe_every}")
     torus = config.torus
     L = torus.L
-    labels, index, nb, _ = label_table(torus)
+    labels, index, nb = label_table(torus)
     # positions, rates and displacements are lists in label order; snapshots
     # and the final state are dicts with the key order of config.positions
     keys = list(config.positions)
     key_index = [index[p] for p in keys]
-    pos = [config.positions[p] for p in labels]
-    up = nb.up
+    pos = label_positions(config)
+    up, up_left, right = nb.up.tolist(), nb.up_left.tolist(), nb.right.tolist()
     rate = _rate_kernel(torus, q)
     rates = [rate(pos, i) for i in range(len(labels))]
     displacement = [0] * len(labels)
@@ -204,7 +203,7 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
     def push_plan(trigger, moved):
         members = frozenset(labels[r] for r in moved)
         touched = {labels[s] for r in map(index.get, members)
-                   for s in (r, nb.up_left[r], nb.up[r], nb.right[r])}
+                   for s in (r, up_left[r], up[r], right[r])}
         plan = plans[trigger, len(moved)] = (tuple(sorted(members)), [index[s] for s in touched])
         return plan
 
@@ -279,9 +278,8 @@ def _log_weights(g, q):
 def log_stationary_weight(config, q: float) -> float:
     """Unnormalized log Gibbs weight: sum over particles of
     log(q;q)_a - log(q;q)_b - log(q;q)_c."""
-    labels = label_table(config.torus).labels
-    g = gap_columns(config.torus, [config.positions[p] for p in labels])
-    check_interlacing(labels, g)
+    g = gap_columns(config.torus, label_positions(config))
+    check_interlacing(label_table(config.torus).labels, g)
     return float(_log_weights(g, q))
 
 
@@ -289,6 +287,7 @@ def log_stationary_weight(config, q: float) -> float:
 class GeneratorMatrix:
     states: tuple
     matrix: np.ndarray
+    positions: np.ndarray  # (states, labels), read-only: the states in label order
 
     @property
     def n(self):
@@ -306,8 +305,9 @@ def build_generator(torus, q) -> GeneratorMatrix:
     if not states:
         raise ParameterError("empty configuration space")
     L = torus.L
-    labels, _, _, nb = label_table(torus)
+    labels, _, nb = label_table(torus)
     pos = np.array(list(map(itemgetter(*labels), (cfg.positions for cfg in states))))
+    pos.flags.writeable = False
     row = L * np.array([p[1] for p in labels])  # the bit of (row, x = 0) for each label
     bit = 1 << (row + pos)
     keys = np.bitwise_or.reduce(bit, axis=1)
@@ -324,15 +324,12 @@ def build_generator(torus, q) -> GeneratorMatrix:
     for col in rates.T:  # in label order, the rounding of a per-state loop
         diag -= col
     Q[np.diag_indices(n)] = diag
-    return GeneratorMatrix(states=tuple(states), matrix=Q)
+    return GeneratorMatrix(states=tuple(states), matrix=Q, positions=pos)
 
 
 def stationary_distribution(generator, q):
     """Normalized Gibbs weights over the generator's states."""
-    torus = generator.states[0].torus
-    in_label_order = itemgetter(*torus.labels())
-    pos = np.array([in_label_order(cfg.positions) for cfg in generator.states])
-    logs = _log_weights(gap_columns(torus, pos), q)
+    logs = _log_weights(gap_columns(generator.states[0].torus, generator.positions), q)
     w = np.exp(logs - logs.max())
     return w / w.sum()
 

@@ -10,7 +10,8 @@ configuration.  A configuration assigns each label a horizontal position
 modulo L, subject to the interlacing constraints between adjacent rows.
 
 Every particle routine reads label_table(torus), the labels and their six
-neighbours as integer indices, and gap_columns(torus, pos), their six gaps.
+neighbours as integer indices, label_positions(config), a configuration in
+label order, and gap_columns(torus, pos), their six gaps.
 """
 
 import itertools
@@ -131,24 +132,23 @@ class ParticleConfig:
         return frozenset((p[1], x) for p, x in self.positions.items())
 
 
-LabelTable = namedtuple("LabelTable", "labels index neighbors arrays")
+LabelTable = namedtuple("LabelTable", "labels index neighbors")
 
 
 @lru_cache(maxsize=64)
 def label_table(torus):
     """The one integer view of the torus: its labels in order, each label's
-    index (i*m1 + j for label (j, i)), and a Neighbors of index columns in label
-    order (neighbors.up[k] is the index of the up neighbour of label k), as
-    tuples for scalar reads and as read-only int arrays for array reads."""
+    index (i*m1 + j for label (j, i)), and a Neighbors of read-only int index
+    columns in label order (neighbors.up[k] is the index of the up neighbour of
+    label k).  Scalar readers take .tolist() of the columns they walk."""
     def column(dp):
         i1, i2 = neighbor_index(torus.m1, torus.N, torus.m2, dp)
         col = (i2 * torus.m1 + i1).T.ravel()
         col.flags.writeable = False
         return col
     labels = tuple(torus.labels())
-    index = {p: k for k, p in enumerate(labels)}
-    arrays = Neighbors(*map(column, STENCIL))
-    return LabelTable(labels, index, Neighbors(*(tuple(a.tolist()) for a in arrays)), arrays)
+    return LabelTable(labels, {p: k for k, p in enumerate(labels)},
+                      Neighbors(*map(column, STENCIL)))
 
 
 Gaps = namedtuple("Gaps", "a b c d e f")
@@ -160,7 +160,7 @@ def gap_columns(torus, pos):
     empty sites to the right/left neighbor on the same row, b, c locate the two
     interlacing partners in the row below, and e, f the two in the row above."""
     pos = np.asarray(pos)
-    L, nb = torus.L, label_table(torus).arrays
+    L, nb = torus.L, label_table(torus).neighbors
     return Gaps(
         a=(pos[..., nb.right] - pos - 1) % L,
         b=(pos[..., nb.below_right] - pos - 1) % L,
@@ -179,7 +179,8 @@ def check_interlacing(labels, g):
         raise ConfigError(f"interlacing violated at label {labels[bad[0]]}")
 
 
-def _label_positions(config):
+def label_positions(config):
+    """The positions of config as a list in label order."""
     return [config.positions[p] for p in label_table(config.torus).labels]
 
 
@@ -188,7 +189,7 @@ def neighbor_distances(config, p):
     gap_columns.  Raises ConfigError when p breaks interlacing."""
     p = config.torus.canonical(p)
     k = label_table(config.torus).index[p]
-    g = Gaps(*(int(col[k]) for col in gap_columns(config.torus, _label_positions(config))))
+    g = Gaps(*(int(col[k]) for col in gap_columns(config.torus, label_positions(config))))
     check_interlacing((p,), g)
     return g
 
@@ -214,7 +215,7 @@ def validate(config):
     for x in config.positions.values():
         if not isinstance(x, (int, np.integer)) or not 0 <= x < torus.L:
             return ValidationReport(False, [f"position {x} outside [0, {torus.L})"])
-    pos = _label_positions(config)
+    pos = label_positions(config)
     for i in range(torus.N):
         if len(set(pos[i * torus.m1:(i + 1) * torus.m1])) != torus.m1:
             return ValidationReport(False, [f"row {i} has colliding particles"])
@@ -236,13 +237,13 @@ def sector(config, start_label=(0, 0)):
     """
     torus = config.torus
     start = label_table(torus).index[torus.canonical(start_label)]
-    return int(_up_winding(torus, _label_positions(config), start))
+    return int(_up_winding(torus, label_positions(config), start))
 
 
 @lru_cache(maxsize=64)
 def _up_loop(torus, start):
     """The indices of the up loop from index start, and of their up neighbours."""
-    up, loop = label_table(torus).neighbors.up, [start]
+    up, loop = label_table(torus).neighbors.up.tolist(), [start]
     while up[loop[-1]] != start:
         loop.append(up[loop[-1]])
     return np.array(loop), np.array(loop[1:] + loop[:1])
@@ -288,7 +289,7 @@ def enumerate_configs(torus):
     if not torus.sector_feasible:
         return []
     L, m1 = torus.L, torus.m1
-    labels, _, _, nb = label_table(torus)
+    labels, _, nb = label_table(torus)
     n = len(labels)
 
     def window(pos, k):

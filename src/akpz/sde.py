@@ -29,6 +29,15 @@ class ModelParams:
     def __post_init__(self):
         if not 0 < self.C < self.D < math.inf:
             raise ParameterError(f"need 0 < C < D < inf, got C={self.C}, D={self.D}")
+        # d3 and the Hessian determinant divide by (1 - e^-C)^2, and all four
+        # multiply exponentials that can underflow: each must be finite and positive
+        if math.expm1(-self.C) ** 2 == 0:
+            raise ParameterError(f"(1 - e^-C)^2 underflows to 0 at C={self.C}")
+        c = drift_coeffs(self)
+        values = (c.d1, c.d2, c.d3, det_hessian_closed_form(self))
+        if not all(0 < x < math.inf for x in values):
+            raise ParameterError(f"C={self.C}, D={self.D} give d1, d2, d3, det = {values}; "
+                                 f"each must be a finite positive float")
 
     @property
     def B(self):
@@ -291,7 +300,8 @@ def grad_v_check(params):
     (D, C), compared against the characteristic direction U.  Returns
     (U_fd, rel_err) with componentwise relative errors."""
     U = spectral_data(drift_coeffs(params)).U
-    g1, g2, step = params.D, params.C, 1e-5
+    # the step stays inside 0 < g2 < g1
+    g1, g2, step = params.D, params.C, min(1e-5, params.C / 2, params.B / 2)
     fd1 = (speed_from_slopes(g1 + step, g2) - speed_from_slopes(g1 - step, g2)) / (2 * step)
     fd2 = (speed_from_slopes(g1, g2 + step) - speed_from_slopes(g1, g2 - step)) / (2 * step)
     u_fd = np.array([fd1, fd2])
@@ -361,10 +371,11 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
                             replicas=None, noise=True):
     """Vectorized ensemble integrator.
 
-    xi0 is either an (m, m) field shared by all replicas or an (R, m, m)
-    batch.  Returns {step: (R, m, m) array} for each requested snapshot step
-    in [0, nsteps]; the arrays share no memory with xi0, which is not
-    modified, or with each other.  Deterministic for given (seed, replicas).
+    xi0 is either an (m, m) field shared by `replicas` replicas or an
+    (R, m, m) batch, with replicas None or R.  Returns {step: (R, m, m) array}
+    for each requested snapshot step in [0, nsteps]; the arrays share no
+    memory with xi0, which is not modified, or with each other.  Deterministic
+    for given (seed, replicas).
 
     Each step runs in two buffers allocated once per call, in the operation
     order of xi += (diag*xi + d2*xi[br] - d1*xi[l] + d3*xi[b]) * dt followed
@@ -374,17 +385,24 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     if not 0 < dt < math.inf:
         raise ParameterError(f"dt must be finite and positive, got {dt}")
     want = set(snapshot_steps)
-    if nsteps < 0 or not want or min(want) < 0 or max(want) > nsteps:
-        raise ParameterError(f"snapshot steps must lie in [0, {nsteps}], got {snapshot_steps}")
+    if (not want or not all(isinstance(k, (int, np.integer)) for k in want)
+            or nsteps < 0 or min(want) < 0 or max(want) > nsteps):
+        raise ParameterError(f"snapshot steps must be integers in [0, {nsteps}], "
+                             f"got {snapshot_steps}")
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.ndim < 2 or xi0.shape[-2] != xi0.shape[-1]:
         raise ParameterError(f"fields must be indexed [..., p1, p2] on an m x m quotient, "
                              f"got shape {xi0.shape}")
+    if replicas is not None and not (isinstance(replicas, (int, np.integer)) and replicas >= 0):
+        raise ParameterError(f"replicas must be an integer >= 0, got {replicas}")
     if xi0.ndim == 2:
         if replicas is None:
             raise ParameterError("replicas required with a shared initial field")
         xi = np.broadcast_to(xi0, (replicas, *xi0.shape)).copy()
     else:
+        if replicas is not None and replicas != math.prod(xi0.shape[:-2]):
+            raise ParameterError(f"replicas={replicas} does not match a batch of "
+                                 f"{math.prod(xi0.shape[:-2])} fields")
         xi = xi0.copy()
     coeffs = drift_coeffs(params)
     if dt * coeffs.inf_norm >= 0.1:

@@ -150,6 +150,15 @@ def test_cli_validate_exit_zero(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("C, D", [("1e-6", "1"), ("1", "1.000001")])
+def test_cli_validate_near_the_slope_boundary_reports(C, D, capsys):
+    # a model ModelParams accepts gets the report, here with tolerance failures
+    assert main(["validate", "--C", C, "--D", D]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "speed_gradient_matches_U" in captured.out
+    assert captured.err == ""
+
+
 def test_cli_oracle_stationarity(capsys):
     rc = main(["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2",
                "--m2", "1", "--q", "0.7"])
@@ -366,6 +375,11 @@ def _phi_with_repeated_label(tmp_path):
     ["ctmc", "--start", "BAD", "--q", "0.5", "--T", "1"],
     ["ctmc", "--start", "DUPSTART", "--q", "0.5", "--T", "1"],
     ["gff", "--m", "16", "--delta", "0.5", "--phi", "DUPPHI"],
+    ["validate", "--C", "1e-320", "--D", "1"],
+    ["validate", "--C", "700", "--D", "800"],
+    ["validate", "--C", "0.5", "--D", "1e300"],
+    ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-320"],
+    ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-200"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -380,7 +394,9 @@ def _phi_with_repeated_label(tmp_path):
         "sde-observe-every-off-dt-grid", "cov-unknown-method", "cov-finite-inf-t",
         "cov-asymptotic-inf-t", "gff-variance-overflows", "gff-phi-variance-overflows",
         "run-non-utf8-config", "gff-non-utf8-phi", "ctmc-non-utf8-start",
-        "ctmc-start-repeated-label", "gff-phi-repeated-label"])
+        "ctmc-start-repeated-label", "gff-phi-repeated-label", "validate-C-squared-underflows",
+        "validate-d1-underflows", "validate-huge-D", "she-nan-coordinate",
+        "she-coordinate-above-2-53"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     files = {"PHI": _two_point_phi, "BAD": _non_utf8_file,

@@ -274,7 +274,7 @@ def test_array_rate_and_masked_walk_match_the_scalar_twins():
     longest = {}
     for torus in (TORUS, TorusParams(L=4, N=4, m1=2, m2=1), TorusParams(L=6, N=4, m1=3, m2=1),
                   TorusParams(L=8, N=3, m1=2, m2=2)):
-        labels, _, nb, arrays = label_table(torus)
+        labels, _, nb = label_table(torus)
         states = [[cfg.positions[p] for p in labels] for cfg in enumerate_configs(torus)]
         pos = np.array(states)
         for q in (0.0, 0.3, 0.6):
@@ -282,11 +282,11 @@ def test_array_rate_and_masked_walk_match_the_scalar_twins():
             want = np.array([[rate(xs, k) for k in range(len(labels))] for xs in states])
             assert ctmc._rates(torus, q, pos).tobytes() == want.tobytes()
         bits = np.broadcast_to(1 << np.arange(len(labels)), pos.shape)
-        masks = ctmc._masked_push_walk(pos, arrays.up, bits)
+        masks = ctmc._masked_push_walk(pos, nb.up, bits)
         lengths = []
         for xs, row in zip(states, masks.tolist()):
             for k, mask in enumerate(row):
-                moved = ctmc._push_walk(xs, nb.up, k)
+                moved = ctmc._push_walk(xs, nb.up.tolist(), k)
                 assert mask == sum(1 << j for j in moved)
                 lengths.append(len(moved))
         longest[torus.L, torus.N] = max(lengths)

@@ -1,6 +1,7 @@
 """The runtime dependency of akpz is numpy only, its configuration is its
-flags and config files (no module reads the environment), and its modules
-import each other in layers."""
+flags and config files (no module reads the environment), its modules
+import each other in layers, and only lattice reads a configuration's
+positions by label."""
 
 import ast
 import re
@@ -62,6 +63,18 @@ def test_modules_do_not_read_the_environment():
                 found = node.module == "os" and any(a.name in reads for a in node.names)
             else:
                 continue
+            assert not found, (path.name, node.lineno)
+
+
+def test_only_lattice_subscripts_positions():
+    # every other module reads a configuration in label order through
+    # lattice.label_positions
+    for path in sorted((ROOT / "src" / "akpz").glob("*.py")):
+        if path.stem == "lattice":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            found = (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                     and node.value.attr == "positions")
             assert not found, (path.name, node.lineno)
 
 

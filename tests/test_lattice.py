@@ -65,7 +65,7 @@ def test_canonicalize_partitions_box_into_m_squared_classes(m, data):
 def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
     torus = TorusParams(L=4 * m1, N=N, m1=m1, m2=m2)
     # the integer view of the particle layer: index columns in label order
-    labels, index, columns, _ = label_table(torus)
+    labels, index, columns = label_table(torus)
     assert labels == tuple(torus.labels())
     for i, p in enumerate(labels):
         assert index[p] == i == p[1] * m1 + p[0]
@@ -81,11 +81,13 @@ def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
 
 @pytest.mark.parametrize("dims", [(4, 3, 2, 1), (8, 3, 2, 2), (64, 16, 16, 4)], ids=str)
 def test_label_table_arrays_are_read_only_copies_of_the_columns(dims):
-    table = label_table(TorusParams(*dims))
-    for name, col in table.neighbors._asdict().items():
-        arr = getattr(table.arrays, name)
+    torus = TorusParams(*dims)
+    table = label_table(torus)
+    for name, arr in table.neighbors._asdict().items():
+        dp = getattr(STENCIL, name)
         assert arr.dtype.kind == "i" and not arr.flags.writeable
-        assert arr.tolist() == list(col)
+        assert arr.tolist() == [table.index[torus.canonical((p1 + dp[0], p2 + dp[1]))]
+                                for p1, p2 in table.labels]
         with pytest.raises(ValueError):
             arr[0] = 0
 

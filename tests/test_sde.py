@@ -47,7 +47,10 @@ def test_model_params_domain():
         ModelParams(C=0.0, D=1.0)
     with pytest.raises(ParameterError):
         ModelParams(C=1.5, D=1.0)
-    for C, D in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf)):
+    # (1 - e^-C)^2 underflows at C = 1e-320; d1 and the Hessian determinant
+    # underflow to 0 at (700, 800) and (0.5, 1e300)
+    for C, D in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (1e-320, 1.0),
+                 (700.0, 800.0), (0.5, 1e300)):
         with pytest.raises(ParameterError):
             ModelParams(C=C, D=D)
 
@@ -386,3 +389,22 @@ def test_euler_maruyama_ensemble_rejects_non_square_fields(shape):
     with pytest.raises(ParameterError, match="m x m"):
         euler_maruyama_ensemble(np.zeros(shape), ModelParams(C=0.5, D=1.5), 2, 1e-2, 3,
                                 seed=0, snapshot_steps=[3], replicas=2)
+
+
+@pytest.mark.parametrize("xi0_shape, replicas, steps", [
+    ((3, 4, 4), 5, [3]),  # a batch of 3 with 5 replicas asked for
+    ((4, 4), -1, [3]),
+    ((4, 4), 2.5, [3]),
+    ((4, 4), 2, [1, 2.5]),
+], ids=["batch-size-mismatch", "negative-replicas", "fractional-replicas",
+        "fractional-snapshot-step"])
+def test_euler_maruyama_ensemble_rejects_bad_replicas_and_steps(xi0_shape, replicas, steps):
+    with pytest.raises(ParameterError):
+        euler_maruyama_ensemble(np.zeros(xi0_shape), ModelParams(C=0.5, D=1.5), 2, 1e-2, 3,
+                                seed=0, snapshot_steps=steps, replicas=replicas)
+
+
+def test_euler_maruyama_ensemble_runs_zero_replicas():
+    snaps = euler_maruyama_ensemble(np.zeros((4, 4)), ModelParams(C=0.5, D=1.5), 2, 1e-2, 3,
+                                    seed=0, snapshot_steps=[3], replicas=0)
+    assert snaps[3].shape == (0, 4, 4)
