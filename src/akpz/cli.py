@@ -516,15 +516,20 @@ def cmd_cov(*, C: float, D: float, m: int = None, m2: int = None, t: float, s: f
     and --m2), quad, kernel or asymptotic."""
     params = ModelParams(C=C, D=D)
     query = corr.CovarianceQuery(y=(y1, y2), t=t, s=s)
-    if method == "finite":
-        if m is None or m2 is None:
-            raise ConfigError("--method finite requires --m and --m2")
-        res = corr.covariance_finite_m(query, m, m2, params)
-    elif method == "quad":
-        res = corr.covariance_quadrature(query, params)
-    else:
-        route = corr.covariance_heat_kernel if method == "kernel" else corr.covariance_asymptotic
-        res = route(query, spectral_data(drift_coeffs(params)), params)
+    if method == "finite" and (m is None or m2 is None):
+        raise ConfigError("--method finite requires --m and --m2")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is reported below
+        if method == "finite":
+            res = corr.covariance_finite_m(query, m, m2, params)
+        elif method == "quad":
+            res = corr.covariance_quadrature(query, params)
+        else:
+            route = (corr.covariance_heat_kernel if method == "kernel"
+                     else corr.covariance_asymptotic)
+            res = route(query, spectral_data(drift_coeffs(params)), params)
+    if not math.isfinite(res.value):
+        raise ParameterError(f"{res.method}: W_y(t,s) = {res.value} is not finite at "
+                             f"t={t}, s={s}")
     rows = [(res.t, res.s, res.y[0], res.y[1], res.method, res.value, res.err_est)]
     if out:
         write_csv(out, ["t", "s", "y1", "y2", "method", "value", "err_est"], rows)
@@ -636,4 +641,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AkpzError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2

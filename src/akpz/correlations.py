@@ -16,13 +16,14 @@ scaling limit is a log-correlated Gaussian field.
 import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .lattice import fourier_modes
-from .sde import drift_coeffs, spectral_data, symbol_A, symbol_R
+from .sde import drift_coeffs, spectral_data, symbol_A
 from .specfun import EULER_GAMMA, exp_integral_E1, heat_time_integral
 
 
@@ -78,22 +79,47 @@ def _reciprocal(rvals, origin):
     return rinv
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
+# Momenta k = (K1, twist + K2): rows K1 (rows, 1), each with its twist (a
+# (rows, 1) column, or 0.0), and columns K2 (1, m); the weight of each row (a
+# (rows,) array, or 1.0); the index origin of k = 0; and R and 1/R, 0 at the
+# origin, on the (rows, m) grid.  Its arrays are read-only.
+SpectralGrid = namedtuple("SpectralGrid", "K1 twist K2 weights origin rvals rinv")
 
 
-@functools.lru_cache(maxsize=4)  # 56 m^2 bytes each, 56 MB at m=1024
+def _spectral_grid(coeffs, K1, twist, K2, weights, origin):
+    """The SpectralGrid of these momenta.  R = symbol_R is written on the
+    separable axes: on the periodic grid cos(K1) and cos(K2) cost O(m) calls,
+    on symbol_R's (m, m, 2) grid O(m^2), which measured about twice the time per
+    call (12.0 vs 5.9 ms at m=256, 195 vs 106-122 ms at m=1024)."""
+    k2 = twist + K2
+    rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - k2) - coeffs.d1 * np.cos(K1)
+                 + coeffs.d3 * np.cos(k2))
+    grid = SpectralGrid(K1, twist, K2, weights, origin, rvals, _reciprocal(rvals, origin))
+    for a in grid:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=4)  # 24 m^2 bytes each, 24 MB at m=1024
 def _mode_table(m, m2, coeffs):
-    """The FourierModeSet of (m, m2) with the drift phase phi = Im symbol_A,
-    R = symbol_R = 2 Re symbol_A and 1/R on its modes, built once per
-    (m, m2, coeffs) and shared read-only."""
+    """The FourierModeSet of (m, m2), its SpectralGrid (weight 1, k = 0 at row
+    and column m//2) and the drift phase phi = Im symbol_A on the (m, m) grid,
+    built once per (m, m2, coeffs) and shared read-only."""
     modes = fourier_modes(m, m2)
-    phis = symbol_A(modes.k, coeffs).imag.copy()
-    rvals = symbol_R(modes.k, coeffs)
-    rinv = _reciprocal(rvals, modes.zero_index)
-    _read_only(modes.r1, modes.r2, modes.k, phis, rvals, rinv)
-    return modes, phis, rvals, rinv
+    grid = _spectral_grid(coeffs, modes.K1, modes.twist, modes.K2, 1.0, (m // 2, m // 2))
+    phis = symbol_A(modes.k, coeffs).imag.reshape(m, m).copy()
+    phis.flags.writeable = False
+    return modes, grid, phis
+
+
+def _amplitude(grid, s, tau):
+    """g(R, s) e^{R tau/2} on the grid, g the growth factor, in one new array."""
+    amp = _growth_factor(grid.rvals, s, grid.origin)
+    tmp = np.multiply(0.5, grid.rvals)
+    tmp *= tau
+    amp *= np.exp(tmp, out=tmp)
+    return amp
 
 
 def _real_value(total, what):
@@ -113,12 +139,13 @@ def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
     is the imaginary residue that conjugate mode pairing cancels.  The modes,
     phi and R are built once per (m, m2, params) and reused by every later
     query."""
-    modes, phis, rvals, _ = _mode_table(m, m2, drift_coeffs(params))
+    _, grid, phis = _mode_table(m, m2, drift_coeffs(params))
     tau = query.t - query.s
-    amp = _growth_factor(rvals, query.s, modes.zero_index)
-    amp *= np.exp(0.5 * tau * rvals)
+    y1, y2 = query.y
+    amp = _amplitude(grid, query.s, tau)
     arg = tau * phis
-    arg -= modes.k @ np.asarray(query.y, dtype=float)
+    arg -= grid.K1 * y1 + grid.twist * y2  # k.y, by rows and columns
+    arg -= grid.K2 * y2
     scale = params.v / m ** 2
     # elementwise products and sums, not BLAS dot products: a dot product of
     # m^2 terms runs on OpenBLAS threads, which took 8 ms in some processes
@@ -134,44 +161,33 @@ def _half_rows(m):
     return np.r_[-(m // 2), j1] if m % 2 == 0 else j1
 
 
-def _half_origin(m):
-    """Index of K = 0 on the half grid: row j1 = 0 (after the -m/2 row at
-    even m), column m//2."""
-    return 1 - m % 2, m // 2
-
-
 @functools.lru_cache(maxsize=8)  # 8 m^2 bytes each, 8 MB at m=1024
 def _riemann_grid(coeffs, m):
-    """Half of the m x m periodic lattice: momenta K1 (rows, 1), K2 (1, m),
-    row weights (rows,), R (rows, m) and 1/R with 0 at the origin, built once
-    per (coeffs, m) and shared read-only.
+    """The SpectralGrid of half of the m x m periodic lattice (twist 0), built
+    once per (coeffs, m) and shared read-only.
 
     Both Riemann integrands are even in K (R is even, the drift phase odd),
     and K -> -K maps row j1 of the grid onto row -j1 mod m.  So the rows
     j1 = -m/2 (even m only) and 0, which map onto themselves, carry weight 1,
-    and rows 1 .. ceil(m/2)-1 weight 2 for their mirror rows."""
-    # R is inlined here, not taken from symbol_R: on the separable (m,1)/(1,m)
-    # axes cos/sin cost O(m) calls, on symbol_R's (m,m,2) grid O(m^2), which
-    # measured about twice the time per call (12.0 vs 5.9 ms at m=256, 195 vs
-    # 106-122 ms at m=1024).
+    and rows 1 .. ceil(m/2)-1 weight 2 for their mirror rows.  K = 0 sits in
+    row j1 = 0 (after the -m/2 row at even m), column m//2."""
     j1 = _half_rows(m)
     weights = np.where((j1 == 0) | (j1 == -(m // 2)), 1.0, 2.0)
     K1 = 2 * np.pi * j1[:, None] / m
     K2 = 2 * np.pi * np.arange(-(m // 2), m - m // 2)[None, :] / m
-    rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - K2) - coeffs.d1 * np.cos(K1)
-                 + coeffs.d3 * np.cos(K2))
-    rinv = _reciprocal(rvals, _half_origin(m))
-    _read_only(K1, K2, weights, rvals, rinv)
-    return K1, K2, weights, rvals, rinv
+    return _spectral_grid(coeffs, K1, 0.0, K2, weights, (1 - m % 2, m // 2))
 
 
 def _refine(value_at, tol, m_start, m_max, levels):
     """Double m from m_start until two consecutive values, after `levels`
-    Richardson steps in 1/m^2, agree within tol: (value, |difference|)."""
+    Richardson steps in 1/m^2, agree within tol: (value, |difference|).  A
+    value that is not finite ends the refinement at once."""
     old = []
     m = m_start
     while m <= m_max:
         new = [value_at(m)]
+        if not math.isfinite(new[0]):
+            raise AccuracyError(f"quadrature value {new[0]} at m={m} is not finite")
         for j in range(min(levels, len(old))):
             new.append(new[j] + (new[j] - old[j]) / (4 ** (j + 1) - 1))
         if len(old) > levels and abs(new[levels] - old[levels]) <= tol:
@@ -193,19 +209,16 @@ def _riemann_covariance(query, params, coeffs, m):
     and cosines."""
     tau = query.t - query.s
     y1, y2 = query.y
-    K1, K2, weights, rvals, _ = _riemann_grid(coeffs, m)
-    acc = _growth_factor(rvals, query.s, _half_origin(m))
-    tmp = np.multiply(0.5, rvals)
-    tmp *= tau
-    acc *= np.exp(tmp, out=tmp)
-    del tmp  # so the complex phase buffer below is the only other m^2 array
+    grid = _riemann_grid(coeffs, m)
+    K1, K2 = grid.K1, grid.K2
+    acc = _amplitude(grid, query.s, tau)
     T = np.exp(-1j * tau * coeffs.d2 * np.sin(2 * np.pi * np.arange(m) / m))
     circulant = np.lib.stride_tricks.sliding_window_view(np.tile(T, 2), m)
     phase = circulant[(-(m // 2) - _half_rows(m)) % m]  # row j1 holds T((j2 - j1) mod m)
     phase *= np.exp(1j * (tau * coeffs.d1 * np.sin(K1) - K1 * y1))
     phase *= np.exp(-1j * (tau * coeffs.d3 * np.sin(K2) + K2 * y2))
     acc *= phase.real
-    return params.v / m ** 2 * float(weights @ acc.sum(axis=1))
+    return params.v / m ** 2 * float(grid.weights @ acc.sum(axis=1))
 
 
 def covariance_quadrature(query, params, tol=1e-6, m_start=128, m_max=4096) -> CovarianceResult:
@@ -267,7 +280,10 @@ def corollary_regimes(query, spectral, params):
         on_char = bool(np.all(np.floor(spectral.U * tau) == y))
         out.append(RegimeValue("characteristic", v4 * math.log((t + s) / tau), on_char))
         u = y / tau
-        arg = tau ** 2 * float(np.sum((spectral.V @ (spectral.U - u)) ** 2)) / (2 * (t + s))
+        try:
+            arg = tau ** 2 * float(np.sum((spectral.V @ (spectral.U - u)) ** 2)) / (2 * (t + s))
+        except OverflowError:
+            raise ParameterError(f"t - s = {tau} overflows (t - s)^2") from None
         val = v4 * exp_integral_E1(arg) if arg > 0 else float("inf")
         out.append(RegimeValue("off-characteristic", val, not on_char))
         if t > 1 and tau > 1:
@@ -321,50 +337,41 @@ def she_scaled_lattice_covariance(x, y, t, s, delta, spectral, params) -> float:
     return amp_sq * covariance_heat_kernel(q, spectral, params).value
 
 
-def _four_point_sum(qry, K1, twist, K2, weights, rinv):
-    """Sum over k = (K1, twist + K2) of weights * num(k) * rinv(k), where num is
+def _four_point_sum(qry, grid):
+    """Sum over the k = (K1, twist + K2) of a SpectralGrid of weights * num(k) *
+    rinv(k), where num is
     e^{ik.(y1-y3)} - e^{ik.(y1-y4)} - e^{ik.(y2-y3)} + e^{ik.(y2-y4)}.  Each
     cos and sin of (K1 d1 + twist d2) + K2 d2 separates into a row and a column
     factor, so the sum is one product of 1/R with eight length-m columns."""
     y1, y2, y3, y4 = (np.asarray(a, dtype=float) for a in (qry.y1, qry.y2, qry.y3, qry.y4))
     diffs = np.array([y1 - y3, y1 - y4, y2 - y3, y2 - y4])
-    along = K1 * diffs[:, 0] + twist * diffs[:, 1]  # (rows, 4)
-    across = K2.T * diffs[:, 1]  # (m, 4)
+    along = grid.K1 * diffs[:, 0] + grid.twist * diffs[:, 1]  # (rows, 4)
+    across = grid.K2.T * diffs[:, 1]  # (m, 4)
     cols = np.hstack([np.cos(across), np.sin(across)])
     # Tiles of at most 2^15 entries of 1/R: OpenBLAS runs a product of up to
     # 2^18 multiply-adds on one thread.  The whole product woke a second
     # thread, and at m = 512 took 5-8 ms in place of 0.1 ms in some processes.
+    rinv = grid.rinv
     sums = np.empty((len(rinv), 8))
     step = max(1, 2 ** 15 // len(cols))
     for i in range(0, len(rinv), step):
         np.matmul(rinv[i:i + step], cols, out=sums[i:i + step])
-    signs = np.multiply.outer(weights, [1.0, -1.0, -1.0, 1.0])
+    signs = np.multiply.outer(grid.weights, [1.0, -1.0, -1.0, 1.0])
     cos, sin = np.cos(along), np.sin(along)
     return complex(np.sum(signs * (cos * sums[:, :4] - sin * sums[:, 4:])),
                    np.sum(signs * (sin * sums[:, :4] + cos * sums[:, 4:])))
 
 
-def _row_form(modes):
-    """Mode (r1, r2) has k = (K1, twist + K2), K1 = 2 pi r1/m, twist =
-    2 pi m2 r1/m^2 and K2 = 2 pi r2/m, so the twisted set separates by rows:
-    K1 and twist as (m, 1) columns over r1, K2 as a (1, m) row over r2."""
-    m = modes.m
-    r1, r2 = modes.r1[::m, None], modes.r2[None, :m]
-    return 2 * np.pi * r1 / m, 2 * np.pi * modes.m2 * r1 / m ** 2, 2 * np.pi * r2 / m
-
-
 def stationary_cov_finite(qry, m, m2, params) -> float:
     """Stationary gradient covariance as an exact sum over nonzero modes, on
-    the row form of the twisted mode set."""
-    modes, _, _, rinv = _mode_table(m, m2, drift_coeffs(params))
-    total = _four_point_sum(qry, *_row_form(modes), 1.0, rinv.reshape(m, m))
+    the rows of the twisted mode set."""
+    total = _four_point_sum(qry, _mode_table(m, m2, drift_coeffs(params))[1])
     return _real_value(-params.v / m ** 2 * total, "mode sum")
 
 
 def _riemann_stationary(qry, coeffs, v, m):
     """-v/m^2 times the real four-point sum over K != 0 on the half grid."""
-    K1, K2, weights, _, rinv = _riemann_grid(coeffs, m)
-    return -v / m ** 2 * _four_point_sum(qry, K1, 0.0, K2, weights, rinv).real
+    return -v / m ** 2 * _four_point_sum(qry, _riemann_grid(coeffs, m)).real
 
 
 def stationary_cov_infinite(qry, params, tol=1e-6, m_start=64, m_max=4096) -> float:
@@ -437,21 +444,20 @@ def _check_mean_zero(phi, delta):
 def _smoothed_transform(phi, delta, modes):
     """S(k) = delta^2 sum_p phi(delta p)(e^{i k p} - 1) over centered labels
     p = j - c, c = (m//2, m//2): m e^{-i k c} conj(hat(phi)_k) for real phi.
-    On the row form k.c = (K1 + twist) c + K2 c, so the shift is a row
-    table times a column table: 2m exponentials."""
-    K1, twist, K2 = _row_form(modes)
+    By rows k.c = (K1 + twist) c + K2 c, so the shift is a row table times a
+    column table: 2m exponentials."""
     c = modes.m // 2
-    shift = (np.exp(-1j * c * (K1 + twist)) * np.exp(-1j * c * K2)).ravel()
+    shift = (np.exp(-1j * c * (modes.K1 + modes.twist)) * np.exp(-1j * c * modes.K2)).ravel()
     return delta ** 2 * (modes.m * shift * np.conj(modes.field_transform(phi)) - float(phi.sum()))
 
 
 def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:
     """Stationary covariance of two smoothed gradient fields on the m x m
     label set; positive semidefinite as a quadratic form."""
-    modes, _, _, rinv = _mode_table(m, m2, drift_coeffs(params))
+    modes, grid, _ = _mode_table(m, m2, drift_coeffs(params))
     s1 = _smoothed_transform(np.asarray(phi1, dtype=float), delta, modes)
     s2 = s1 if phi2 is phi1 else _smoothed_transform(np.asarray(phi2, dtype=float), delta, modes)
-    return _real_value(-params.v / m ** 2 * np.sum(s1 * np.conj(s2) * rinv),
+    return _real_value(-params.v / m ** 2 * np.sum(s1 * np.conj(s2) * grid.rinv.ravel()),
                        "smoothed covariance")
 
 

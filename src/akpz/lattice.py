@@ -319,20 +319,29 @@ def enumerate_configs(torus):
 class FourierModeSet:
     """The m^2 momenta diagonalizing translation on the quotient label set.
 
-    Mode (r1, r2) has k = (2 pi r1/m, (2 pi/m)(m2 r1/m + r2)) with integer
-    r1, r2 in [-m/2, m/2); the functions f_k(p) = exp(-i p.k)/m form an
-    orthonormal basis of fields on the labels.
+    Mode (r1, r2), with integer r1, r2 in [-m/2, m/2), has k = (K1, twist + K2):
+    K1 = 2 pi r1/m and twist = 2 pi m2 r1/m^2 are (m, 1) columns over r1, and
+    K2 = 2 pi r2/m is a (1, m) row over r2, so the twisted set separates by
+    rows.  The functions f_k(p) = exp(-i p.k)/m form an orthonormal basis of
+    fields on the labels.
     """
 
     m: int
     m2: int
-    r1: np.ndarray
-    r2: np.ndarray
-    k: np.ndarray  # shape (m*m, 2)
+    K1: np.ndarray  # (m, 1)
+    twist: np.ndarray  # (m, 1)
+    K2: np.ndarray  # (1, m)
+
+    @property
+    def k(self):
+        """The momenta as a new (m*m, 2) array, flattened with r1 slowest."""
+        m = self.m
+        return np.column_stack([np.broadcast_to(self.K1, (m, m)).ravel(),
+                                (self.twist + self.K2).ravel()])
 
     @property
     def zero_index(self):
-        """Index of k = 0: r1 = r2 = 0 sits at row m//2, column m//2."""
+        """Index of k = 0 in k: r1 = r2 = 0 sits at row m//2, column m//2."""
         return (self.m // 2) * (self.m + 1)
 
     def basis_matrix(self):
@@ -341,17 +350,16 @@ class FourierModeSet:
         m = self.m
         p1, p2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         phase = np.einsum("ki,i...->k...", self.k, np.array([p1, p2]))
-        return np.exp(-1j * phase).reshape(len(self.k), m * m) / m
+        return np.exp(-1j * phase).reshape(m * m, m * m) / m
 
     def field_transform(self, xi):
         """hat(xi)_k = sum_p xi_p f_k(p) for fields xi indexed [..., p1, p2]:
-        FFT along p1, the twist exp(-2 pi i m2 r1 p2/m^2), FFT along p2, with
-        r1 signed in [-m/2, m/2) because the twist is not periodic in r1."""
+        FFT along p1, the twist exp(-i twist p2), FFT along p2, with r1 signed
+        in [-m/2, m/2) because the twist is not periodic in r1."""
         m = self.m
         xi = np.asarray(xi)
-        r = np.arange(-(m // 2), m - m // 2)
         a = np.fft.fftshift(np.fft.fft(xi, axis=-2), axes=-2)
-        a = a * np.exp(-2j * np.pi * self.m2 / m ** 2 * np.outer(r, np.arange(m)))
+        a = a * np.exp(-1j * (self.twist * np.arange(m)))
         a = np.fft.fftshift(np.fft.fft(a, axis=-1), axes=-1)
         return a.reshape(*xi.shape[:-2], m * m) / m
 
@@ -359,11 +367,10 @@ class FourierModeSet:
 def fourier_modes(m, m2):
     if m < 2 or not 0 < m2 < m:
         raise ParameterError(f"need m >= 2 and 0 < m2 < m, got m={m}, m2={m2}")
-    rs = np.arange(-(m // 2), m - m // 2)
-    r1, r2 = [a.ravel() for a in np.meshgrid(rs, rs, indexing="ij")]
-    k1 = 2 * np.pi * r1 / m
-    k2 = (2 * np.pi / m) * (m2 * r1 / m + r2)
-    return FourierModeSet(m=m, m2=m2, r1=r1, r2=r2, k=np.column_stack([k1, k2]))
+    r = np.arange(-(m // 2), m - m // 2)
+    r1 = r[:, None]
+    return FourierModeSet(m=m, m2=m2, K1=2 * np.pi * r1 / m, twist=2 * np.pi * m2 * r1 / m ** 2,
+                          K2=2 * np.pi * r[None, :] / m)
 
 
 def config_to_text(config):

@@ -432,6 +432,43 @@ def test_cli_gff_overflow_prints_one_error_line_and_no_warning(tmp_path):
         assert "delta" in done.stderr and done.stdout == ""
 
 
+_HUGE_TIME = ["cov", "--C", "0.5", "--D", "1.5", "--t", "1e308", "--s", "0", "--y1", "0",
+              "--y2", "0", "--method"]
+
+
+def test_cli_cov_at_a_huge_time_prints_one_error_line_and_no_warning():
+    # (t - s)^2 overflows, and tau * phi, the quadrature phase and tau * U
+    # leave the float range; every method exits 2 with one line, and the
+    # quadrature stops at its first level
+    env = {**os.environ, "PYTHONPATH": str(Path(akpz.__file__).resolve().parent.parent)}
+    for tail in (["asymptotic"], ["finite", "--m", "16", "--m2", "3"], ["quad"], ["kernel"]):
+        done = subprocess.run([sys.executable, "-m", "akpz", *_HUGE_TIME, *tail], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert done.stdout == ""
+        if tail == ["quad"]:
+            assert done.stderr == "error: quadrature value nan at m=128 is not finite\n"
+
+
+_NUMPY_OOM = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data "
+              "type float64")
+
+
+@pytest.mark.parametrize("message, line", [(_NUMPY_OOM, _NUMPY_OOM), ("", "out of memory")],
+                         ids=["numpy", "bare"])
+def test_cli_maps_memory_error_to_exit_2(message, line, monkeypatch, capsys):
+    # no test allocates: the route raises what numpy raises for the mode table
+    # of akpz cov --method finite --m 100000
+    def fail(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(corr, "covariance_finite_m", fail)
+    assert main(["cov", "--C", "0.5", "--D", "1.5", "--t", "5", "--s", "5", "--y1", "0",
+                 "--y2", "0", "--method", "finite", "--m", "100000", "--m2", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("lines", ["s = 500", "s = 400", "t = inf", "s = nan"],
                          ids=["s-above-t", "s-equal-t", "inf-t", "nan-s"])
 def test_cli_run_cor2_bad_times_exit_2_without_traceback(lines, tmp_path, capsys):

@@ -380,30 +380,22 @@ def test_gff_continuum_value_from_direct_double_sum():
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def _covariance_layer_values(C, D):
-    """repr of every covariance-layer output on fixed queries at (C, D)."""
+_LAYER_QUERIES = [((0, 0), 5.0, 5.0), ((2, -1), 7.5, 3.25), ((-3, 4), 12.0, 0.5)]
+_LAYER_FOURS = [FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)),
+                FourPointQuery((0, 0), (2, 1), (1, -1), (3, 2))]
+
+
+def _periodic_grid_values(C, D):
+    """repr-able outputs of the routes on the periodic grid of _riemann_grid at
+    (C, D): quadrature values with their err_est, the stationary quadrature and
+    the refinement failure messages."""
     params = ModelParams(C=C, D=D)
-    spectral = spectral_data(drift_coeffs(params))
-    out = []
-    for y, t, s in [((0, 0), 5.0, 5.0), ((2, -1), 7.5, 3.25), ((-3, 4), 12.0, 0.5)]:
-        q = CovarianceQuery(y=y, t=t, s=s)
-        for m, m2 in [(32, 5), (9, 4)]:  # an odd m and m2 other than m/2
-            out.append(covariance_finite_m(q, m, m2, params))
-        out.append(covariance_quadrature(q, params))  # value and err_est
-    fours = [FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)),
-             FourPointQuery((0, 0), (2, 1), (1, -1), (3, 2))]
-    for q4 in fours:
-        for m, m2 in [(32, 5), (11, 3)]:
-            out.append(stationary_cov_finite(q4, m, m2, params))
-        out.append(stationary_cov_infinite(q4, params, tol=1e-5, m_max=1024))
-    delta, m = 0.25, 32
-    phi = two_bump_test_function(delta, m)
-    out.append(gff_smoothed_variance(phi, delta, m, 7, params, spectral))
-    psi = _random_sparse_mean_zero(m, np.random.default_rng(5))
-    out.append(gff_lattice_bilinear(phi, psi, delta, m, 13, params))
+    out = [covariance_quadrature(CovarianceQuery(y=y, t=t, s=s), params)
+           for y, t, s in _LAYER_QUERIES]
+    out += [stationary_cov_infinite(q4, params, tol=1e-5, m_max=1024) for q4 in _LAYER_FOURS]
     for call in (lambda: covariance_quadrature(CovarianceQuery((0, 0), 5.0, 5.0), params,
                                                tol=1e-18, m_start=8, m_max=16),
-                 lambda: stationary_cov_infinite(fours[0], params, tol=1e-30,
+                 lambda: stationary_cov_infinite(_LAYER_FOURS[0], params, tol=1e-30,
                                                  m_start=16, m_max=64)):
         with pytest.raises(AccuracyError) as err:
             call()
@@ -411,18 +403,47 @@ def _covariance_layer_values(C, D):
     return out
 
 
-def test_covariance_layer_bits_are_pinned():
-    # SHA-256 of repr over the covariance layer's outputs, recorded with
-    # numpy 2.4.6 and its bundled OpenBLAS (the stationary quadrature is a
-    # matrix product); any change to a value, an err_est or an AccuracyError
-    # message changes it.  tests/test_covariance_routes.py holds the values
-    # of the full-grid and m^2 mode-sum routes this digest replaced.
-    values = [_covariance_layer_values(C, D) for C, D in [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]]
-    digest = hashlib.sha256(repr(values).encode()).hexdigest()
-    assert digest == "f2af902220acbad1fffae8a100284e0e5140e5efba22c29ac24e5fb1fb3ea716"
+def _twisted_set_values(C, D):
+    """repr-able outputs of the routes on the twisted mode set of _mode_table at
+    (C, D), at odd m and at m2 other than m/2."""
+    params = ModelParams(C=C, D=D)
+    spectral = spectral_data(drift_coeffs(params))
+    out = [covariance_finite_m(CovarianceQuery(y=y, t=t, s=s), m, m2, params)
+           for y, t, s in _LAYER_QUERIES for m, m2 in [(32, 5), (9, 4)]]
+    out += [stationary_cov_finite(q4, m, m2, params)
+            for q4 in _LAYER_FOURS for m, m2 in [(32, 5), (11, 3)]]
+    delta, m = 0.25, 32
+    phi = two_bump_test_function(delta, m)
+    out.append(gff_smoothed_variance(phi, delta, m, 7, params, spectral))
+    psi = _random_sparse_mean_zero(m, np.random.default_rng(5))
+    out.append(gff_lattice_bilinear(phi, psi, delta, m, 13, params))
+    return out
 
 
 _PINNED_PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
+# SHA-256 of repr over each group's outputs at _PINNED_PAIRS, recorded with
+# numpy 2.4.6 and its bundled OpenBLAS (the stationary sums are matrix
+# products); any change to a value, an err_est or an AccuracyError message
+# changes them.  tests/test_covariance_routes.py holds the values of the
+# full-grid and m^2 mode-sum routes that the digests replaced.
+_DIGESTS = {
+    _periodic_grid_values: "e54909eb160009947621aef029bf579af51d83f64171ef0a8ed94fab5c500e43",
+    _twisted_set_values: "58f8eff2f7b6dbcdc98f4e26b0d49d18364efda2a8b8f8680321258f6b824861",
+}
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_periodic_grid_bits_are_pinned():
+    assert _digest([_periodic_grid_values(C, D) for C, D in _PINNED_PAIRS]) == \
+        _DIGESTS[_periodic_grid_values]
+
+
+def test_twisted_mode_set_bits_are_pinned():
+    assert _digest([_twisted_set_values(C, D) for C, D in _PINNED_PAIRS]) == \
+        _DIGESTS[_twisted_set_values]
 
 
 def _clear_table_caches():
@@ -432,34 +453,37 @@ def _clear_table_caches():
 
 @pytest.mark.parametrize("cache", ["cold", "warm", "reversed"])
 def test_covariance_layer_bits_do_not_depend_on_the_table_caches(cache):
-    # the digest of test_covariance_layer_bits_are_pinned, with every (C, D)
-    # pair run on empty caches, a second time on the caches its first run
-    # filled, or all pairs in reverse order after one clear
+    # both digests, with every (C, D) pair run on empty caches, a second time
+    # on the caches its first run filled, or all pairs in reverse order after
+    # one clear
     _clear_table_caches()
     values = {}
     for C, D in (_PINNED_PAIRS[::-1] if cache == "reversed" else _PINNED_PAIRS):
         if cache == "cold":
             _clear_table_caches()
         elif cache == "warm":
-            _covariance_layer_values(C, D)
+            for group in _DIGESTS:
+                group(C, D)
             hits = _mode_table.cache_info().hits, _riemann_grid.cache_info().hits
-        values[C, D] = _covariance_layer_values(C, D)
+        values[C, D] = {group: group(C, D) for group in _DIGESTS}
         if cache == "warm":
             assert _mode_table.cache_info().hits > hits[0]
             assert _riemann_grid.cache_info().hits > hits[1]
-    digest = hashlib.sha256(repr([values[pair] for pair in _PINNED_PAIRS]).encode()).hexdigest()
-    assert digest == "f2af902220acbad1fffae8a100284e0e5140e5efba22c29ac24e5fb1fb3ea716"
+    for group, digest in _DIGESTS.items():
+        assert _digest([values[pair][group] for pair in _PINNED_PAIRS]) == digest
 
 
 def test_cached_spectral_tables_are_read_only():
     coeffs = drift_coeffs(PARAMS)
-    modes, phis, rvals, rinv = _mode_table(8, 3, coeffs)
-    K1, K2, weights, grid_r, grid_rinv = _riemann_grid(coeffs, 16)
-    for a in (modes.r1, modes.r2, modes.k, phis, rvals, rinv, K1, K2, weights, grid_r,
-              grid_rinv):
+    modes, grid, phis = _mode_table(8, 3, coeffs)
+    arrays = [phis, *grid, *_riemann_grid(coeffs, 16)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 + 5 + 5  # phi; K1, twist, K2, R, 1/R; K1, K2, weights, R, 1/R
+    for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
-    assert fourier_modes(8, 3).k.flags.writeable  # the public builder is not shared
+    fresh = fourier_modes(8, 3)  # the public builder is not shared
+    assert all(a.flags.writeable for a in (fresh.K1, fresh.twist, fresh.K2, fresh.k))
 
 
 def test_stationary_quadrature_leaves_the_shared_grid_untouched():

@@ -275,7 +275,7 @@ REFERENCE_FOURS = [FourPointQuery((0, 0), (1, 0), (0, 0), (1, 0)),
 def test_half_grid_sums_match_the_full_grid(C, D, m):
     params = ModelParams(C=C, D=D)
     coeffs = drift_coeffs(params)
-    assert correlations._riemann_grid(coeffs, m)[2].sum() == m  # every row counted once
+    assert correlations._riemann_grid(coeffs, m).weights.sum() == m  # every row counted once
     for q in REFERENCE_QUERIES:
         ref = _reference_covariance(q, params, coeffs, m)
         assert abs(correlations._riemann_covariance(q, params, coeffs, m) - ref) <= 1e-13
@@ -305,9 +305,8 @@ def test_finite_m_rejects_an_imaginary_residue(monkeypatch):
     # with a drift phase that is not odd in k, conjugate modes no longer pair
     # off and the sine sum survives
     m, m2 = 8, 4
-    modes, phis, rvals, rinv = correlations._mode_table(m, m2,
-                                                        drift_coeffs(ModelParams(C=0.5, D=1.5)))
-    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, phis + 0.3, rvals, rinv))
+    modes, grid, phis = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, grid, phis + 0.3))
     query = CovarianceQuery(y=(2, 1), t=4.0, s=3.0)
     with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
         covariance_finite_m(query, m, m2, ModelParams(C=0.5, D=1.5))
@@ -402,30 +401,26 @@ def test_stationary_finite_calls_exp_cos_and_sin_on_length_m_tables_only(monkeyp
 
 
 @pytest.mark.parametrize("m, m2", [(8, 3), (9, 4), (32, 5), (11, 3)])
-def test_twisted_rows_are_the_fourier_modes(m, m2, monkeypatch):
-    rows = []
-    four_point_sum = correlations._four_point_sum
-
-    def spy(qry, K1, twist, K2, weights, rinv):
-        rows.append((K1, twist, K2))
-        return four_point_sum(qry, K1, twist, K2, weights, rinv)
-
-    monkeypatch.setattr(correlations, "_four_point_sum", spy)
-    stationary_cov_finite(FourPointQuery(*LAYER_FOURS[1]), m, m2, ModelParams(C=0.5, D=1.5))
-    K1, twist, K2 = rows[0]
-    k = correlations.fourier_modes(m, m2).k.reshape(m, m, 2)
-    assert np.abs(np.broadcast_to(K1, (m, m)) - k[..., 0]).max() <= 1e-14
-    assert np.abs(twist + K2 - k[..., 1]).max() <= 1e-14
+def test_twisted_rows_are_the_fourier_modes(m, m2):
+    # the mode table's grid holds the rows of its FourierModeSet, and k is
+    # (K1, twist + K2) with K1 = 2 pi r1/m, twist = 2 pi m2 r1/m^2, K2 = 2 pi r2/m
+    modes, grid, _ = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    assert grid.K1 is modes.K1 and grid.twist is modes.twist and grid.K2 is modes.K2
+    assert (grid.K1.shape, grid.twist.shape, grid.K2.shape) == ((m, 1), (m, 1), (1, m))
+    assert grid.origin == (m // 2, m // 2) and grid.weights == 1.0
+    r1, r2 = np.meshgrid(np.arange(m) - m // 2, np.arange(m) - m // 2, indexing="ij")
+    k = modes.k.reshape(m, m, 2)
+    assert np.abs(k[..., 0] - 2 * np.pi * r1 / m).max() <= 1e-14
+    assert np.abs(k[..., 1] - 2 * np.pi * (m2 * r1 / m + r2) / m).max() <= 1e-14
 
 
 def test_stationary_finite_rejects_an_imaginary_residue(monkeypatch):
     # with a 1/R that is not even in k, the terms at k and -k no longer pair
     # off and the sine sum survives
     m, m2 = 8, 3
-    modes, phis, rvals, rinv = correlations._mode_table(m, m2,
-                                                        drift_coeffs(ModelParams(C=0.5, D=1.5)))
-    odd = rinv * (1 + 0.3 * np.sin(modes.k[:, 0]))
-    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, phis, rvals, odd))
+    modes, grid, phis = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    odd = grid._replace(rinv=grid.rinv * (1 + 0.3 * np.sin(grid.K1)))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, odd, phis))
     with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
         stationary_cov_finite(FourPointQuery(*LAYER_FOURS[1]), m, m2, ModelParams(C=0.5, D=1.5))
 
@@ -435,10 +430,10 @@ def test_growth_factor_is_s_at_the_origin_where_r_rounds_off_zero(m):
     # at (C, D) = (1.0, 1.3) R(0) evaluates to -5.55e-17, not 0, on both
     # tables, so a test for R s == 0 missed the origin and gave 299.9999999999975
     coeffs = drift_coeffs(ModelParams(C=1.0, D=1.3))
-    modes, _, rvals, rinv = correlations._mode_table(m, 3, coeffs)
-    grid_r, grid_rinv = correlations._riemann_grid(coeffs, m)[3:]
-    for r, r_inv, origin in ((rvals, rinv, modes.zero_index),
-                             (grid_r, grid_rinv, (1 - m % 2, m // 2))):
+    for grid in (correlations._mode_table(m, 3, coeffs)[1], correlations._riemann_grid(coeffs, m)):
+        r, r_inv, origin = grid.rvals, grid.rinv, grid.origin
+        k1, k2 = np.broadcast_arrays(grid.K1, grid.twist + grid.K2)
+        assert k1[origin] == k2[origin] == 0.0
         assert r[origin] != 0.0
         assert r_inv[origin] == 0.0
         for s in (0.0, 12.5, 300.0):
