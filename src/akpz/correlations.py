@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .lattice import fourier_modes
-from .sde import drift_coeffs, spectral_data, symbol_A
+from .sde import drift_coeffs, spectral_data
 from .specfun import EULER_GAMMA, exp_integral_E1, heat_time_integral
 
 
@@ -101,16 +101,12 @@ def _spectral_grid(coeffs, K1, twist, K2, weights, origin):
     return grid
 
 
-@functools.lru_cache(maxsize=4)  # 24 m^2 bytes each, 24 MB at m=1024
+@functools.lru_cache(maxsize=4)  # 16 m^2 bytes each, 16 MB at m=1024
 def _mode_table(m, m2, coeffs):
-    """The FourierModeSet of (m, m2), its SpectralGrid (weight 1, k = 0 at row
-    and column m//2) and the drift phase phi = Im symbol_A on the (m, m) grid,
-    built once per (m, m2, coeffs) and shared read-only."""
+    """The FourierModeSet of (m, m2) and its SpectralGrid (weight 1, k = 0 at
+    row and column m//2), built once per (m, m2, coeffs) and shared read-only."""
     modes = fourier_modes(m, m2)
-    grid = _spectral_grid(coeffs, modes.K1, modes.twist, modes.K2, 1.0, (m // 2, m // 2))
-    phis = symbol_A(modes.k, coeffs).imag.reshape(m, m).copy()
-    phis.flags.writeable = False
-    return modes, grid, phis
+    return modes, _spectral_grid(coeffs, modes.K1, modes.twist, modes.K2, 1.0, (m // 2, m // 2))
 
 
 def _amplitude(grid, s, tau):
@@ -120,6 +116,21 @@ def _amplitude(grid, s, tau):
     tmp *= tau
     amp *= np.exp(tmp, out=tmp)
     return amp
+
+
+def _cyclic_rows(table, m, first):
+    """Every row of a cyclic read of a table of n = m h entries, row i holding
+    table[(first[i] + h c) mod n] in columns c = 0 .. m-1.
+
+    With first[i] = q h + r mod n, 0 <= r < h, that row is
+    table.reshape(m, h)[(q + c) mod m, r]: a cyclic window of column r.  Laid
+    end to end, each column twice, the columns hold every row as one window of
+    m entries.  Returns the windows (a view) and the window of each row, so
+    windows[start[i:j]] is rows i .. j-1 as a new array."""
+    h = len(table) // m
+    q, r = np.divmod(first % len(table), h)
+    laid = np.tile(table.reshape(m, h).T, 2).ravel()
+    return np.lib.stride_tricks.sliding_window_view(laid, m), 2 * m * r + q
 
 
 def _real_value(total, what):
@@ -134,22 +145,59 @@ def covariance_finite_m(query, m, m2, params) -> CovarianceResult:
     """Exact m^2-mode sum for the covariance on the quotient label set,
     independent of the base point and of the initial data.
 
-    Each term g e^{A tau} e^{-i k.y}, A = R/2 + i phi, is summed in real
-    arithmetic as g e^{R tau/2} (cos + i sin)(tau phi - k.y); the sine sum
-    is the imaginary residue that conjugate mode pairing cancels.  The modes,
-    phi and R are built once per (m, m2, params) and reused by every later
-    query."""
-    _, grid, phis = _mode_table(m, m2, drift_coeffs(params))
+    Each term is g e^{R tau/2} e^{i(tau phi - k.y)}, g the growth factor and
+    phi = d1 sin k1 + d2 sin(k1 - k2) - d3 sin k2 = Im A; the imaginary part
+    of the total is the residue that conjugate mode pairing cancels.  On the
+    twisted set k2 = 2 pi (m2 r1 + m r2)/m^2 and k2 - k1 =
+    2 pi ((m2 - m) r1 + m r2)/m^2 both lie on the grid 2 pi j/n,
+    n = m^2/gcd(m, m2), so the phase is
+    Ta(k2 - k1) Tb(k2) P(r1) Q(r2) with the n-entry tables
+    Ta(j) = e^{-i tau d2 sin(2 pi j/n)} and Tb(j) = e^{-i tau d3 sin(2 pi j/n)},
+    each read cyclically by rows, the row factor
+    P = e^{i(tau d1 sin K1 - K1 y1 - twist y2)} and the column factor
+    Q = e^{-i K2 y2}: n/2 + 1 sines and 2 (n/2 + 1) complex exponentials in
+    place of m^2 sines and cosines, n = 2m at m2 = m/2.  The modes and R are
+    built once per (m, m2, params) and reused by every later query."""
+    coeffs = drift_coeffs(params)
+    grid = _mode_table(m, m2, coeffs)[1]
     tau = query.t - query.s
     y1, y2 = query.y
     amp = _amplitude(grid, query.s, tau)
-    arg = tau * phis
-    arg -= grid.K1 * y1 + grid.twist * y2  # k.y, by rows and columns
-    arg -= grid.K2 * y2
+    g = math.gcd(m, m2)
+    n = m * m // g
+    # sin(2 pi (n - j)/n) = -sin(2 pi j/n), so each entry j > n/2 is the
+    # conjugate of the one at n - j: exactly so, which keeps conjugate modes
+    # paired (worst error 4.8e-15 with all n entries computed, 5.9e-16 so)
+    sines = np.sin(2 * np.pi * np.arange(n // 2 + 1) / n)
+    mirror = slice((n + 1) // 2 - 1, 0, -1)
+
+    def table(d):
+        half = np.exp(-1j * tau * d * sines)
+        return np.concatenate([half, half[mirror].conj()])
+
+    # the table index of column r2 = -(m//2) in each row r1
+    r1 = np.arange(-(m // 2), m - m // 2)
+    edge = -m * (m // 2)
+    diffs, diff_at = _cyclic_rows(table(coeffs.d2), m, ((m2 - m) * r1 + edge) // g)
+    k2s, k2_at = _cyclic_rows(table(coeffs.d3), m, (m2 * r1 + edge) // g)
+    rows = np.exp(1j * (tau * coeffs.d1 * np.sin(grid.K1) - grid.K1 * y1 - grid.twist * y2))
+    cols = np.exp(-1j * grid.K2 * y2)
+    # Row tiles of at most 2^13 terms keep the complex temporaries in cache;
+    # m^2 at once took about 700 page faults per call at m=256 and was no
+    # faster than the m^2 sines and cosines.  Elementwise products and sums,
+    # not BLAS dot products: a dot product of m^2 terms runs on OpenBLAS
+    # threads, which took 8 ms in some processes.
+    cos_sum = sin_sum = 0.0
+    step = max(1, 2 ** 13 // m)
+    for i in range(0, m, step):
+        phase = diffs[diff_at[i:i + step]]
+        phase *= k2s[k2_at[i:i + step]]
+        phase *= rows[i:i + step]
+        phase *= cols
+        cos_sum += np.sum(amp[i:i + step] * phase.real)
+        sin_sum += np.sum(amp[i:i + step] * phase.imag)
     scale = params.v / m ** 2
-    # elementwise products and sums, not BLAS dot products: a dot product of
-    # m^2 terms runs on OpenBLAS threads, which took 8 ms in some processes
-    total = complex(scale * np.sum(amp * np.cos(arg)), scale * np.sum(amp * np.sin(arg)))
+    total = complex(scale * cos_sum, scale * sin_sum)
     return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s, method="finite-m",
                             value=_real_value(total, "mode sum"), err_est=float("nan"))
 
@@ -213,8 +261,8 @@ def _riemann_covariance(query, params, coeffs, m):
     K1, K2 = grid.K1, grid.K2
     acc = _amplitude(grid, query.s, tau)
     T = np.exp(-1j * tau * coeffs.d2 * np.sin(2 * np.pi * np.arange(m) / m))
-    circulant = np.lib.stride_tricks.sliding_window_view(np.tile(T, 2), m)
-    phase = circulant[(-(m // 2) - _half_rows(m)) % m]  # row j1 holds T((j2 - j1) mod m)
+    circulant, start = _cyclic_rows(T, m, -(m // 2) - _half_rows(m))
+    phase = circulant[start]  # row j1 holds T((j2 - j1) mod m)
     phase *= np.exp(1j * (tau * coeffs.d1 * np.sin(K1) - K1 * y1))
     phase *= np.exp(-1j * (tau * coeffs.d3 * np.sin(K2) + K2 * y2))
     acc *= phase.real
@@ -241,8 +289,15 @@ def covariance_heat_kernel(query, spectral, params) -> CovarianceResult:
     """Closed-form heat-kernel value of the covariance (the exact value
     differs from this by a bounded term that vanishes as t-s or |y| grow)."""
     tau = query.t - query.s
-    H = spectral.V @ (np.asarray(query.y, dtype=float) - tau * spectral.U)  # Gaussian argument
-    integral = heat_time_integral(float(H @ H), 1 + tau / 2, 1 + (query.t + query.s) / 2)
+    # a non-finite H is rejected below; |H|^2 = inf from a finite H is the
+    # limit where the Gaussian factor vanishes
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = spectral.V @ (np.asarray(query.y, dtype=float) - tau * spectral.U)  # Gaussian argument
+        c_sq = float(H @ H)
+    if not np.all(np.isfinite(H)):
+        raise ParameterError(f"the Gaussian argument V(y - (t - s) U) = {H} is not finite at "
+                             f"t={query.t}, s={query.s}, y={query.y}")
+    integral = heat_time_integral(c_sq, 1 + tau / 2, 1 + (query.t + query.s) / 2)
     value = params.v / (4 * math.pi * spectral.w) * integral
     return CovarianceResult(y=tuple(query.y), t=query.t, s=query.s,
                             method="heat-kernel", value=value, err_est=float("nan"))
@@ -454,7 +509,7 @@ def _smoothed_transform(phi, delta, modes):
 def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:
     """Stationary covariance of two smoothed gradient fields on the m x m
     label set; positive semidefinite as a quadratic form."""
-    modes, grid, _ = _mode_table(m, m2, drift_coeffs(params))
+    modes, grid = _mode_table(m, m2, drift_coeffs(params))
     s1 = _smoothed_transform(np.asarray(phi1, dtype=float), delta, modes)
     s2 = s1 if phi2 is phi1 else _smoothed_transform(np.asarray(phi2, dtype=float), delta, modes)
     return _real_value(-params.v / m ** 2 * np.sum(s1 * np.conj(s2) * grid.rinv.ravel()),

@@ -17,10 +17,12 @@ def exp_integral_E1(x: float) -> float:
     """E1(x) = integral of exp(-t)/t from x to infinity, for x > 0.
 
     Power series for x <= 1, modified Lentz continued fraction for x > 1.
-    Relative accuracy is better than 1e-12 on [1e-8, 700].
+    Relative accuracy is better than 1e-12 on [1e-8, 700]; E1(inf) = 0.
     """
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"E1 requires x > 0, got {x}")
+    if x == math.inf:
+        return 0.0
     if x <= 1.0:
         # E1(x) = -gamma - ln x + sum_{n>=1} (-1)^(n+1) x^n / (n n!)
         total = 0.0
@@ -54,12 +56,15 @@ def heat_time_integral(c_sq: float, a_lo: float, a_hi: float) -> float:
     """Integral of exp(-c_sq/(4a))/a over a in [a_lo, a_hi].
 
     Evaluated in closed form as E1(c_sq/(4 a_hi)) - E1(c_sq/(4 a_lo)); the
-    c_sq = 0 branch degenerates to log(a_hi/a_lo).
+    c_sq = 0 branch degenerates to log(a_hi/a_lo), and the empty interval
+    a_lo = a_hi gives 0.
     """
     if c_sq < 0:
         raise DomainError(f"c_sq must be >= 0, got {c_sq}")
-    if not 0 < a_lo < a_hi:
-        raise DomainError(f"need 0 < a_lo < a_hi, got ({a_lo}, {a_hi})")
+    if not 0 < a_lo <= a_hi:
+        raise DomainError(f"need 0 < a_lo <= a_hi, got ({a_lo}, {a_hi})")
+    if a_lo == a_hi:
+        return 0.0
     if c_sq == 0.0:
         return math.log(a_hi / a_lo)
     x_hi = c_sq / (4.0 * a_hi)

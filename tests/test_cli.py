@@ -177,6 +177,16 @@ def test_cli_cov_methods(tmp_path, capsys):
     assert out.count("W_y(t,s)") == 4
 
 
+def test_cli_cov_at_s_zero_prints_zero_for_every_exact_method(capsys):
+    # deterministic data at s = 0: the heat kernel integrates over an empty
+    # time interval, where it exited 2
+    for method in ("finite", "quad", "kernel"):
+        args = ["cov", "--C", "0.5", "--D", "1.5", "--t", "5", "--s", "0",
+                "--y1", "0", "--y2", "0", "--method", method, "--m", "16", "--m2", "3"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.split(" = ")[1].startswith("0 ")
+
+
 def test_cli_cov_csv(tmp_path):
     out = tmp_path / "cov.csv"
     main(["cov", "--C", "0.5", "--D", "1.5", "--t", "5", "--s", "5",

@@ -94,6 +94,18 @@ def test_heat_kernel_log_form_at_equal_time_origin():
     assert val == pytest.approx(V4 * math.log(1 + t), rel=1e-12)
 
 
+def test_heat_kernel_is_zero_at_s_zero_and_rejects_a_non_finite_argument(recwarn):
+    # deterministic data at s = 0: the time integral runs over an empty interval
+    for y in [(0, 0), (3, -2)]:
+        assert covariance_heat_kernel(CovarianceQuery(y, 5.0, 0.0), SPECTRAL, PARAMS).value == 0.0
+    # tau U leaves the float range, where the value was nan
+    with pytest.raises(ParameterError, match=r"^the Gaussian argument .* is not finite at "):
+        covariance_heat_kernel(CovarianceQuery((1, 0), 1e308, 1e307), SPECTRAL, PARAMS)
+    # a finite H whose |H|^2 overflows is the limit where the Gaussian factor is 0
+    assert covariance_heat_kernel(CovarianceQuery((0, 0), 1e160, 1.0), SPECTRAL, PARAMS).value == 0.0
+    assert not recwarn.list
+
+
 def test_heat_kernel_correction_decays_along_characteristic():
     s = 20.0
     gaps = (10.0, 40.0, 160.0)
@@ -428,7 +440,7 @@ _PINNED_PAIRS = [(0.5, 1.5), (0.75, 1.5), (0.3, 2.0)]
 # full-grid and m^2 mode-sum routes that the digests replaced.
 _DIGESTS = {
     _periodic_grid_values: "e54909eb160009947621aef029bf579af51d83f64171ef0a8ed94fab5c500e43",
-    _twisted_set_values: "58f8eff2f7b6dbcdc98f4e26b0d49d18364efda2a8b8f8680321258f6b824861",
+    _twisted_set_values: "903d2c68119b143b1b1a50bacaf3e950d1dc6e56a28651a7965e95c63eb1d4b9",
 }
 
 
@@ -475,10 +487,9 @@ def test_covariance_layer_bits_do_not_depend_on_the_table_caches(cache):
 
 def test_cached_spectral_tables_are_read_only():
     coeffs = drift_coeffs(PARAMS)
-    modes, grid, phis = _mode_table(8, 3, coeffs)
-    arrays = [phis, *grid, *_riemann_grid(coeffs, 16)]
+    arrays = [*_mode_table(8, 3, coeffs)[1], *_riemann_grid(coeffs, 16)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == 1 + 5 + 5  # phi; K1, twist, K2, R, 1/R; K1, K2, weights, R, 1/R
+    assert len(arrays) == 5 + 5  # K1, twist, K2, R, 1/R; K1, K2, weights, R, 1/R
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1

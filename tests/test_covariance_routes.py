@@ -3,6 +3,8 @@ recorded from the full-grid complex-arithmetic routes they replaced, against
 a plain full-grid reference of each Riemann sum, and against an
 extended-precision full-grid covariance sum."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -302,11 +304,12 @@ def test_refinement_from_odd_m_matches_the_full_grid(C, D, monkeypatch):
 
 
 def test_finite_m_rejects_an_imaginary_residue(monkeypatch):
-    # with a drift phase that is not odd in k, conjugate modes no longer pair
-    # off and the sine sum survives
+    # with an R that is not even in k, conjugate modes no longer pair off and
+    # the sine sum survives
     m, m2 = 8, 4
-    modes, grid, phis = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
-    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, grid, phis + 0.3))
+    modes, grid = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    odd = grid._replace(rvals=grid.rvals * (1 + 0.3 * np.sin(grid.K1)))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, odd))
     query = CovarianceQuery(y=(2, 1), t=4.0, s=3.0)
     with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
         covariance_finite_m(query, m, m2, ModelParams(C=0.5, D=1.5))
@@ -326,12 +329,15 @@ def _cor2_queries():
     return [CovarianceQuery(y=tuple(int(a) for a in y), t=t, s=s) for y in ys]
 
 
-def _extended_covariance(query, params, coeffs, m):
-    """The Riemann sum of the covariance over every point of the m x m grid,
-    in np.longdouble from the float64 coefficients and query."""
+def _extended_covariance(query, params, coeffs, m, m2=0):
+    """The covariance summed over every mode k = 2 pi (r1/m, (m2 r1 + m r2)/m^2),
+    r1, r2 in [-m/2, m/2), in np.longdouble from the float64 coefficients and
+    query: the Riemann sum of the m x m grid at m2 = 0, the finite-m mode sum
+    of the twisted set otherwise."""
     ld = np.longdouble
-    k = 8 * np.arctan(ld(1)) * np.arange(-(m // 2), m - m // 2).astype(ld) / m
-    K1, K2 = k[:, None], k[None, :]
+    r = np.arange(-(m // 2), m - m // 2).astype(ld)
+    two_pi = 8 * np.arctan(ld(1))
+    K1, K2 = two_pi * r[:, None] / m, two_pi * (m2 * r[:, None] + m * r[None, :]) / m ** 2
     d1, d2, d3, diag = (ld(c) for c in (coeffs.d1, coeffs.d2, coeffs.d3, coeffs.diag))
     R = 2 * (diag + d2 * np.cos(K1 - K2) - d1 * np.cos(K1) + d3 * np.cos(K2))
     R[m // 2, m // 2] = 1  # the origin, where the growth factor is s
@@ -356,6 +362,22 @@ def test_riemann_covariance_matches_an_extended_precision_sum(C, D, m):
     for q in queries:
         ref = _extended_covariance(q, params, coeffs, m)
         assert abs(correlations._riemann_covariance(q, params, coeffs, m) - ref) <= 1e-13, q
+
+
+FINITE_QUERIES = REFERENCE_QUERIES + [CovarianceQuery((3, 1), 1000.0, 10.0),
+                                      CovarianceQuery((0, 0), 2000.0, 0.5)]
+
+
+@pytest.mark.parametrize("m, m2", [(32, 5), (9, 4), (11, 3), (64, 32), (128, 48), (256, 128)])
+@pytest.mark.parametrize("C, D", PAIRS)
+def test_finite_m_matches_an_extended_precision_sum(C, D, m, m2):
+    # the phase tables read at k2 - k1 and k2; at tau = 1000 and 2000 the
+    # factor e^{R tau/2} is tiny where the d1 row factor alone would overflow
+    params = ModelParams(C=C, D=D)
+    coeffs = drift_coeffs(params)
+    for q in FINITE_QUERIES:
+        ref = _extended_covariance(q, params, coeffs, m, m2)
+        assert abs(covariance_finite_m(q, m, m2, params).value - ref) <= 1e-13, q
 
 
 def _argument_sizes(monkeypatch, *names):
@@ -387,6 +409,19 @@ def test_riemann_covariance_calls_sin_and_cos_on_length_m_tables_only(monkeypatc
     assert sizes and max(sizes) <= m, sizes
 
 
+@pytest.mark.parametrize("m, m2", [(256, 128), (128, 48), (32, 5), (9, 4)])
+def test_finite_m_calls_sin_and_cos_on_its_phase_tables_only(m, m2, monkeypatch):
+    # k2 and k2 - k1 take m^2/gcd(m, m2) values, 512 at (256, 128); the route
+    # it replaced took the sine and cosine of all m^2 phases
+    params = ModelParams(C=0.5, D=1.5)
+    covariance_finite_m(FINITE_QUERIES[0], m, m2, params)  # the mode table is built outside the spy
+    sizes = _argument_sizes(monkeypatch, "sin", "cos")
+    for q in FINITE_QUERIES:
+        covariance_finite_m(q, m, m2, params)
+    assert sizes and max(sizes) <= m * m // math.gcd(m, m2), sizes
+    assert (m, m2) != (256, 128) or max(sizes) <= 512
+
+
 def test_stationary_finite_calls_exp_cos_and_sin_on_length_m_tables_only(monkeypatch):
     # the twisted sum separates by rows; the complex route took four m^2
     # exponentials per query
@@ -404,7 +439,7 @@ def test_stationary_finite_calls_exp_cos_and_sin_on_length_m_tables_only(monkeyp
 def test_twisted_rows_are_the_fourier_modes(m, m2):
     # the mode table's grid holds the rows of its FourierModeSet, and k is
     # (K1, twist + K2) with K1 = 2 pi r1/m, twist = 2 pi m2 r1/m^2, K2 = 2 pi r2/m
-    modes, grid, _ = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    modes, grid = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
     assert grid.K1 is modes.K1 and grid.twist is modes.twist and grid.K2 is modes.K2
     assert (grid.K1.shape, grid.twist.shape, grid.K2.shape) == ((m, 1), (m, 1), (1, m))
     assert grid.origin == (m // 2, m // 2) and grid.weights == 1.0
@@ -418,9 +453,9 @@ def test_stationary_finite_rejects_an_imaginary_residue(monkeypatch):
     # with a 1/R that is not even in k, the terms at k and -k no longer pair
     # off and the sine sum survives
     m, m2 = 8, 3
-    modes, grid, phis = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
+    modes, grid = correlations._mode_table(m, m2, drift_coeffs(ModelParams(C=0.5, D=1.5)))
     odd = grid._replace(rinv=grid.rinv * (1 + 0.3 * np.sin(grid.K1)))
-    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, odd, phis))
+    monkeypatch.setattr(correlations, "_mode_table", lambda *key: (modes, odd))
     with pytest.raises(AccuracyError, match=r"^mode sum \(.*j\) is not a finite real number$"):
         stationary_cov_finite(FourPointQuery(*LAYER_FOURS[1]), m, m2, ModelParams(C=0.5, D=1.5))
 

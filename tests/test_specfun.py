@@ -47,6 +47,9 @@ def test_E1_domain():
         exp_integral_E1(0.0)
     with pytest.raises(DomainError):
         exp_integral_E1(-1.0)
+    with pytest.raises(DomainError):
+        exp_integral_E1(math.nan)
+    assert exp_integral_E1(math.inf) == 0.0
 
 
 def test_E1_extreme_arguments_finite():
@@ -57,6 +60,13 @@ def test_E1_extreme_arguments_finite():
 
 def test_heat_time_integral_zero_branch():
     assert heat_time_integral(0.0, 1.0, 10.0) == pytest.approx(math.log(10.0), rel=1e-15)
+
+
+def test_heat_time_integral_is_zero_on_the_empty_interval():
+    for c_sq in (0.0, 4.0, math.inf):
+        assert heat_time_integral(c_sq, 3.5, 3.5) == 0.0
+    with pytest.raises(DomainError, match=r"^need 0 < a_lo <= a_hi, got \(3.5, 3.0\)$"):
+        heat_time_integral(4.0, 3.5, 3.0)
 
 
 def test_heat_time_integral_matches_quadrature():
