@@ -10,8 +10,9 @@ configuration.  A configuration assigns each label a horizontal position
 modulo L, subject to the interlacing constraints between adjacent rows.
 
 Every particle routine reads label_table(torus), the labels and their six
-neighbours as integer indices, label_positions(config), a configuration in
-label order, and gap_columns(torus, pos), their six gaps.
+neighbours as integer indices (canonicalize, the one wrap, on all labels at
+once), label_positions(config), a configuration in label order, and
+gap_columns(torus, pos), their six gaps (neighbor_distances: one label's).
 """
 
 import itertools
@@ -26,7 +27,8 @@ from .errors import ConfigError, ParameterError, StateSpaceError
 
 def canonicalize(p, m, m2, n=None):
     """Canonical representative of label p: first coordinate in [0, m),
-    second in [0, n).  n defaults to m (square quotient)."""
+    second in [0, n).  n defaults to m (square quotient).  The coordinates of p
+    may be ints or integer arrays of one shape, wrapped elementwise."""
     if n is None:
         n = m
     if m < 2 or not 0 < m2 < n:
@@ -43,15 +45,11 @@ STENCIL = Neighbors(right=(1, 0), left=(-1, 0), below_right=(1, -1), below=(0, -
                     up_left=(-1, 1), up=(0, 1))
 
 
-@lru_cache(maxsize=64)
 def neighbor_index(m1, N, m2, dp):
     """Index arrays (I1, I2) of shape (m1, N) with (I1[p], I2[p]) the
     canonical label of p + dp, respecting the twisted vertical wrap."""
-    if m1 < 2 or not 0 < m2 < N:
-        raise ParameterError(f"need m1 >= 2 and 0 < m2 < N, got m1={m1}, m2={m2}, N={N}")
-    pairs = [[canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N) for p2 in range(N)]
-             for p1 in range(m1)]
-    return tuple(np.array(pairs, dtype=int).reshape(m1, N, 2).transpose(2, 0, 1).copy())
+    p1, p2 = np.indices((m1, N))
+    return canonicalize((p1 + dp[0], p2 + dp[1]), m1, m2, N)
 
 
 @dataclass(frozen=True)
@@ -154,21 +152,20 @@ def label_table(torus):
 Gaps = namedtuple("Gaps", "a b c d e f")
 
 
+def _gaps(L, x, right, left, below_right, below, up_left, up):
+    """The six gaps of positions x given the positions of their six
+    neighbours, for ints or integer arrays alike (interlacing unchecked)."""
+    return Gaps(a=(right - x - 1) % L, b=(below_right - x - 1) % L, c=(x - below) % L,
+                d=(x - left - 1) % L, e=(x - up_left - 1) % L, f=(up - x) % L)
+
+
 def gap_columns(torus, pos):
     """The six gap counts of every label, as arrays of pos's shape, for integer
     positions pos[..., n] in label order (interlacing unchecked).  a, d count
     empty sites to the right/left neighbor on the same row, b, c locate the two
     interlacing partners in the row below, and e, f the two in the row above."""
     pos = np.asarray(pos)
-    L, nb = torus.L, label_table(torus).neighbors
-    return Gaps(
-        a=(pos[..., nb.right] - pos - 1) % L,
-        b=(pos[..., nb.below_right] - pos - 1) % L,
-        c=(pos - pos[..., nb.below]) % L,
-        d=(pos - pos[..., nb.left] - 1) % L,
-        e=(pos - pos[..., nb.up_left] - 1) % L,
-        f=(pos[..., nb.up] - pos) % L,
-    )
+    return _gaps(torus.L, pos, *(pos[..., col] for col in label_table(torus).neighbors))
 
 
 def check_interlacing(labels, g):
@@ -187,9 +184,11 @@ def label_positions(config):
 def neighbor_distances(config, p):
     """The six gap counts of particle p, as ints: the one-label view of
     gap_columns.  Raises ConfigError when p breaks interlacing."""
-    p = config.torus.canonical(p)
-    k = label_table(config.torus).index[p]
-    g = Gaps(*(int(col[k]) for col in gap_columns(config.torus, label_positions(config))))
+    torus, x = config.torus, config.positions
+    p = torus.canonical(p)
+    labels, index, nb = label_table(torus)
+    k = index[p]
+    g = _gaps(torus.L, x[p], *(x[labels[col[k]]] for col in nb))
     check_interlacing((p,), g)
     return g
 
@@ -242,11 +241,14 @@ def sector(config, start_label=(0, 0)):
 
 @lru_cache(maxsize=64)
 def _up_loop(torus, start):
-    """The indices of the up loop from index start, and of their up neighbours."""
+    """The indices of the up loop from index start, and of their up neighbours:
+    the two rows of one read-only array."""
     up, loop = label_table(torus).neighbors.up.tolist(), [start]
     while up[loop[-1]] != start:
         loop.append(up[loop[-1]])
-    return np.array(loop), np.array(loop[1:] + loop[:1])
+    loops = np.array([loop, loop[1:] + loop[:1]])
+    loops.flags.writeable = False
+    return loops
 
 
 def _up_winding(torus, pos, start=0):

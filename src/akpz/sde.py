@@ -313,7 +313,7 @@ def shift_field(xi, dp, m2):
     """Field of values xi[canonical(p + dp)], respecting the twisted vertical
     wrap of the quotient labels."""
     m = xi.shape[-1]
-    i1, i2 = neighbor_index(m, m, m2, tuple(dp))
+    i1, i2 = neighbor_index(m, m, m2, dp)
     return xi[..., i1, i2]
 
 

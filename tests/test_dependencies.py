@@ -1,13 +1,16 @@
 """The runtime dependency of akpz is numpy only, its configuration is its
 flags and config files (no module reads the environment), its modules
-import each other in layers, and only lattice reads a configuration's
-positions by label."""
+import each other in layers, only lattice reads a configuration's
+positions by label, and every cached function hands out read-only arrays."""
 
 import ast
+import dataclasses
+import importlib
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +86,67 @@ def test_pyproject_declares_numpy_as_the_only_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def _is_cache(node):
+    """Whether node is functools.lru_cache or functools.cache, bare or called."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in {"lru_cache", "cache"}
+
+
+def _cached_functions():
+    """(module, name) of every cached function in akpz: decorated, or bound
+    to the result of lru_cache(...)(function)."""
+    found = set()
+    for path in sorted((ROOT / "src" / "akpz").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(_is_cache, node.decorator_list)):
+                    found.add((path.stem, node.name))
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and _is_cache(node.value.func)):
+                found.update((path.stem, t.id) for t in node.targets)
+    return found
+
+
+def _arrays_in(value):
+    """The ndarrays in value, looking inside tuples, namedtuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays_in(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _arrays_in(getattr(value, f.name))
+
+
+def _cached_inputs():
+    """A small input for each cached function, by (module, name)."""
+    from akpz.lattice import TorusParams
+    from akpz.sde import ModelParams, drift_coeffs
+    torus, coeffs = TorusParams(L=8, N=3, m1=2, m2=2), drift_coeffs(ModelParams(C=0.75, D=1.5))
+    return {
+        ("lattice", "label_table"): (torus,),
+        ("lattice", "_up_loop"): (torus, 1),
+        ("ctmc", "_rate_kernel"): (torus, 0.5),
+        ("ctmc", "_log_qpoch"): (0.5, 3),
+        ("correlations", "_mode_table"): (8, 3, coeffs),
+        ("correlations", "_riemann_grid"): (coeffs, 16),
+    }
+
+
+def test_every_cached_function_hands_out_read_only_arrays():
+    # a cache hands the same result to every caller, so one caller's write
+    # would reach the next; a new cache needs an input listed here
+    inputs = _cached_inputs()
+    assert _cached_functions() == set(inputs)
+    total = 0
+    for (module, name), args in inputs.items():
+        result = getattr(importlib.import_module(f"akpz.{module}"), name)(*args)
+        for a in _arrays_in(result):
+            assert not a.flags.writeable, (module, name)
+            total += 1
+    assert total >= 6 + 1 + 8 + 5  # label_table, _up_loop, _mode_table, _riemann_grid

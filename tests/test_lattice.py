@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akpz import lattice
+from akpz.ctmc import simulate
 from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
                           StateSpaceError, TorusParams, canonicalize,
                           config_from_text, config_to_text, crystalline,
@@ -61,7 +62,18 @@ def test_canonicalize_partitions_box_into_m_squared_classes(m, data):
     assert len(classes) == m * m
 
 
-@pytest.mark.parametrize("m1, N, m2", [(2, 3, 1), (3, 4, 1), (4, 8, 2)])
+@pytest.mark.parametrize("m, m2, n", [(2, 1, 2), (4, 2, 4), (5, 3, 5), (2, 1, 3), (4, 3, 8),
+                                      (5, 4, 9)])
+def test_canonicalize_on_arrays_equals_the_scalar_calls(m, m2, n):
+    p1, p2 = np.mgrid[-2 * m:2 * m + 1, -2 * m:2 * m + 1]
+    c1, c2 = canonicalize((p1, p2), m, m2, n)
+    assert c1.shape == c2.shape == p1.shape
+    for a, b, want1, want2 in zip(p1.ravel().tolist(), p2.ravel().tolist(),
+                                  c1.ravel().tolist(), c2.ravel().tolist()):
+        assert canonicalize((a, b), m, m2, n) == (want1, want2)
+
+
+@pytest.mark.parametrize("m1, N, m2", [(2, 3, 1), (3, 4, 1), (4, 8, 2), (7, 7, 3), (5, 9, 4)])
 def test_neighbor_index_matches_canonicalize_on_non_square_tori(m1, N, m2):
     torus = TorusParams(L=4 * m1, N=N, m1=m1, m2=m2)
     # the integer view of the particle layer: index columns in label order
@@ -94,9 +106,12 @@ def test_label_table_arrays_are_read_only_copies_of_the_columns(dims):
 
 @pytest.mark.parametrize("m1, N, m2", [(0, 0, 1), (1, 1, 1), (4, 4, 0), (4, 4, 4)])
 def test_neighbor_index_rejects_a_degenerate_quotient(m1, N, m2):
-    # an empty field must not give an empty table: (0, 0, 1) used to build one
+    # an empty field must not give an empty table: (0, 0, 1) used to build one;
+    # the array form of canonicalize checks the quotient as the scalar one does
     with pytest.raises(ParameterError):
         neighbor_index(m1, N, m2, (1, 0))
+    with pytest.raises(ParameterError):
+        canonicalize((np.arange(3), np.arange(3)), m1, m2, N)
 
 
 def test_torus_params_ranges():
@@ -191,18 +206,25 @@ def test_validate_rejects_broken_interlacing():
 
 
 def test_gap_columns_match_neighbor_distances_for_any_leading_shape():
-    torus = TorusParams(L=6, N=4, m1=3, m2=1)
-    configs = enumerate_configs(torus)
-    labels = label_table(torus).labels
-    pos = np.array([[cfg.positions[p] for p in labels] for cfg in configs])
-    batch = gap_columns(torus, pos)
-    one = gap_columns(torus, pos[7])
-    for col, one_col in zip(batch, one):
-        assert col.shape == pos.shape and one_col.shape == (len(labels),)
-        assert np.array_equal(one_col, col[7])
-    for s, cfg in enumerate(configs):
-        for k, p in enumerate(labels):
-            assert neighbor_distances(cfg, p) == tuple(int(col[s, k]) for col in batch)
+    # every state of the 6x4 torus, and the states of a short run from the
+    # crystalline start of the dense L=64 cascade torus, whose reads wrap at L
+    small, dense = TorusParams(L=6, N=4, m1=3, m2=1), TorusParams(L=64, N=16, m1=16, m2=4)
+    run = simulate(crystalline(dense), 0.7, 2.0, seed=1, observe_every=0.5)
+    assert len(run.events) > 100
+    for torus, configs in ((small, enumerate_configs(small)),
+                           (dense, [ParticleConfig(dense, s) for _, s in run.samples])):
+        labels = label_table(torus).labels
+        pos = np.array([[cfg.positions[p] for p in labels] for cfg in configs])
+        batch = gap_columns(torus, pos)
+        one = gap_columns(torus, pos[-1])
+        for col, one_col in zip(batch, one):
+            assert col.shape == pos.shape and one_col.shape == (len(labels),)
+            assert np.array_equal(one_col, col[-1])
+        for s, cfg in enumerate(configs):
+            for k, p in enumerate(labels):
+                g = neighbor_distances(cfg, p)
+                assert all(type(v) is int for v in g)
+                assert g == tuple(int(col[s, k]) for col in batch)
 
 
 def test_enumeration_guard():
