@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .lattice import fourier_modes
-from .sde import drift_coeffs, spectral_data
+from .sde import drift_coeffs
 from .specfun import EULER_GAMMA, exp_integral_E1, heat_time_integral
 
 
@@ -516,9 +516,9 @@ def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:
                        "smoothed covariance")
 
 
-def _log_kernel_cell_average(delta, V, order=24):
-    """Average of log |V z| over the square cell [-delta/2, delta/2]^2."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _log_kernel_cell_average(delta, V):
+    """Average of log |V z| over the cell [-delta/2, delta/2]^2 (24-point Gauss-Legendre)."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     z = 0.5 * delta * nodes
     Z1, Z2 = np.meshgrid(z, z, indexing="ij")
     pts = np.stack([Z1, Z2], axis=-1) @ V.T
@@ -554,7 +554,7 @@ def gff_continuum_variance(phi, delta, spectral, params) -> float:
     return -params.v / (2 * math.pi * spectral.w) * total
 
 
-def gff_smoothed_variance(phi, delta, m, m2, params, spectral=None) -> GffVariance:
+def gff_smoothed_variance(phi, delta, m, m2, params, spectral) -> GffVariance:
     """Lattice variance of the smoothed gradient field next to its continuum
     log-kernel limit; the two converge as delta -> 0, m -> infinity."""
     _check_delta(delta)
@@ -562,8 +562,6 @@ def gff_smoothed_variance(phi, delta, m, m2, params, spectral=None) -> GffVarian
     if phi.shape != (m, m):
         raise ParameterError(f"phi grid must be ({m}, {m}), got {phi.shape}")
     _check_mean_zero(phi, delta)
-    if spectral is None:
-        spectral = spectral_data(drift_coeffs(params))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         continuum = gff_continuum_variance(phi, delta, spectral, params)
         try:

@@ -159,15 +159,19 @@ def _observation_times(T, every):
         yield T
 
 
-def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> Trajectory:
+def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     """Event-driven simulation: exponential waiting times with the total
     rate, trigger chosen proportionally to individual rates, cascades applied
     atomically.  Deterministic for a given seed.
 
     observe_every records position snapshots on a regular time grid that
     always holds t = 0 and t = T (only these two when observe_every = 0).
-    debug_validate rechecks the state and the incremental rates after each event.
+    It raises ConfigError on a start that lattice.validate rejects, and when its
+    rate table differs from a recomputation, made each 1024 events and at the end.
     """
+    report = validate(config)
+    if not report.ok:
+        raise ConfigError(f"start configuration invalid: {report.failures}")
     _check_q(q)
     if not 0 <= T < math.inf:
         raise ParameterError(f"T must be finite and >= 0, got {T}")
@@ -192,6 +196,12 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
 
     def snapshot():
         return dict(zip(keys, [pos[i] for i in key_index]))
+
+    def check_rates():
+        # the same kernel on the same positions: a complete touched set keeps every bit
+        for i, r in enumerate(rates):
+            if r != rate(pos, i):
+                raise ConfigError(f"stale rate of label {labels[i]}, t={t}: {r} != {rate(pos, i)}")
 
     # (trigger index, push length) -> (pushed labels, touched indices).  The
     # touched particles are those whose rate reads a moved one r: r and its
@@ -242,17 +252,11 @@ def simulate(config, q, T, seed=0, observe_every=None, debug_validate=False) -> 
             total += rates[i] - old
         events_since_resync += 1
         if events_since_resync >= 1024:
+            check_rates()
             total = sum(rates)
             events_since_resync = 0
 
-        if debug_validate:
-            report = validate(ParticleConfig(torus, snapshot()))
-            if not report.ok:
-                raise ConfigError(f"invalid state after event at t={t}: {report.failures}")
-            drift = max(abs(rate(pos, i) - rates[i]) for i in range(len(labels)))
-            if drift > 1e-12:
-                raise ConfigError(f"incremental rate table drifted by {drift}")
-
+    check_rates()
     traj.displacement = dict(zip(labels, displacement))
     traj.final = ParticleConfig(torus, snapshot())
     return traj

@@ -325,8 +325,8 @@ class SdeState:
     t: float
 
     @classmethod
-    def from_mapping(cls, mapping, m, m2, t=0.0):
-        """State from a map label -> value that names each of the m*m sites once."""
+    def from_mapping(cls, mapping, m, m2):
+        """State at t = 0 from a map label -> value that names each of the m*m sites once."""
         sites = {canonicalize(p, m, m2): val for p, val in mapping.items()}
         if not len(mapping) == len(sites) == m * m:
             raise ParameterError(f"{len(mapping)} labels name {len(sites)} of the {m * m} "
@@ -334,7 +334,7 @@ class SdeState:
         xi = np.zeros((m, m))
         for q, val in sites.items():
             xi[q] = val
-        return cls(xi=xi, t=t)
+        return cls(xi=xi, t=0.0)
 
 
 def step_count(T, dt, name="T"):

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from akpz.ctmc import (DomainError, apply_jump, build_generator, check_stationar
                        gaussian_log_weight, jump_rate, log_q_pochhammer,
                        log_stationary_weight, push_set, simulate,
                        stationary_distribution)
-from akpz.lattice import (ConfigError, ParameterError, ParticleConfig, TorusParams,
-                          crystalline, enumerate_configs, label_table, neighbor_distances,
-                          sector, validate)
+from akpz.lattice import (STENCIL, ConfigError, ParameterError, ParticleConfig, TorusParams,
+                          crystalline, enumerate_configs, label_positions, label_table,
+                          neighbor_distances, sector, validate)
 from akpz.sde import ModelParams
 
 TORUS = TorusParams(L=4, N=3, m1=2, m2=1)
@@ -337,6 +339,16 @@ def test_simulate_rejects_bad_horizon_and_grid(T, every):
         simulate(configs()[0], 0.5, T, seed=0, observe_every=every)
 
 
+@pytest.mark.parametrize("x, failure", [(2, "interlacing violated at label (0, 0)"),
+                                        (7, "position 7 outside [0, 4)")])
+def test_simulate_rejects_an_invalid_start(x, failure):
+    # (0, 0) at 2 lies right of its up-right partner (0, 1) at 0; 7 is off the L = 4 ring
+    start = ParticleConfig(TORUS, {**configs()[0].positions, (0, 0): x})
+    message = f"start configuration invalid: ['{failure}']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        simulate(start, 0.7, 25.0, seed=8)
+
+
 def test_simulate_zero_horizon_grid_holds_the_start():
     for every in (0.0, 1.0):
         traj = simulate(configs()[0], 0.5, 0.0, seed=3, observe_every=every)
@@ -344,7 +356,7 @@ def test_simulate_zero_horizon_grid_holds_the_start():
 
 
 def test_simulate_event_times_increasing_and_states_valid():
-    traj = simulate(configs()[0], 0.5, 30.0, seed=4, debug_validate=True)
+    traj = simulate(configs()[0], 0.5, 30.0, seed=4)
     times = [ev.time for ev in traj.events]
     assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
     assert validate(traj.final).ok
@@ -487,30 +499,61 @@ def test_exact_weight_differences_approach_gaussian_form():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_incremental_rate_table_consistent_with_recomputation():
-    # debug mode checks the incremental table against fresh rates after
-    # every event and raises on drift; replaying the recorded triggers with
-    # apply_jump, the jump the generator uses, gives the same pushes and
-    # the same final state as the simulator's in-place updates
-    start = configs()[0]
-    traj = simulate(start, 0.7, 25.0, seed=8, debug_validate=True)
-    assert traj.events
-    cfg = start
-    for e in traj.events:
-        assert push_set(cfg, e.trigger) == set(e.pushed)
-        cfg = apply_jump(cfg, e.trigger)
-    assert cfg.positions == traj.final.positions
-
-
 CASCADE_TORUS = TorusParams(L=32, N=8, m1=8, m2=2)
 
 
-def test_simulate_debug_validate_on_long_cascades():
-    # the touched set after an event is derived from the neighbour table;
-    # on this torus pushes move up to 4 particles, unlike the 4x3 torus
-    traj = simulate(crystalline(CASCADE_TORUS), 0.7, 5.0, seed=1, debug_validate=True)
-    assert max(len(e.pushed) for e in traj.events) >= 3
-    assert validate(traj.final).ok
+@pytest.mark.parametrize("start, T, seed, longest_push", [
+    (configs()[0], 25.0, 8, 2), (crystalline(CASCADE_TORUS), 5.0, 1, 3)], ids=["4x3", "cascade"])
+def test_simulate_events_replay_through_apply_jump(start, T, seed, longest_push):
+    # replaying the recorded triggers with apply_jump, the jump the generator
+    # uses, gives the recorded pushes, valid states and the final state; and
+    # an event changes only the rates that read a moved label r, the rates of
+    # r and of the labels whose below-right, below or left neighbour is r
+    q, torus = 0.7, start.torus
+    traj = simulate(start, q, T, seed=seed)
+    assert max(len(e.pushed) for e in traj.events) >= longest_push
+    labels = label_table(torus).labels
+    readers = [(0, 0), STENCIL.below_right, STENCIL.below, STENCIL.left]
+    cfg, rates = start, ctmc._rates(torus, q, label_positions(start))
+    for e in traj.events:
+        assert push_set(cfg, e.trigger) == set(e.pushed)
+        cfg = apply_jump(cfg, e.trigger)
+        assert validate(cfg).ok
+        new = ctmc._rates(torus, q, label_positions(cfg))
+        stencil = {torus.canonical((r1 - d1, r2 - d2))
+                   for r1, r2 in e.pushed for d1, d2 in readers}
+        assert {labels[i] for i in np.flatnonzero(new != rates)} <= stencil
+        rates = new
+    assert cfg.positions == traj.final.positions
+
+
+def _unsteady_rate_of_first_label(monkeypatch):
+    # each call for label (0, 0) returns its rate plus 1e-9 times the number
+    # of earlier calls, so no stored value matches a recomputation, as a
+    # table entry that an event failed to refresh would not
+    kernel = ctmc._rate_kernel
+
+    def unsteady(torus, q):
+        rate, calls = kernel(torus, q), itertools.count()
+        return lambda pos, i: rate(pos, i) + (1e-9 * next(calls) if i == 0 else 0.0)
+    monkeypatch.setattr(ctmc, "_rate_kernel", unsteady)
+
+
+def test_simulate_rechecks_its_rate_table_at_the_end(monkeypatch):
+    assert len(simulate(configs()[0], 0.7, 25.0, seed=8).events) < 1024
+    _unsteady_rate_of_first_label(monkeypatch)
+    with pytest.raises(ConfigError, match=re.escape("stale rate of label (0, 0), t=")):
+        simulate(configs()[0], 0.7, 25.0, seed=8)
+
+
+def test_simulate_rechecks_its_rate_table_at_each_resync(monkeypatch):
+    # unpatched, this run has 5,916 events by T = 30 and its 1024th near
+    # t = 5.1, so the first resync raises long before the end check could
+    dense = crystalline(TorusParams(L=64, N=16, m1=16, m2=4))
+    _unsteady_rate_of_first_label(monkeypatch)
+    with pytest.raises(ConfigError, match=re.escape("stale rate of label (0, 0), t=")) as err:
+        simulate(dense, 0.7, 30.0, seed=1)
+    assert float(re.search(r"t=([^:]+):", str(err.value)).group(1)) < 15.0
 
 
 def test_jump_record_is_an_immutable_named_tuple():

@@ -1,7 +1,9 @@
 """The runtime dependency of akpz is numpy only, its configuration is its
 flags and config files (no module reads the environment), its modules
 import each other in layers, only lattice reads a configuration's
-positions by label, and every cached function hands out read-only arrays."""
+positions by label, every cached function hands out read-only arrays, and
+every defaulted parameter of an engine function is set by some call in
+src/akpz or bench, bar a listed few that only tests set."""
 
 import ast
 import dataclasses
@@ -150,3 +152,61 @@ def test_every_cached_function_hands_out_read_only_arrays():
             assert not a.flags.writeable, (module, name)
             total += 1
     assert total >= 6 + 1 + 8 + 5  # label_table, _up_loop, _mode_table, _riemann_grid
+
+
+ENGINE = ("lattice", "ctmc", "sde", "correlations", "specfun")
+
+# the defaulted engine parameters that only tests set, each with its reason
+_REFINEMENT = ("tests reach refinement failures and odd-m starts through them, "
+               "and criterion 11(b) uses tol=1e-5")
+TEST_ONLY_OPTIONS = {
+    **{(fn, name): _REFINEMENT for fn in ("covariance_quadrature", "stationary_cov_infinite")
+       for name in ("tol", "m_start", "m_max")},
+    ("euler_maruyama", "noise"): ("the pinned no-noise EM digest and "
+                                  "test_euler_maruyama_kills_constants"),
+    ("sector", "start_label"): "the start-independence test",
+}
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) of each defaulted parameter of a
+    function in tree; position counts from 0 past self or cls, and is None
+    for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            pos = args.posonlyargs + args.args
+            skip = int(bool(pos) and pos[0].arg in ("self", "cls"))
+            for k in range(len(pos) - len(args.defaults), len(pos)):
+                yield node.name, pos[k].arg, k - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _sets(call, name, position):
+    """Whether call passes the parameter name at position: by position, by
+    keyword, or through *args or **kwargs."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def test_every_engine_option_has_a_caller():
+    # an option that no program sets is a constant; the sources are parsed,
+    # never imported, and calls are matched by name or by attribute
+    paths = sorted((ROOT / "src" / "akpz").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    engine = [tree for path, tree in trees.items()
+              if path.parent.name == "akpz" and path.stem in ENGINE]
+    has_caller = {(fn, name): any(_sets(call, name, position) for call in calls.get(fn, ()))
+                  for tree in engine for fn, name, position in _defaulted_parameters(tree)}
+    assert set(TEST_ONLY_OPTIONS) <= set(has_caller)
+    assert {option for option, set_ in has_caller.items() if not set_} == set(TEST_ONLY_OPTIONS)
