@@ -99,9 +99,6 @@ class ExperimentConfig:
     experiment: str
     values: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
 
 def _parse_value(key, typ, text):
     """The value of `key` written as `text`, checked against its type and range."""

@@ -103,10 +103,11 @@ def _spectral_grid(coeffs, K1, twist, K2, weights, origin):
 
 @functools.lru_cache(maxsize=4)  # 16 m^2 bytes each, 16 MB at m=1024
 def _mode_table(m, m2, coeffs):
-    """The FourierModeSet of (m, m2) and its SpectralGrid (weight 1, k = 0 at
-    row and column m//2), built once per (m, m2, coeffs) and shared read-only."""
+    """The FourierModeSet of (m, m2) and its SpectralGrid (weight 1, origin at
+    zero_index), built once per (m, m2, coeffs) and shared read-only."""
     modes = fourier_modes(m, m2)
-    return modes, _spectral_grid(coeffs, modes.K1, modes.twist, modes.K2, 1.0, (m // 2, m // 2))
+    origin = divmod(modes.zero_index, m)
+    return modes, _spectral_grid(coeffs, modes.K1, modes.twist, modes.K2, 1.0, origin)
 
 
 def _amplitude(grid, s, tau):
@@ -506,12 +507,17 @@ def _smoothed_transform(phi, delta, modes):
     return delta ** 2 * (modes.m * shift * np.conj(modes.field_transform(phi)) - float(phi.sum()))
 
 
-def gff_lattice_bilinear(phi1, phi2, delta, m, m2, params) -> float:
-    """Stationary covariance of two smoothed gradient fields on the m x m
-    label set; positive semidefinite as a quadratic form."""
+def gff_lattice_bilinear(phi1, phi2, delta, m2, params) -> float:
+    """Stationary covariance of two smoothed gradient fields of one (m, m) shape
+    on the m x m label set; positive semidefinite as a quadratic form."""
+    phi1, phi2 = np.asarray(phi1, dtype=float), np.asarray(phi2, dtype=float)
+    if phi1.ndim != 2 or phi1.shape[0] != phi1.shape[1] or phi2.shape != phi1.shape:
+        raise ParameterError(f"fields must share one (m, m) shape, got {phi1.shape} "
+                             f"and {phi2.shape}")
+    m = len(phi1)
     modes, grid = _mode_table(m, m2, drift_coeffs(params))
-    s1 = _smoothed_transform(np.asarray(phi1, dtype=float), delta, modes)
-    s2 = s1 if phi2 is phi1 else _smoothed_transform(np.asarray(phi2, dtype=float), delta, modes)
+    s1 = _smoothed_transform(phi1, delta, modes)
+    s2 = s1 if phi2 is phi1 else _smoothed_transform(phi2, delta, modes)
     return _real_value(-params.v / m ** 2 * np.sum(s1 * np.conj(s2) * grid.rinv.ravel()),
                        "smoothed covariance")
 
@@ -565,7 +571,7 @@ def gff_smoothed_variance(phi, delta, m, m2, params, spectral) -> GffVariance:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         continuum = gff_continuum_variance(phi, delta, spectral, params)
         try:
-            lattice = gff_lattice_bilinear(phi, phi, delta, m, m2, params)
+            lattice = gff_lattice_bilinear(phi, phi, delta, m2, params)
         except AccuracyError:  # s conj(s) is real, so only a non-finite sum lands here
             lattice = math.nan
     if not (math.isfinite(lattice) and math.isfinite(continuum)):

@@ -8,9 +8,9 @@ is stationary; a brute-force generator over enumerated configurations makes
 that checkable to rounding error on small tori.  Rates, push walks and
 weights read the index columns of lattice.label_table and its gap formulas.
 Rates and push walks come in twins that agree bit for bit: scalar ones
-(_rate_kernel, _push_walk) that simulate calls once per event, and array
-ones (_rates, _masked_push_walk) over a (states, labels) position array on
-which the generator is built.
+(_rate_kernel, _push_walk) that simulate calls once per event, and ones on
+gaps or arrays (_rates, _masked_push_walk), from which jump_rate and the
+generator are built.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, ParameterError
 from .lattice import (ParticleConfig, check_interlacing, enumerate_configs, fourier_modes,
                       gap_columns, label_positions, label_table, neighbor_distances, validate)
-from .sde import SdeState, _f, shift_field, symbol_Q
+from .sde import _f, _square_fields, shift_field, symbol_Q
 
 
 def _check_q(q):
@@ -72,20 +72,16 @@ def _rate_kernel(torus, q):
     return rate
 
 
-def _rates(torus, q, pos):
-    """The rate of every label for integer positions pos[..., n] in label
-    order (unchecked): _rate_kernel's formula on the gap columns, bit for bit."""
-    qp = np.array(_q_powers(q, torus.L))
-    g = gap_columns(torus, pos)
+def _rates(q, L, g):
+    """The rates for gaps g, period L: one per label from the arrays of gap_columns,
+    one from the ints of neighbor_distances; _rate_kernel's formula, bit for bit."""
+    qp = np.array(_q_powers(q, L))
     return (1 - qp[g.b]) * (1 - qp[g.d + 1]) / (1 - qp[g.c + 1])
 
 
 def jump_rate(config, p, q: float) -> float:
     """Clock rate of particle p; zero exactly when the diagonal gap b is zero."""
-    p = config.torus.canonical(p)
-    neighbor_distances(config, p)  # raises on violated interlacing
-    index = label_table(config.torus).index
-    return _rate_kernel(config.torus, q)(label_positions(config), index[p])
+    return float(_rates(q, config.torus.L, neighbor_distances(config, p)))
 
 
 def push_set(config, p):
@@ -319,7 +315,7 @@ def build_generator(torus, q) -> GeneratorMatrix:
     order = np.argsort(keys)
     # the target state: the moved particles one site further right
     targets = keys[:, None] ^ _masked_push_walk(pos, nb.up, flip)
-    rates = _rates(torus, q, pos)
+    rates = _rates(q, L, gap_columns(torus, pos))
     i, k = np.nonzero(rates > 0)
     n = len(states)
     Q = np.zeros((n, n))
@@ -351,13 +347,11 @@ def gaussian_log_weight(etas, params, m2, mode="direct") -> float:
     state, normalized so that differences match log Gibbs-weight differences
     as the lattice spacing refines.
 
-    mode='direct' evaluates the three gradient-squared sums; mode='fourier'
-    evaluates sum_k |hat(eta)_k|^2 Q(k).  The two agree to rounding.
+    etas is indexed [..., p1, p2] on an m x m quotient, m read from its
+    shape.  mode='direct' evaluates the three gradient-squared sums;
+    mode='fourier' evaluates sum_k |hat(eta)_k|^2 Q(k), to rounding the same.
     """
-    if isinstance(etas, dict):
-        # from_mapping rejects a count that is not m*m and a repeated site
-        etas = SdeState.from_mapping(etas, math.isqrt(len(etas)), m2).xi
-    etas = np.asarray(etas, dtype=float)
+    etas = _square_fields(etas)
     m = etas.shape[-1]
     if mode == "direct":
         gd = etas - shift_field(etas, (1, 0), m2)

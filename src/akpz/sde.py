@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, ParameterError
-from .lattice import canonicalize, neighbor_index
+from .lattice import neighbor_index
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,6 @@ class DriftCoeffs:
     @property
     def diag(self):
         return self.d1 - self.d2 - self.d3
-
-    @property
-    def row_sum(self):
-        return self.diag + self.d2 - self.d1 + self.d3
 
     @property
     def inf_norm(self):
@@ -317,24 +313,21 @@ def shift_field(xi, dp, m2):
     return xi[..., i1, i2]
 
 
+def _square_fields(xi):
+    """xi as a float array of fields indexed [..., p1, p2] on an m x m quotient."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim < 2 or xi.shape[-2] != xi.shape[-1]:
+        raise ParameterError(f"fields must be indexed [..., p1, p2] on an m x m quotient, "
+                             f"got shape {xi.shape}")
+    return xi
+
+
 @dataclass
 class SdeState:
     """Fluctuation field indexed [p1, p2] plus the current time."""
 
     xi: np.ndarray
     t: float
-
-    @classmethod
-    def from_mapping(cls, mapping, m, m2):
-        """State at t = 0 from a map label -> value that names each of the m*m sites once."""
-        sites = {canonicalize(p, m, m2): val for p, val in mapping.items()}
-        if not len(mapping) == len(sites) == m * m:
-            raise ParameterError(f"{len(mapping)} labels name {len(sites)} of the {m * m} "
-                                 f"sites of an {m}x{m} field")
-        xi = np.zeros((m, m))
-        for q, val in sites.items():
-            xi[q] = val
-        return cls(xi=xi, t=0.0)
 
 
 def step_count(T, dt, name="T"):
@@ -389,10 +382,7 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
             or nsteps < 0 or min(want) < 0 or max(want) > nsteps):
         raise ParameterError(f"snapshot steps must be integers in [0, {nsteps}], "
                              f"got {snapshot_steps}")
-    xi0 = np.asarray(xi0, dtype=float)
-    if xi0.ndim < 2 or xi0.shape[-2] != xi0.shape[-1]:
-        raise ParameterError(f"fields must be indexed [..., p1, p2] on an m x m quotient, "
-                             f"got shape {xi0.shape}")
+    xi0 = _square_fields(xi0)
     if replicas is not None and not (isinstance(replicas, (int, np.integer)) and replicas >= 0):
         raise ParameterError(f"replicas must be an integer >= 0, got {replicas}")
     if xi0.ndim == 2:

@@ -23,8 +23,7 @@ from akpz.sde import ModelParams, finite_eps_speed
 def test_parse_config_minimal():
     cfg = parse_config("C = 0.5\nD = 1.5\nexperiment = drift-check\n")
     assert cfg.experiment == "drift-check"
-    assert cfg.get("C") == 0.5
-    assert cfg.get("D") == 1.5
+    assert cfg.values == {"C": 0.5, "D": 1.5}
 
 
 def test_parse_config_ignores_blank_and_comment_lines():

@@ -353,10 +353,10 @@ def test_gff_polarization_identity_exact():
     rng = np.random.default_rng(3)
     p1 = _random_sparse_mean_zero(m, rng)
     p2 = _random_sparse_mean_zero(m, rng)
-    b12 = gff_lattice_bilinear(p1, p2, delta, m, m2, PARAMS)
-    q11 = gff_lattice_bilinear(p1, p1, delta, m, m2, PARAMS)
-    q22 = gff_lattice_bilinear(p2, p2, delta, m, m2, PARAMS)
-    qdd = gff_lattice_bilinear(p1 - p2, p1 - p2, delta, m, m2, PARAMS)
+    b12 = gff_lattice_bilinear(p1, p2, delta, m2, PARAMS)
+    q11 = gff_lattice_bilinear(p1, p1, delta, m2, PARAMS)
+    q22 = gff_lattice_bilinear(p2, p2, delta, m2, PARAMS)
+    qdd = gff_lattice_bilinear(p1 - p2, p1 - p2, delta, m2, PARAMS)
     assert 2 * b12 == pytest.approx(q11 + q22 - qdd, abs=1e-10)
 
 
@@ -365,7 +365,16 @@ def test_gff_quadratic_form_positive_semidefinite():
     rng = np.random.default_rng(29)
     for _ in range(20):
         phi = _random_sparse_mean_zero(m, rng)
-        assert gff_lattice_bilinear(phi, phi, delta, m, m2, PARAMS) >= 0
+        assert gff_lattice_bilinear(phi, phi, delta, m2, PARAMS) >= 0
+
+
+def test_gff_lattice_bilinear_rejects_fields_of_no_one_square_shape():
+    # m is read from the fields, so a pair that fixes no one m is rejected
+    phi = two_bump_test_function(0.25, 32)
+    with pytest.raises(ParameterError, match=r"one \(m, m\) shape, got \(32, 1\)"):
+        gff_lattice_bilinear(phi[:, :1], phi[:, :1], 0.25, 7, PARAMS)
+    with pytest.raises(ParameterError, match=r"got \(32, 32\) and \(16, 16\)"):
+        gff_lattice_bilinear(phi, phi[:16, :16], 0.25, 7, PARAMS)
 
 
 def test_gff_continuum_value_from_direct_double_sum():
@@ -428,7 +437,7 @@ def _twisted_set_values(C, D):
     phi = two_bump_test_function(delta, m)
     out.append(gff_smoothed_variance(phi, delta, m, 7, params, spectral))
     psi = _random_sparse_mean_zero(m, np.random.default_rng(5))
-    out.append(gff_lattice_bilinear(phi, psi, delta, m, 13, params))
+    out.append(gff_lattice_bilinear(phi, psi, delta, 13, params))
     return out
 
 

@@ -222,8 +222,8 @@ def test_gff_lattice_route_matches_recorded_values(C, D):
     phi = two_bump_test_function(delta, m)
     psi = _random_sparse_mean_zero(m, np.random.default_rng(5))
     same, other = RECORDED_GFF[C, D]
-    _assert_close(gff_lattice_bilinear(phi, phi, delta, m, 7, params), same)
-    _assert_close(gff_lattice_bilinear(phi, psi, delta, m, 13, params), other)
+    _assert_close(gff_lattice_bilinear(phi, phi, delta, 7, params), same)
+    _assert_close(gff_lattice_bilinear(phi, psi, delta, 13, params), other)
 
 
 def test_refinement_failures_keep_their_messages():

@@ -12,8 +12,8 @@ from akpz.ctmc import (DomainError, apply_jump, build_generator, check_stationar
                        log_stationary_weight, push_set, simulate,
                        stationary_distribution)
 from akpz.lattice import (STENCIL, ConfigError, ParameterError, ParticleConfig, TorusParams,
-                          crystalline, enumerate_configs, label_positions, label_table,
-                          neighbor_distances, sector, validate)
+                          crystalline, enumerate_configs, gap_columns, label_positions,
+                          label_table, neighbor_distances, sector, validate)
 from akpz.sde import ModelParams
 
 TORUS = TorusParams(L=4, N=3, m1=2, m2=1)
@@ -282,7 +282,7 @@ def test_array_rate_and_masked_walk_match_the_scalar_twins():
         for q in (0.0, 0.3, 0.6):
             rate = ctmc._rate_kernel(torus, q)
             want = np.array([[rate(xs, k) for k in range(len(labels))] for xs in states])
-            assert ctmc._rates(torus, q, pos).tobytes() == want.tobytes()
+            assert ctmc._rates(q, torus.L, gap_columns(torus, pos)).tobytes() == want.tobytes()
         bits = np.broadcast_to(1 << np.arange(len(labels)), pos.shape)
         masks = ctmc._masked_push_walk(pos, nb.up, bits)
         lengths = []
@@ -452,27 +452,12 @@ def test_gaussian_log_weight_direct_matches_fourier():
         assert direct == pytest.approx(fourier, abs=1e-12)
 
 
-def test_gaussian_log_weight_accepts_label_mapping():
+@pytest.mark.parametrize("mode", ["direct", "fourier"])
+@pytest.mark.parametrize("shape", [(4, 5), (16,)], ids=["4x5", "1d"])
+def test_gaussian_log_weight_rejects_a_field_that_is_not_square(mode, shape):
     params = ModelParams(C=0.75, D=1.5)
-    rng = np.random.default_rng(2)
-    eta = rng.normal(size=(2, 2))
-    mapping = {(p1, p2): eta[p1, p2] for p1 in range(2) for p2 in range(2)}
-    assert gaussian_log_weight(mapping, params, 1) == pytest.approx(
-        gaussian_log_weight(eta, params, 1), rel=1e-14)
-
-
-def test_gaussian_log_weight_rejects_a_mapping_that_misses_or_repeats_a_site():
-    params = ModelParams(C=0.75, D=1.5)
-    labels = [(p1, p2) for p1 in range(4) for p2 in range(4)]
-    with pytest.raises(ParameterError, match="15 labels name 9 of the 9 sites"):
-        gaussian_log_weight(dict.fromkeys(labels[:-1], 1.0), params, 2)
-    grid_4x5 = {(p1, p2): 1.0 for p1 in range(4) for p2 in range(5)}
-    with pytest.raises(ParameterError, match="20 labels name 16 of the 16 sites"):
-        gaussian_log_weight(grid_4x5, params, 2)
-    # (0, 4) is the site (2, 0) again on the m2 = 2 quotient; (3, 3) is left out
-    colliding = dict.fromkeys(labels[:-1] + [(0, 4)], 1.0)
-    with pytest.raises(ParameterError, match="16 labels name 15 of the 16 sites"):
-        gaussian_log_weight(colliding, params, 2)
+    with pytest.raises(ParameterError, match=re.escape(f"m x m quotient, got shape {shape}")):
+        gaussian_log_weight(np.ones(shape), params, 2, mode=mode)
 
 
 def test_exact_weight_differences_approach_gaussian_form():
@@ -514,12 +499,12 @@ def test_simulate_events_replay_through_apply_jump(start, T, seed, longest_push)
     assert max(len(e.pushed) for e in traj.events) >= longest_push
     labels = label_table(torus).labels
     readers = [(0, 0), STENCIL.below_right, STENCIL.below, STENCIL.left]
-    cfg, rates = start, ctmc._rates(torus, q, label_positions(start))
+    cfg, rates = start, ctmc._rates(q, torus.L, gap_columns(torus, label_positions(start)))
     for e in traj.events:
         assert push_set(cfg, e.trigger) == set(e.pushed)
         cfg = apply_jump(cfg, e.trigger)
         assert validate(cfg).ok
-        new = ctmc._rates(torus, q, label_positions(cfg))
+        new = ctmc._rates(q, torus.L, gap_columns(torus, label_positions(cfg)))
         stencil = {torus.canonical((r1 - d1, r2 - d2))
                    for r1, r2 in e.pushed for d1, d2 in readers}
         assert {labels[i] for i in np.flatnonzero(new != rates)} <= stencil

@@ -1,9 +1,10 @@
 """The runtime dependency of akpz is numpy only, its configuration is its
 flags and config files (no module reads the environment), its modules
 import each other in layers, only lattice reads a configuration's
-positions by label, every cached function hands out read-only arrays, and
+positions by label, every cached function hands out read-only arrays,
 every defaulted parameter of an engine function is set by some call in
-src/akpz or bench, bar a listed few that only tests set."""
+src/akpz or bench, and every engine function, method and property is
+named there, bar a listed few that only tests set or read."""
 
 import ast
 import dataclasses
@@ -210,3 +211,41 @@ def test_every_engine_option_has_a_caller():
                   for tree in engine for fn, name, position in _defaulted_parameters(tree)}
     assert set(TEST_ONLY_OPTIONS) <= set(has_caller)
     assert {option for option, set_ in has_caller.items() if not set_} == set(TEST_ONLY_OPTIONS)
+
+
+# the engine functions, methods and properties that only tests read, each with its reason
+_ORACLE = "the one-label oracle that the generator and simulate are checked against"
+TEST_REFERENCES = {
+    "jump_rate": _ORACLE,
+    "apply_jump": _ORACLE,
+    "log_stationary_weight": _ORACLE,
+    "sector": "the start-independence test",
+    "occupancy": "tests match states by it",
+    "basis_matrix": "the dense reference of field_transform",
+    "symbol_W": "the small-k form that symbol_R is checked against",
+}
+
+
+def test_every_engine_member_has_a_program_reader():
+    # a member that no program reads is dead code; a name counts when src/akpz
+    # (bar the re-exports of __init__) or bench names it as a variable, an
+    # attribute or an import
+    paths = sorted((ROOT / "src" / "akpz").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    named, members = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent.name == "akpz" and path.stem in ENGINE:
+            members.update(node.name for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not node.name.startswith("__"))
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert set(TEST_REFERENCES) <= members
+    assert members - named == set(TEST_REFERENCES)

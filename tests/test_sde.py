@@ -55,11 +55,6 @@ def test_model_params_domain():
             ModelParams(C=C, D=D)
 
 
-def test_drift_row_sums_vanish():
-    for p in random_params(100):
-        assert abs(drift_coeffs(p).row_sum) < 1e-14
-
-
 def test_drift_coeffs_positive():
     co = drift_coeffs(ModelParams(C=0.5, D=1.5))
     assert co.d1 > 0 and co.d2 > 0 and co.d3 > 0
@@ -86,7 +81,8 @@ def test_drift_matches_microscopic_rate_linearization():
 
 
 def test_symbol_A_zero_mean():
-    for p in random_params(20, seed=3):
+    # A(0) is the row sum of the drift stencil
+    for p in random_params(20, seed=3) + random_params(100):
         co = drift_coeffs(p)
         assert abs(symbol_A(np.zeros(2), co)) < 1e-14
 
