@@ -4,7 +4,7 @@ Subcommands:
     akpz ctmc                particle-system trajectory to CSV
     akpz sde                 Euler-Maruyama trajectories to CSV
     akpz cov                 covariance queries (finite / quad / kernel / asymptotic)
-    akpz validate            structural property report for the drift symbol
+    akpz validate            recipe symbol-properties (drift-symbol checks), its keys as flags
     akpz oracle-stationarity recipe stationarity-oracle, its keys as flags
     akpz she-check           recipe cor3-she (additive heat equation limit), its keys as flags
     akpz gff                 recipe gff-variance (lattice vs continuum), its keys as flags
@@ -183,6 +183,13 @@ class ComparisonReport:
 
 # ---------------------------------------------------------------------------
 # recipes
+
+def recipe_symbol_properties(C: float = 0.5, D: float = 1.5):
+    report = ComparisonReport("symbol-properties")
+    for check in sde.validate_symbol_properties(ModelParams(C=C, D=D)):
+        report.add(check.name, check.worst, 0.0, check.tol, passed=check.worst <= check.tol)
+    return report
+
 
 def recipe_stationarity_oracle(L: int = 4, N: int = 3, m1: int = 2, m2: int = 1,
                                q: float = None, tol: float = 1e-10, out: str = None):
@@ -408,6 +415,7 @@ def recipe_qpoch_asymptotics(tol: float = 1e-2, out: str = None):
 
 
 _RECIPES = {
+    "symbol-properties": recipe_symbol_properties,
     "stationarity-oracle": recipe_stationarity_oracle,
     "drift-check": recipe_drift_check,
     "sde-vs-exact": recipe_sde_vs_exact,
@@ -531,15 +539,8 @@ def cmd_cov(*, C: float, D: float, m: int = None, m2: int = None, t: float, s: f
     return 0
 
 
-def cmd_validate(*, C: float, D: float):
-    """Report the structural properties of the drift symbol."""
-    report = sde.validate_symbol_properties(ModelParams(C=C, D=D))
-    print("\n".join(report.lines()))
-    return 0 if report.ok else 1
-
-
 # Subcommands that call one function with its keyword parameters as flags.
-_COMMANDS = {"ctmc": cmd_ctmc, "sde": cmd_sde, "cov": cmd_cov, "validate": cmd_validate}
+_COMMANDS = {"ctmc": cmd_ctmc, "sde": cmd_sde, "cov": cmd_cov}
 
 
 def _gff_lines(report):
@@ -555,6 +556,7 @@ _ALIASES = {
         f"stationarity residual: {_fmt(r.value_a)}" for r in report.rows]),
     "she-check": ("cor3-she", ComparisonReport.lines),
     "gff": ("gff-variance", _gff_lines),
+    "validate": ("symbol-properties", ComparisonReport.lines),
 }
 
 
@@ -581,9 +583,7 @@ def cmd_run(args):
 
 
 def cmd_all(args):
-    prop = sde.validate_symbol_properties(ModelParams(C=0.5, D=1.5))
-    print("\n".join(prop.lines()))
-    failures = 0 if prop.ok else 1
+    failures = 0
     for name in EXPERIMENTS:
         report = run_experiment(ExperimentConfig(name))
         print("\n".join(report.lines()))

@@ -510,6 +510,7 @@ def _smoothed_transform(phi, delta, modes):
 def gff_lattice_bilinear(phi1, phi2, delta, m2, params) -> float:
     """Stationary covariance of two smoothed gradient fields of one (m, m) shape
     on the m x m label set; positive semidefinite as a quadratic form."""
+    _check_delta(delta)
     phi1, phi2 = np.asarray(phi1, dtype=float), np.asarray(phi2, dtype=float)
     if phi1.ndim != 2 or phi1.shape[0] != phi1.shape[1] or phi2.shape != phi1.shape:
         raise ParameterError(f"fields must share one (m, m) shape, got {phi1.shape} "
@@ -540,6 +541,7 @@ def gff_continuum_variance(phi, delta, spectral, params) -> float:
     Midpoint rule off the diagonal; the diagonal cell uses the exact cell
     average of the log kernel.
     """
+    _check_delta(delta)
     phi = np.asarray(phi, dtype=float)
     m = phi.shape[0]
     size = 2 * m

@@ -3,8 +3,8 @@ one test per criterion, each printing a summary line with the measured
 numbers.  Run with `pytest tests/test_acceptance.py -s` to see all lines.
 
 A criterion that `akpz all` checks (01, 05, 06, 08, 09, 10, 11(c), 12) reads
-its numbers from the recipe or property report that `akpz all` prints, at the
-same keys, and re-checks each row: the row's tolerance is the one the
+its numbers from the recipe report that `akpz all` prints, at the same keys,
+and re-checks each row: the row's tolerance is the one the
 criterion states, and its pass flag follows from its values.  Criteria 02,
 03, 04, 07, 11(a) and 11(b) compute their own numbers.
 """
@@ -24,7 +24,7 @@ from akpz.correlations import (CovarianceQuery, FourPointQuery, covariance_finit
 from akpz.lattice import TorusParams, crystalline, neighbor_distances
 from akpz.sde import (ModelParams, drift_coeffs, euler_maruyama_ensemble, shift_field,
                       spectral_data, symbol_A, symbol_Q, symbol_R, appendix_delta,
-                      det_hessian_closed_form, validate_symbol_properties)
+                      det_hessian_closed_form)
 
 
 def report(number, name, passed, detail):
@@ -190,14 +190,12 @@ def test_criterion_05_ctmc_drift(tmp_path):
 
 
 def test_criterion_06_characteristic_identity():
-    # the speed-gradient check of the property report `akpz all` prints first
-    check, = [c for c in validate_symbol_properties(ModelParams(C=0.5, D=1.5)).checks
-              if c.name == "speed_gradient_matches_U"]
-    assert check.tol == 1e-6
-    ok = check.worst <= 1e-6
-    assert check.passed == ok
+    row, = [r for r in recipe_rows("symbol-properties")
+            if r.label == "speed_gradient_matches_U"]
+    assert row.value_b == 0.0  # a relative error, so |worst - 0| <= tol is worst <= tol
+    ok = within(row, 1e-6)
     report(6, "speed gradient equals characteristic direction", ok,
-           f"componentwise relative error {check.worst:.2e} < 1e-6")
+           f"componentwise relative error {row.value_a:.2e} < 1e-6")
 
 
 def test_criterion_07_sde_vs_exact_covariance():

@@ -17,7 +17,7 @@ from akpz import correlations as corr
 from akpz.cli import (ComparisonReport, ConfigError, ExperimentConfig, main,
                       parse_config, run_experiment)
 from akpz.lattice import ParticleConfig, TorusParams, config_to_text
-from akpz.sde import ModelParams, finite_eps_speed
+from akpz.sde import ModelParams, finite_eps_speed, validate_symbol_properties
 
 
 def test_parse_config_minimal():
@@ -552,6 +552,30 @@ def test_she_check_and_run_cor3_she_are_one_path(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("C, D, failing", [
+    ("0.5", "1.5", []),
+    ("1e-6", "1", ["symbol_A_vanishes_at_zero", "symmetrized_symbol_negative",
+                   "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
+                   "gibbs_symbol_is_R_over_2v", "speed_gradient_matches_U"]),
+    ("1", "1.000001", ["symmetrized_symbol_negative", "hessian_negative_definite",
+                       "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
+                       "V_normalizes_hessian", "gibbs_symbol_is_R_over_2v"]),
+])
+def test_validate_and_run_symbol_properties_are_one_path(C, D, failing, tmp_path, capsys):
+    rc = 1 if failing else 0
+    assert main(["validate", "--C", C, "--D", D]) == rc
+    alias_out = capsys.readouterr().out
+    assert _run_config(tmp_path, f"experiment = symbol-properties\nC = {C}\nD = {D}\n") == rc
+    assert capsys.readouterr().out == alias_out
+    # one row per check, which passes when its worst value is within its tolerance
+    checks = validate_symbol_properties(ModelParams(C=float(C), D=float(D)))
+    config = ExperimentConfig("symbol-properties", {"C": float(C), "D": float(D)})
+    rows = run_experiment(config).rows
+    assert ([(r.label, r.value_a, r.value_b, r.tolerance, r.passed) for r in rows]
+            == [(c.name, c.worst, 0.0, c.tol, c.worst <= c.tol) for c in checks])
+    assert [r.label for r in rows if not r.passed] == failing
+
+
 def test_gff_and_run_gff_variance_write_the_same_csv(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["gff", "--m", "64", "--delta", "0.125", "--tol", "0.5", "--out", str(a)]) == 0
@@ -588,6 +612,9 @@ def test_subcommand_flags_are_the_function_parameters():
         keys = set(inspect.signature(fn).parameters)
         assert flags - {"-h", "--help"} == {f"--{key.replace('_', '-')}" for key in keys}
         assert parent_flags[command] <= flags
+    # validate takes exactly --C and --D: its recipe writes no file, so it has no --out
+    validate = {f for a in subcommands["validate"]._actions for f in a.option_strings}
+    assert validate - {"-h", "--help"} == parent_flags["validate"]
 
 
 @pytest.mark.parametrize("command", [*cli._COMMANDS, *cli._ALIASES, "run", "all"])
@@ -608,18 +635,35 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
-def _stub_recipe(monkeypatch, name):
-    """Replace a recipe by one with the same signature that records its calls."""
+def _stub_recipe(monkeypatch, name, passed=None):
+    """Replace a recipe by one with the same signature that records its calls;
+    its report has no row, or one row that passes or fails as `passed` says."""
     recipe = cli._RECIPES[name]
     calls = []
 
     @functools.wraps(recipe)
     def record(**values):
         calls.append(values)
-        return ComparisonReport(name)
+        report = ComparisonReport(name)
+        if passed is not None:
+            report.add("stub", 0.0, 0.0, 0.0, passed=passed)
+        return report
 
     monkeypatch.setitem(cli._RECIPES, name, record)
     return calls
+
+
+@pytest.mark.parametrize("failing", [None, "cor2-characteristic"])
+def test_cli_all_runs_every_recipe_and_counts_its_failures(failing, monkeypatch, capsys):
+    calls = {name: _stub_recipe(monkeypatch, name, passed=name != failing)
+             for name in cli.EXPERIMENTS}
+    assert main(["all"]) == (0 if failing is None else 1)
+    out = capsys.readouterr().out.splitlines()
+    verdicts = [line.split() for line in out if line.startswith(("PASS", "FAIL"))]
+    assert [words[1] for words in verdicts] == [f"{name}:" for name in cli.EXPERIMENTS]
+    assert [words[0] == "FAIL" for words in verdicts] == [n == failing for n in cli.EXPERIMENTS]
+    assert out[-1] == ("ALL PASS" if failing is None else "1 experiment(s) FAILED")
+    assert all(c == [{}] for c in calls.values())  # each at its default keys, once
 
 
 @pytest.mark.parametrize("experiment, line, message", [
@@ -686,11 +730,11 @@ def test_readme_lists_the_config_keys_of_each_recipe():
 @pytest.mark.parametrize("cls", [c for _, c in inspect.getmembers(errors, inspect.isclass)
                                  if issubclass(c, errors.AkpzError)])
 def test_cli_every_akpz_error_exits_2(cls, monkeypatch, capsys):
-    @functools.wraps(cli.cmd_validate)
+    @functools.wraps(cli.recipe_symbol_properties)
     def fail(**values):
         raise cls("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    monkeypatch.setitem(cli._RECIPES, "symbol-properties", fail)
     assert main(["validate", "--C", "0.5", "--D", "1.5"]) == 2
     assert capsys.readouterr().err == "error: boom\n"
 

@@ -377,6 +377,17 @@ def test_gff_lattice_bilinear_rejects_fields_of_no_one_square_shape():
         gff_lattice_bilinear(phi, phi[:16, :16], 0.25, 7, PARAMS)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.25, math.inf])
+def test_gff_routes_reject_a_grid_spacing_out_of_range(delta):
+    # unchecked, delta = 0 gives a lattice value of -0.0 and delta = -0.25 the
+    # values of +0.25 on both routes
+    phi = two_bump_test_function(0.25, 32)
+    with pytest.raises(ParameterError, match="grid spacing delta must lie in"):
+        gff_lattice_bilinear(phi, phi, delta, 7, PARAMS)
+    with pytest.raises(ParameterError, match="grid spacing delta must lie in"):
+        gff_continuum_variance(phi, delta, SPECTRAL, PARAMS)
+
+
 def test_gff_continuum_value_from_direct_double_sum():
     # the FFT correlation path must agree with a direct double loop
     m, delta = 24, 0.25

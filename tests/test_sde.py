@@ -176,8 +176,9 @@ def test_appendix_discriminant_negative():
 
 
 def test_validate_symbol_properties_all_pass():
-    report = validate_symbol_properties(ModelParams(C=0.5, D=1.5))
-    assert report.ok, "\n".join(report.lines())
+    checks = validate_symbol_properties(ModelParams(C=0.5, D=1.5))
+    assert len(checks) == 9
+    assert all(c.worst <= c.tol for c in checks), checks
 
 
 def test_grad_v_matches_characteristic_direction():
