@@ -11,6 +11,8 @@ Subcommands:
     akpz run                 run a recipe described by a config file
     akpz all                 run the full verification suite
 
+Every recipe run, alias or not, prints one PASS/FAIL line per report row: the
+verdict, then the numbers its rule reads, |got - ref| <= tol or got < bound.
 Exit codes: 0 all checks pass, 1 tolerance failure, 2 usage/config error.
 """
 
@@ -146,15 +148,22 @@ def parse_config(text) -> ExperimentConfig:
 
 @dataclass
 class ReportRow:
+    """A "within" row passes when |value_a - value_b| <= tolerance, a "bound"
+    row when value_a < tolerance, its bound (its value_b is 0)."""
     label: str
     value_a: float
     value_b: float
     tolerance: float
-    passed: bool
+    rule: str = "within"
 
     @property
     def difference(self):
         return self.value_a - self.value_b
+
+    @property
+    def passed(self):
+        return bool(self.value_a < self.tolerance if self.rule == "bound"
+                    else abs(self.difference) <= self.tolerance)
 
 
 @dataclass
@@ -162,10 +171,11 @@ class ComparisonReport:
     experiment: str
     rows: list = field(default_factory=list)
 
-    def add(self, label, value_a, value_b, tolerance, passed=None):
-        if passed is None:
-            passed = abs(value_a - value_b) <= tolerance
-        self.rows.append(ReportRow(label, value_a, value_b, tolerance, bool(passed)))
+    def add(self, label, value_a, value_b, tolerance):
+        self.rows.append(ReportRow(label, value_a, value_b, tolerance))
+
+    def add_bound(self, label, value, bound):
+        self.rows.append(ReportRow(label, value, 0.0, bound, "bound"))
 
     @property
     def passed(self):
@@ -175,9 +185,10 @@ class ComparisonReport:
         out = []
         for r in self.rows:
             tag = "PASS" if r.passed else "FAIL"
-            out.append(f"{tag}  {self.experiment}: {r.label}  "
-                       f"got={_fmt(r.value_a)} ref={_fmt(r.value_b)} "
-                       f"|diff|={_fmt(abs(r.difference))} tol={_fmt(r.tolerance)}")
+            numbers = (f"got={_fmt(r.value_a)} < bound={_fmt(r.tolerance)}" if r.rule == "bound"
+                       else f"got={_fmt(r.value_a)} ref={_fmt(r.value_b)} "
+                            f"|diff|={_fmt(abs(r.difference))} tol={_fmt(r.tolerance)}")
+            out.append(f"{tag}  {self.experiment}: {r.label}  {numbers}")
         return out
 
 
@@ -187,7 +198,7 @@ class ComparisonReport:
 def recipe_symbol_properties(C: float = 0.5, D: float = 1.5):
     report = ComparisonReport("symbol-properties")
     for check in sde.validate_symbol_properties(ModelParams(C=C, D=D)):
-        report.add(check.name, check.worst, 0.0, check.tol, passed=check.worst <= check.tol)
+        report.add_bound(check.name, check.worst, check.tol)
     return report
 
 
@@ -334,16 +345,12 @@ def recipe_cor3_she(C: float = 0.5, D: float = 1.5, t: float = 4.0, s: float = 2
         rows.append((d, val, she, rel))
     report = ComparisonReport("cor3-she")
     for i in range(1, len(rels)):
-        report.add(f"relative error decreasing at delta={delta_list[i]:g}",
-                   rels[i], 0.0, rels[i - 1], passed=rels[i] < rels[i - 1])
+        report.add_bound(f"relative error decreasing at delta={delta_list[i]:g}",
+                         rels[i], rels[i - 1])
     report.add("final relative error", rels[-1], 0.0, tol)
     if out:
         write_csv(out, ["delta", "scaled", "she", "rel_err"], rows)
     return report
-
-
-def _rel_gap(row):
-    return abs(row.difference) / abs(row.value_b)
 
 
 def _read_phi(path, m):
@@ -387,7 +394,7 @@ def recipe_gff_variance(C: float = 0.5, D: float = 1.5, delta: float = 1 / 16, m
                tol * abs(g.continuum))
     if out:
         write_csv(out, ["lattice", "continuum", "rel_gap"],
-                  [(g.lattice, g.continuum, _rel_gap(report.rows[0]))])
+                  [(g.lattice, g.continuum, abs(g.lattice - g.continuum) / abs(g.continuum))])
     return report
 
 
@@ -406,8 +413,7 @@ def recipe_qpoch_asymptotics(tol: float = 1e-2, out: str = None):
         rows.append((eps, exact, asym, errs[-1]))
     report = ComparisonReport("qpoch-asymptotics")
     for i in range(1, len(errs)):
-        report.add(f"error decreasing at eps={epss[i]:g}", errs[i], 0.0, errs[i - 1],
-                   passed=errs[i] < errs[i - 1])
+        report.add_bound(f"error decreasing at eps={epss[i]:g}", errs[i], errs[i - 1])
     report.add("final error below threshold", errs[-1], 0.0, tol)
     if out:
         write_csv(out, ["eps", "exact_diff", "asymptotic_diff", "error"], rows)
@@ -543,20 +549,12 @@ def cmd_cov(*, C: float, D: float, m: int = None, m2: int = None, t: float, s: f
 _COMMANDS = {"ctmc": cmd_ctmc, "sde": cmd_sde, "cov": cmd_cov}
 
 
-def _gff_lines(report):
-    row = report.rows[0]
-    return [f"lattice variance:   {_fmt(row.value_a)}",
-            f"continuum variance: {_fmt(row.value_b)}",
-            f"relative gap:       {_fmt(_rel_gap(row))}"]
-
-
-# Subcommands that run one recipe with its keys as flags: (recipe, lines it prints).
+# Subcommands that run one recipe with its keys as flags: alias -> recipe.
 _ALIASES = {
-    "oracle-stationarity": ("stationarity-oracle", lambda report: [
-        f"stationarity residual: {_fmt(r.value_a)}" for r in report.rows]),
-    "she-check": ("cor3-she", ComparisonReport.lines),
-    "gff": ("gff-variance", _gff_lines),
-    "validate": ("symbol-properties", ComparisonReport.lines),
+    "oracle-stationarity": "stationarity-oracle",
+    "she-check": "cor3-she",
+    "gff": "gff-variance",
+    "validate": "symbol-properties",
 }
 
 
@@ -569,25 +567,24 @@ def _flag_values(args, fn):
             for key, text in vars(args).items() if key in params}
 
 
-def cmd_alias(args):
-    name, lines = _ALIASES[args.command]
-    report = run_experiment(ExperimentConfig(name, _flag_values(args, _RECIPES[name])))
-    print("\n".join(lines(report)))
-    return 0 if report.passed else 1
-
-
-def cmd_run(args):
-    report = run_experiment(parse_config(_read_text(args.config)))
+def _run_printed(config):
+    """Run a config, print its report lines, and return the exit code of its verdict."""
+    report = run_experiment(config)
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
 
 
+def cmd_alias(args):
+    name = _ALIASES[args.command]
+    return _run_printed(ExperimentConfig(name, _flag_values(args, _RECIPES[name])))
+
+
+def cmd_run(args):
+    return _run_printed(parse_config(_read_text(args.config)))
+
+
 def cmd_all(args):
-    failures = 0
-    for name in EXPERIMENTS:
-        report = run_experiment(ExperimentConfig(name))
-        print("\n".join(report.lines()))
-        failures += 0 if report.passed else 1
+    failures = sum(_run_printed(ExperimentConfig(name)) for name in EXPERIMENTS)
     print(f"\n{'ALL PASS' if failures == 0 else f'{failures} experiment(s) FAILED'}")
     return 0 if failures == 0 else 1
 
@@ -612,7 +609,7 @@ def build_parser():
         doc = inspect.getdoc(fn)
         p = sub.add_parser(command, help=doc.splitlines()[0], description=doc)
         _add_flags(p, fn)
-    for alias, (name, _) in _ALIASES.items():
+    for alias, name in _ALIASES.items():
         p = sub.add_parser(alias, help=f"run recipe {name}, its keys as flags")
         _add_flags(p, _RECIPES[name])
         p.set_defaults(func=cmd_alias)

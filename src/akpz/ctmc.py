@@ -46,10 +46,13 @@ def log_q_pochhammer(q: float, n: int) -> float:
     return float(np.sum(np.log1p(-np.exp(i * math.log(q)))))
 
 
+@lru_cache(maxsize=64)
 def _q_powers(q, L):
-    """q^0, ..., q^L: the one table of q-powers that every rate reads."""
+    """q^0, ..., q^L, read-only: the one table of q-powers that every rate reads."""
     _check_q(q)
-    return [q ** k for k in range(L + 1)]
+    qp = np.array([q ** k for k in range(L + 1)], dtype=float)
+    qp.flags.writeable = False
+    return qp
 
 
 @lru_cache(maxsize=64)
@@ -59,7 +62,7 @@ def _rate_kernel(torus, q):
     the same index columns (unchecked), as scalars: it runs once per event,
     where a NumPy call costs more.  _rates is its array twin."""
     L = torus.L
-    qpow = _q_powers(q, L)
+    qpow = _q_powers(q, L).tolist()
     nb = label_table(torus).neighbors
     reads = list(zip(nb.below_right.tolist(), nb.below.tolist(), nb.left.tolist()))
 
@@ -75,7 +78,7 @@ def _rate_kernel(torus, q):
 def _rates(q, L, g):
     """The rates for gaps g, period L: one per label from the arrays of gap_columns,
     one from the ints of neighbor_distances; _rate_kernel's formula, bit for bit."""
-    qp = np.array(_q_powers(q, L))
+    qp = _q_powers(q, L)
     return (1 - qp[g.b]) * (1 - qp[g.d + 1]) / (1 - qp[g.c + 1])
 
 
@@ -133,10 +136,6 @@ class JumpRecord(NamedTuple):
 
 @dataclass
 class Trajectory:
-    torus: object
-    q: float
-    T: float
-    seed: int
     events: list = field(default_factory=list)
     samples: list = field(default_factory=list)      # (time, positions dict)
     displacement: dict = field(default_factory=dict)  # label -> total jumps
@@ -187,7 +186,7 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     displacement = [0] * len(labels)
     total = sum(rates)
     rng = np.random.default_rng(seed)
-    traj = Trajectory(torus=torus, q=q, T=T, seed=seed)
+    traj = Trajectory()
     events, samples = traj.events, traj.samples
 
     def snapshot():

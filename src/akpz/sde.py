@@ -231,7 +231,7 @@ def validate_symbol_properties(params) -> tuple:
     the normalization of V, the stationary-point discriminant, exact
     proportionality of the Gibbs symbol to symbol_R/(2v), and the gradient
     of the speed in its slopes matching U.  Each check holds when its worst
-    value is at most its tolerance."""
+    value is below its tolerance."""
     coeffs = drift_coeffs(params)
     v = params.v
     checks = []

@@ -4,9 +4,9 @@ numbers.  Run with `pytest tests/test_acceptance.py -s` to see all lines.
 
 A criterion that `akpz all` checks (01, 05, 06, 08, 09, 10, 11(c), 12) reads
 its numbers from the recipe report that `akpz all` prints, at the same keys,
-and re-checks each row: the row's tolerance is the one the
-criterion states, and its pass flag follows from its values.  Criteria 02,
-03, 04, 07, 11(a) and 11(b) compute their own numbers.
+and re-checks each row: the row's rule ("within" or "bound") and tolerance
+are the ones the criterion states, and its pass flag follows from its
+values.  Criteria 02, 03, 04, 07, 11(a) and 11(b) compute their own numbers.
 """
 
 import csv
@@ -47,10 +47,23 @@ def recipe_rows(name, **keys):
 
 
 def within(row, tol):
-    """Re-check a row whose rule is |a - b| <= tol: its tolerance is the
-    criterion's `tol`, and its pass flag is what the rule gives."""
+    """Re-check a row whose rule is |a - b| <= tol: its rule and tolerance are
+    the criterion's, and its pass flag is what the rule gives."""
+    assert row.rule == "within", f"{row.label}: rule {row.rule!r}, stated 'within'"
     assert row.tolerance == tol, f"{row.label}: tolerance {row.tolerance!r}, stated {tol!r}"
     ok = abs(row.value_a - row.value_b) <= tol
+    assert row.passed == ok, f"{row.label}: reported passed={row.passed}, rule gives {ok}"
+    return ok
+
+
+def below(row, bound):
+    """Re-check a row whose rule is a < bound: its rule and bound are the
+    criterion's, it compares with nothing (b = 0), and its pass flag is what
+    the rule gives."""
+    assert row.rule == "bound", f"{row.label}: rule {row.rule!r}, stated 'bound'"
+    assert row.tolerance == bound, f"{row.label}: bound {row.tolerance!r}, stated {bound!r}"
+    assert row.value_b == 0.0, row.label
+    ok = row.value_a < bound
     assert row.passed == ok, f"{row.label}: reported passed={row.passed}, rule gives {ok}"
     return ok
 
@@ -62,8 +75,7 @@ def decreasing_errors(rows, tol):
     *steps, final = rows
     errs = [steps[0].tolerance] + [r.value_a for r in steps]
     for prev, row in zip(errs, steps):
-        assert row.tolerance == prev and row.value_b == 0.0, row.label
-        assert row.passed == (row.value_a < prev), f"{row.label}: reported passed={row.passed}"
+        below(row, prev)
     assert final.value_a == errs[-1], final.label
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     return errs, within(final, tol) and decreasing
@@ -192,8 +204,7 @@ def test_criterion_05_ctmc_drift(tmp_path):
 def test_criterion_06_characteristic_identity():
     row, = [r for r in recipe_rows("symbol-properties")
             if r.label == "speed_gradient_matches_U"]
-    assert row.value_b == 0.0  # a relative error, so |worst - 0| <= tol is worst <= tol
-    ok = within(row, 1e-6)
+    ok = below(row, 1e-6)
     report(6, "speed gradient equals characteristic direction", ok,
            f"componentwise relative error {row.value_a:.2e} < 1e-6")
 

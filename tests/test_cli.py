@@ -3,6 +3,7 @@ import ast
 import functools
 import hashlib
 import inspect
+import math
 import os
 import shlex
 import subprocess
@@ -162,7 +163,9 @@ def test_cli_oracle_stationarity(capsys):
     rc = main(["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "2",
                "--m2", "1", "--q", "0.7"])
     assert rc == 0
-    assert capsys.readouterr().out.count("stationarity residual:") == 1
+    out = capsys.readouterr().out
+    assert out.count("PASS  stationarity-oracle: residual q=0.7  ") == 1
+    assert out.count("\n") == 1
 
 
 def test_cli_cov_methods(tmp_path, capsys):
@@ -284,7 +287,8 @@ def test_cli_gff_small(capsys):
                "--m", "64", "--tol", "0.5"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "lattice variance" in out
+    assert out.startswith("PASS  gff-variance: lattice vs continuum variance  got=")
+    assert out.count("\n") == 1
 
 
 def test_cli_usage_error_exit_2():
@@ -552,27 +556,62 @@ def test_she_check_and_run_cor3_she_are_one_path(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the symbol-properties rows that fail at C near 0 and at D near C
+FAILING_NEAR_C_0 = ["symbol_A_vanishes_at_zero", "symmetrized_symbol_negative",
+                    "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
+                    "gibbs_symbol_is_R_over_2v", "speed_gradient_matches_U"]
+FAILING_NEAR_D_C = ["symmetrized_symbol_negative", "hessian_negative_definite",
+                    "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
+                    "V_normalizes_hessian", "gibbs_symbol_is_R_over_2v"]
+
+# (alias argv, the same keys as a config, its row labels that fail, its row count)
+ALIAS_RUNS = [
+    (["oracle-stationarity"], "", [], 3),
+    (["oracle-stationarity", "--tol", "1e-30"], "tol = 1e-30",
+     ["residual q=0.3", "residual q=0.7"], 3),
+    (["she-check", "--delta-list", "0.2", "0.05"], "delta_list = 0.2 0.05",
+     ["final relative error"], 2),
+    (["gff", "--m", "64", "--delta", "0.125", "--tol", "0.5"],
+     "m = 64\ndelta = 0.125\ntol = 0.5", [], 1),
+    (["gff", "--m", "64", "--delta", "0.125", "--tol", "1e-3"],
+     "m = 64\ndelta = 0.125\ntol = 1e-3", ["lattice vs continuum variance"], 1),
+    (["validate"], "", [], 9),
+    (["validate", "--C", "1e-6", "--D", "1"], "C = 1e-6\nD = 1", FAILING_NEAR_C_0, 9),
+    (["validate", "--C", "1", "--D", "1.000001"], "C = 1\nD = 1.000001", FAILING_NEAR_D_C, 9),
+]
+
+
+@pytest.mark.parametrize("argv, keys, failing, n_rows", ALIAS_RUNS,
+                         ids=[" ".join(run[0]) for run in ALIAS_RUNS])
+def test_aliases_print_what_run_prints(argv, keys, failing, n_rows, tmp_path, capsys):
+    # an alias is `akpz run` on a config with its keys: the same stdout and
+    # exit code, one PASS/FAIL line per row, and a FAIL line per failing row
+    name = cli._ALIASES[argv[0]]
+    rc = 1 if failing else 0
+    assert main(argv) == rc
+    alias_out = capsys.readouterr().out
+    assert _run_config(tmp_path, f"experiment = {name}\n{keys}\n") == rc
+    assert capsys.readouterr().out == alias_out
+    lines = alias_out.splitlines()
+    assert len(lines) == n_rows
+    assert [line.split("  ")[1] for line in lines if line.startswith("FAIL  ")] == [
+        f"{name}: {label}" for label in failing]
+    assert _verdicts_follow_the_printed_rule(lines).count("FAIL") == len(failing)
+
+
 @pytest.mark.parametrize("C, D, failing", [
     ("0.5", "1.5", []),
-    ("1e-6", "1", ["symbol_A_vanishes_at_zero", "symmetrized_symbol_negative",
-                   "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
-                   "gibbs_symbol_is_R_over_2v", "speed_gradient_matches_U"]),
-    ("1", "1.000001", ["symmetrized_symbol_negative", "hessian_negative_definite",
-                       "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
-                       "V_normalizes_hessian", "gibbs_symbol_is_R_over_2v"]),
+    ("1e-6", "1", FAILING_NEAR_C_0),
+    ("1", "1.000001", FAILING_NEAR_D_C),
 ])
-def test_validate_and_run_symbol_properties_are_one_path(C, D, failing, tmp_path, capsys):
-    rc = 1 if failing else 0
-    assert main(["validate", "--C", C, "--D", D]) == rc
-    alias_out = capsys.readouterr().out
-    assert _run_config(tmp_path, f"experiment = symbol-properties\nC = {C}\nD = {D}\n") == rc
-    assert capsys.readouterr().out == alias_out
-    # one row per check, which passes when its worst value is within its tolerance
+def test_validate_and_run_symbol_properties_are_one_path(C, D, failing):
+    # one bound row per check, which passes when its worst value is below its
+    # tolerance; test_aliases_print_what_run_prints checks the stdout of both
     checks = validate_symbol_properties(ModelParams(C=float(C), D=float(D)))
     config = ExperimentConfig("symbol-properties", {"C": float(C), "D": float(D)})
     rows = run_experiment(config).rows
-    assert ([(r.label, r.value_a, r.value_b, r.tolerance, r.passed) for r in rows]
-            == [(c.name, c.worst, 0.0, c.tol, c.worst <= c.tol) for c in checks])
+    assert ([(r.label, r.value_a, r.value_b, r.tolerance, r.rule, r.passed) for r in rows]
+            == [(c.name, c.worst, 0.0, c.tol, "bound", c.worst < c.tol) for c in checks])
     assert [r.label for r in rows if not r.passed] == failing
 
 
@@ -604,7 +643,7 @@ def test_subcommand_flags_are_the_function_parameters():
                             "--method", "--out"},
                     "validate": {"--C", "--D"}}
     functions = {**cli._COMMANDS,
-                 **{alias: cli._RECIPES[name] for alias, (name, _) in cli._ALIASES.items()}}
+                 **{alias: cli._RECIPES[name] for alias, name in cli._ALIASES.items()}}
     assert functions.keys() == parent_flags.keys()
     subcommands = _subcommands()
     for command, fn in functions.items():
@@ -646,7 +685,7 @@ def _stub_recipe(monkeypatch, name, passed=None):
         calls.append(values)
         report = ComparisonReport(name)
         if passed is not None:
-            report.add("stub", 0.0, 0.0, 0.0, passed=passed)
+            report.add("stub", 0.0 if passed else 1.0, 0.0, 0.0)
         return report
 
     monkeypatch.setitem(cli._RECIPES, name, record)
@@ -749,8 +788,49 @@ def test_thread_count_does_not_change_results(monkeypatch):
         assert reports[0].rows == reports[1].rows, config.experiment
 
 
+def _verdicts_follow_the_printed_rule(lines):
+    """The PASS/FAIL of each report line, checked to be what its printed rule
+    gives on its printed numbers read back with float(): |got - ref| <= tol,
+    or got < bound."""
+    tags = []
+    for line in lines:
+        tag, _, rest = line.partition("  ")
+        nums = {key: float(val) for key, val in
+                (word.split("=") for word in rest.rsplit("  ", 1)[1].split() if "=" in word)}
+        if "bound" in nums:
+            assert nums.keys() == {"got", "bound"}, line
+            ok = nums["got"] < nums["bound"]
+        else:
+            assert nums.keys() == {"got", "ref", "|diff|", "tol"}, line
+            ok = abs(nums["got"] - nums["ref"]) <= nums["tol"]
+        assert tag == ("PASS" if ok else "FAIL"), line
+        tags.append(tag)
+    return tags
+
+
 def test_report_lines_format():
     report = ComparisonReport("demo")
     report.add("thing", 1.0, 1.0 + 1e-12, 1e-6)
     line = report.lines()[0]
     assert line.startswith("PASS") and "demo" in line
+    # within rows at, just below and just above their tolerance, bound rows
+    # at, just below and just above a positive and a negative bound, and nan
+    gap = 0.3 - 0.1  # 0.19999999999999998, not exactly 0.2
+    nan = float("nan")
+    report = ComparisonReport("demo")
+    for tol in (gap, math.nextafter(gap, 0), math.nextafter(gap, 1)):
+        report.add("within", 0.3, 0.1, tol)
+    for bound in (1e-12, -1e-15):
+        for got in (bound, math.nextafter(bound, -1), math.nextafter(bound, 1)):
+            report.add_bound("bound", got, bound)
+    report.add("nan got", nan, 0.0, 1.0)
+    report.add("nan ref", 0.0, nan, 1.0)
+    report.add_bound("nan got", nan, 1.0)
+    tags = _verdicts_follow_the_printed_rule(report.lines())
+    assert tags == ["PASS", "FAIL", "PASS", "FAIL", "PASS", "FAIL", "FAIL", "PASS", "FAIL",
+                    "FAIL", "FAIL", "FAIL"]
+    assert [r.passed for r in report.rows] == [tag == "PASS" for tag in tags]
+    # the recipes with bound rows, as `akpz all` prints them
+    for name in ("symbol-properties", "cor3-she", "qpoch-asymptotics"):
+        assert "FAIL" not in _verdicts_follow_the_printed_rule(
+            run_experiment(ExperimentConfig(name)).lines())

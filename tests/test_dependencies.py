@@ -134,6 +134,7 @@ def _cached_inputs():
     return {
         ("lattice", "label_table"): (torus,),
         ("lattice", "_up_loop"): (torus, 1),
+        ("ctmc", "_q_powers"): (0.5, 8),
         ("ctmc", "_rate_kernel"): (torus, 0.5),
         ("ctmc", "_log_qpoch"): (0.5, 3),
         ("correlations", "_mode_table"): (8, 3, coeffs),
@@ -152,7 +153,7 @@ def test_every_cached_function_hands_out_read_only_arrays():
         for a in _arrays_in(result):
             assert not a.flags.writeable, (module, name)
             total += 1
-    assert total >= 6 + 1 + 8 + 5  # label_table, _up_loop, _mode_table, _riemann_grid
+    assert total >= 6 + 1 + 1 + 8 + 5  # label_table, _up_loop, _q_powers, _mode_table, _riemann_grid
 
 
 ENGINE = ("lattice", "ctmc", "sde", "correlations", "specfun")
