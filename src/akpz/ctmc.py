@@ -10,13 +10,16 @@ weights read the index columns of lattice.label_table and its gap formulas.
 Rates and push walks come in twins that agree bit for bit: scalar ones
 (_rate_kernel, _push_walk) that simulate calls once per event, and ones on
 gaps or arrays (_rates, _masked_push_walk), from which jump_rate and the
-generator are built.
+generator are built.  simulate (Gillespie's direct method) finds each
+trigger in the running sums of the rates in label order, a prefix of which
+it keeps across events and rebuilds from the lowest label an event touched,
+so each sum has the bits of a scan from label 0.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -159,6 +162,13 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     rate, trigger chosen proportionally to individual rates, cascades applied
     atomically.  Deterministic for a given seed.
 
+    The trigger is the first label whose running sum of rates, in label
+    order, exceeds a uniform draw times the total.  The sums are kept across
+    events as a prefix, searched by bisection and extended a label at a
+    time; an event cuts the prefix at the lowest label whose rate it
+    recomputes, and each sum is the previous sum plus one rate, so the trigger
+    is the one a scan from label 0 finds, bit for bit.
+
     observe_every records position snapshots on a regular time grid that
     always holds t = 0 and t = T (only these two when observe_every = 0).
     It raises ConfigError on a start that lattice.validate rejects, and when its
@@ -182,10 +192,16 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     pos = label_positions(config)
     up, up_left, right = nb.up.tolist(), nb.up_left.tolist(), nb.right.tolist()
     rate = _rate_kernel(torus, q)
-    rates = [rate(pos, i) for i in range(len(labels))]
-    displacement = [0] * len(labels)
+    n = len(labels)
+    rates = [rate(pos, i) for i in range(n)]
+    displacement = [0] * n
     total = sum(rates)
+    # acc[:valid] are the running sums of rates in label order, each built as
+    # acc[k - 1] + rates[k] (the chain of a scan from label 0); an event
+    # leaves valid no higher than its lowest touched index
+    acc, valid = [0.0] * n, 0
     rng = np.random.default_rng(seed)
+    random_raw = rng.bit_generator.random_raw
     traj = Trajectory()
     events, samples = traj.events, traj.samples
 
@@ -198,18 +214,19 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
             if r != rate(pos, i):
                 raise ConfigError(f"stale rate of label {labels[i]}, t={t}: {r} != {rate(pos, i)}")
 
-    # (trigger index, push length) -> (pushed labels, touched indices).  The
-    # touched particles are those whose rate reads a moved one r: r and its
-    # up-left, up and right neighbours.  They are updated in the iteration
-    # order of the set of their labels built below, since the update order
-    # fixes the rounding of the running total.
+    # (trigger index, push length) -> (trigger label, pushed labels, touched
+    # indices, lowest touched index).  The touched particles are those whose
+    # rate reads a moved one r: r and its up-left, up and right neighbours.
+    # They are updated in the iteration order of the set of their labels built
+    # below, since the update order fixes the rounding of the running total.
     plans = {}
 
     def push_plan(trigger, moved):
         members = frozenset(labels[r] for r in moved)
-        touched = {labels[s] for r in map(index.get, members)
-                   for s in (r, up_left[r], up[r], right[r])}
-        plan = plans[trigger, len(moved)] = (tuple(sorted(members)), [index[s] for s in touched])
+        touched = [index[s] for s in {labels[s] for r in map(index.get, members)
+                                      for s in (r, up_left[r], up[r], right[r])}]
+        plan = plans[trigger, len(moved)] = (labels[trigger], tuple(sorted(members)),
+                                             touched, min(touched))
         return plan
 
     grid = _observation_times(T, observe_every) if observe_every is not None else iter(())
@@ -226,25 +243,36 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
             break
         t = t_next
 
-        # the first label whose cumulative rate, summed in label order, exceeds u
-        u = rng.random() * total
-        for trigger, acc in enumerate(accumulate(rates)):
-            if u < acc:
-                break
-        else:  # rounding at the top of the cumulative sum
-            trigger = rates.index(max(rates))
+        # the first label whose cumulative rate, summed in label order, exceeds
+        # u; rng.random() * total, bit for bit, from PCG64's raw word
+        u = (random_raw() >> 11) * 2**-53 * total
+        if not valid:
+            acc[0], valid = rates[0], 1
+        if u < acc[valid - 1]:
+            trigger = bisect_right(acc, u, 0, valid)
+        else:
+            for trigger in range(valid, n):
+                acc[trigger] = acc[trigger - 1] + rates[trigger]
+                if u < acc[trigger]:
+                    valid = trigger + 1
+                    break
+            else:  # rounding at the top of the cumulative sum
+                trigger, valid = rates.index(max(rates)), n
 
         moved = _push_walk(pos, up, trigger)
-        pushed, touched = plans.get((trigger, len(moved))) or push_plan(trigger, moved)
+        label, pushed, touched, low = (plans.get((trigger, len(moved)))
+                                       or push_plan(trigger, moved))
         for i in moved:
             pos[i] = (pos[i] + 1) % L
             displacement[i] += 1
-        events.append(JumpRecord(t, labels[trigger], pushed))
+        events.append(tuple.__new__(JumpRecord, (t, label, pushed)))
 
         for i in touched:
             old = rates[i]
             rates[i] = rate(pos, i)
             total += rates[i] - old
+        if low < valid:
+            valid = low
         events_since_resync += 1
         if events_since_resync >= 1024:
             check_rates()

@@ -674,6 +674,26 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # each example runs in order in one directory, so --start finds the file
+    # that the line before dumped; `akpz all` and lines whose input file no
+    # earlier line writes are skipped, and every line run exits 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1].replace("\\\n", " ")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.splitlines():
+        argv = shlex.split(line)[1:]
+        if not line.startswith("akpz ") or argv == ["all"]:
+            continue
+        inputs = [value for flag, value in zip(argv, argv[1:]) if flag in ("--start", "--phi", "run")]
+        if not all(Path(name).exists() for name in inputs):
+            continue
+        assert main(argv) == 0, (line, capsys.readouterr())
+        ran.append(argv[0])
+    assert ran.count("ctmc") == 2 and len(ran) >= 9
+
+
 def _stub_recipe(monkeypatch, name, passed=None):
     """Replace a recipe by one with the same signature that records its calls;
     its report has no row, or one row that passes or fails as `passed` says."""

@@ -594,6 +594,133 @@ def test_simulate_state_is_pinned():
         "2d95c315f76c9de8a3ab99230656d3ca7a23fc2b08d3dcac3ed02035f6e88147")
 
 
+
+def _reference_simulate(config, q, T, seed=0, observe_every=None):
+    # the event loop of simulate as it was before it kept its running sums
+    # across events: a scan of accumulate(rates) from label 0 at every event
+    # and the uniform from rng.random(); the argument checks are left out
+    accumulate, Trajectory, JumpRecord = itertools.accumulate, ctmc.Trajectory, ctmc.JumpRecord
+    _rate_kernel, _push_walk, _observation_times = (
+        ctmc._rate_kernel, ctmc._push_walk, ctmc._observation_times)
+    torus = config.torus
+    L = torus.L
+    labels, index, nb = label_table(torus)
+    # positions, rates and displacements are lists in label order; snapshots
+    # and the final state are dicts with the key order of config.positions
+    keys = list(config.positions)
+    key_index = [index[p] for p in keys]
+    pos = label_positions(config)
+    up, up_left, right = nb.up.tolist(), nb.up_left.tolist(), nb.right.tolist()
+    rate = _rate_kernel(torus, q)
+    rates = [rate(pos, i) for i in range(len(labels))]
+    displacement = [0] * len(labels)
+    total = sum(rates)
+    rng = np.random.default_rng(seed)
+    traj = Trajectory()
+    events, samples = traj.events, traj.samples
+
+    def snapshot():
+        return dict(zip(keys, [pos[i] for i in key_index]))
+
+    def check_rates():
+        # the same kernel on the same positions: a complete touched set keeps every bit
+        for i, r in enumerate(rates):
+            if r != rate(pos, i):
+                raise ConfigError(f"stale rate of label {labels[i]}, t={t}: {r} != {rate(pos, i)}")
+
+    # (trigger index, push length) -> (pushed labels, touched indices).  The
+    # touched particles are those whose rate reads a moved one r: r and its
+    # up-left, up and right neighbours.  They are updated in the iteration
+    # order of the set of their labels built below, since the update order
+    # fixes the rounding of the running total.
+    plans = {}
+
+    def push_plan(trigger, moved):
+        members = frozenset(labels[r] for r in moved)
+        touched = {labels[s] for r in map(index.get, members)
+                   for s in (r, up_left[r], up[r], right[r])}
+        plan = plans[trigger, len(moved)] = (tuple(sorted(members)), [index[s] for s in touched])
+        return plan
+
+    grid = _observation_times(T, observe_every) if observe_every is not None else iter(())
+    next_obs = next(grid, None)
+    t = 0.0
+    events_since_resync = 0
+    while True:
+        wait = rng.exponential(1.0 / total) if total > 0 else math.inf
+        t_next = t + wait
+        while next_obs is not None and next_obs <= min(t_next, T) + 1e-12:
+            samples.append((next_obs, snapshot()))
+            next_obs = next(grid, None)
+        if t_next > T:
+            break
+        t = t_next
+
+        # the first label whose cumulative rate, summed in label order, exceeds u
+        u = rng.random() * total
+        for trigger, acc in enumerate(accumulate(rates)):
+            if u < acc:
+                break
+        else:  # rounding at the top of the cumulative sum
+            trigger = rates.index(max(rates))
+
+        moved = _push_walk(pos, up, trigger)
+        pushed, touched = plans.get((trigger, len(moved))) or push_plan(trigger, moved)
+        for i in moved:
+            pos[i] = (pos[i] + 1) % L
+            displacement[i] += 1
+        events.append(JumpRecord(t, labels[trigger], pushed))
+
+        for i in touched:
+            old = rates[i]
+            rates[i] = rate(pos, i)
+            total += rates[i] - old
+        events_since_resync += 1
+        if events_since_resync >= 1024:
+            check_rates()
+            total = sum(rates)
+            events_since_resync = 0
+
+    check_rates()
+    traj.displacement = dict(zip(labels, displacement))
+    traj.final = ParticleConfig(torus, snapshot())
+    return traj
+
+
+@pytest.mark.parametrize("start, q, T, observe_every", [
+    (configs()[0], 0.0, 25.0, None),
+    (configs()[0], 0.5, 25.0, 2.0),
+    (enumerate_configs(TorusParams(L=6, N=4, m1=3, m2=1))[7], 0.7, 20.0, None),
+    (crystalline(CASCADE_TORUS), 0.7, 5.0, 0.5),
+    (crystalline(TorusParams.from_scaling(epsilon=0.01, ell=4.0, m=4, m2=2)),
+     math.exp(-0.01), 100.0, None),
+    (crystalline(TorusParams(L=64, N=16, m1=16, m2=4)), 0.7, 3.0, 1.0),
+], ids=["4x3-q0", "4x3-q0.5", "6x4", "cascade", "drift", "dense-256"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_matches_the_label_order_scan(start, q, T, observe_every, seed):
+    # the prefix of running sums kept across events finds the trigger the
+    # scan from label 0 finds, bit for bit, through bisection, extension,
+    # zero-rate plateaus, the ties of q = 0 and 256 labels
+    traj = simulate(start, q, T, seed=seed, observe_every=observe_every)
+    ref = _reference_simulate(start, q, T, seed=seed, observe_every=observe_every)
+    assert len(traj.events) > 10
+    assert _stream_digest(traj) == _stream_digest(ref)
+    assert _state_digest(traj) == _state_digest(ref)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_raw_word_uniform_is_the_generator_uniform(seed):
+    # simulate draws its uniform as (random_raw() >> 11) * 2**-53, which is
+    # how numpy's PCG64 generator builds random(); interleaved with the
+    # exponential waiting times, both generators give the same bits
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    raw = twin.bit_generator.random_raw
+    for k in range(10_000):
+        scale = 1.0 + k % 7
+        assert rng.exponential(scale) == twin.exponential(scale)
+        assert rng.random().hex() == ((raw() >> 11) * 2**-53).hex()
+
+
 def test_simulate_calls_share_no_state():
     # calls on two tori at two q, interleaved, give the events and final
     # state of the same call run alone on cleared caches
