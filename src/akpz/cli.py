@@ -30,7 +30,7 @@ import numpy as np
 from . import correlations as corr
 from . import ctmc, lattice, sde
 from .errors import AkpzError, ConfigError, ParameterError
-from .lattice import TorusParams, crystalline
+from .lattice import ParticleConfig, TorusParams, crystalline
 from .sde import ModelParams, drift_coeffs, spectral_data
 from .specfun import log_qpoch_asymptotic
 
@@ -477,10 +477,10 @@ def cmd_ctmc(*, L: int = None, N: int = None, m1: int = None, m2: int = None, q:
             initial = lattice.crystalline(torus)
         else:
             states = lattice.enumerate_configs(torus)
-            if not states:
+            if len(states) == 0:
                 raise ParameterError(f"no configuration with m1={torus.m1}, m2={torus.m2} "
                                      f"on the {torus.L}x{torus.N} torus")
-            initial = states[0]
+            initial = ParticleConfig(torus, dict(zip(torus.labels(), states[0].tolist())))
     traj = ctmc.simulate(initial, q, T, seed=seed, observe_every=observe_every or T)
     rows = [(t_obs, p1, p2, x) for t_obs, positions in traj.samples
             for (p1, p2), x in sorted(positions.items())]

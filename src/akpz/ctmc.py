@@ -20,14 +20,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .lattice import (ParticleConfig, check_interlacing, enumerate_configs, fourier_modes,
-                      gap_columns, label_positions, label_table, neighbor_distances, validate)
+from .lattice import (ParticleConfig, TorusParams, check_interlacing, enumerate_configs,
+                      fourier_modes, gap_columns, label_positions, label_table,
+                      neighbor_distances, validate)
 from .sde import _f, _square_fields, shift_field, symbol_Q
 
 
@@ -312,13 +312,13 @@ def log_stationary_weight(config, q: float) -> float:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    states: tuple
+    torus: TorusParams
     matrix: np.ndarray
     positions: np.ndarray  # (states, labels), read-only: the states in label order
 
     @property
     def n(self):
-        return len(self.states)
+        return len(self.positions)
 
 
 def build_generator(torus, q) -> GeneratorMatrix:
@@ -328,13 +328,11 @@ def build_generator(torus, q) -> GeneratorMatrix:
     particle; a jump flips the two bits of each moved particle.  Rates,
     targets and entries come as (state, label) arrays, added in that order."""
     _check_q(q)
-    states = enumerate_configs(torus)
-    if not states:
+    pos = enumerate_configs(torus)
+    if len(pos) == 0:
         raise ParameterError("empty configuration space")
     L = torus.L
     labels, _, nb = label_table(torus)
-    pos = np.array(list(map(itemgetter(*labels), (cfg.positions for cfg in states))))
-    pos.flags.writeable = False
     row = L * np.array([p[1] for p in labels])  # the bit of (row, x = 0) for each label
     bit = 1 << (row + pos)
     keys = np.bitwise_or.reduce(bit, axis=1)
@@ -344,19 +342,19 @@ def build_generator(torus, q) -> GeneratorMatrix:
     targets = keys[:, None] ^ _masked_push_walk(pos, nb.up, flip)
     rates = _rates(q, L, gap_columns(torus, pos))
     i, k = np.nonzero(rates > 0)
-    n = len(states)
+    n = len(pos)
     Q = np.zeros((n, n))
     np.add.at(Q, (i, order[np.searchsorted(keys[order], targets[i, k])]), rates[i, k])
     diag = np.zeros(n)
     for col in rates.T:  # in label order, the rounding of a per-state loop
         diag -= col
     Q[np.diag_indices(n)] = diag
-    return GeneratorMatrix(states=tuple(states), matrix=Q, positions=pos)
+    return GeneratorMatrix(torus=torus, matrix=Q, positions=pos)
 
 
 def stationary_distribution(generator, q):
     """Normalized Gibbs weights over the generator's states."""
-    logs = _log_weights(gap_columns(generator.states[0].torus, generator.positions), q)
+    logs = _log_weights(gap_columns(generator.torus, generator.positions), q)
     w = np.exp(logs - logs.max())
     return w / w.sum()
 

@@ -13,6 +13,7 @@ Every particle routine reads label_table(torus), the labels and their six
 neighbours as integer indices (canonicalize, the one wrap, on all labels at
 once), label_positions(config), a configuration in label order, and
 gap_columns(torus, pos), their six gaps (neighbor_distances: one label's).
+The exact oracle's states are one read-only (S, n) pos: enumerate_configs(torus).
 """
 
 import itertools
@@ -277,7 +278,8 @@ def crystalline(torus):
 
 
 def enumerate_configs(torus):
-    """Every configuration of the sector in the canonical labelling.
+    """Every configuration of the sector, canonically labelled: a read-only
+    (states, n) int array of positions in label order, (0, n) if empty.
 
     Guarded to small tori.  Row 0 is a set of m1 sites with label (0, 0)
     leftmost; each further label, in label order, takes every site of the
@@ -288,11 +290,8 @@ def enumerate_configs(torus):
     """
     if torus.L * torus.N > 24:
         raise StateSpaceError(f"torus with {torus.L * torus.N} sites is too large to enumerate")
-    if not torus.sector_feasible:
-        return []
-    L, m1 = torus.L, torus.m1
-    labels, _, nb = label_table(torus)
-    n = len(labels)
+    L, m1, n = torus.L, torus.m1, torus.N * torus.m1
+    nb = label_table(torus).neighbors
 
     def window(pos, k):
         """First site and size of the window that interlacing leaves to index
@@ -300,7 +299,8 @@ def enumerate_configs(torus):
         lo = pos[:, nb.below[k]]
         return lo, (pos[:, nb.below_right[k]] - lo) % L
 
-    row0 = np.array(list(itertools.combinations(range(L), m1))).reshape(-1, m1)
+    row0 = itertools.combinations(range(L), m1) if torus.sector_feasible else ()
+    row0 = np.array(list(row0), dtype=int).reshape(-1, m1)
     pos = np.zeros((len(row0), n), dtype=row0.dtype)
     pos[:, :m1] = row0
     for k in range(m1, n):
@@ -312,9 +312,10 @@ def enumerate_configs(torus):
     lo, size = window(pos, slice(m1))
     wraps = ((pos[:, :m1] - lo) % L < size).all(axis=1)
     pos = pos[wraps & (_up_winding(torus, pos) == torus.m2)]
-    rows = np.sort(pos.reshape(len(pos), -1, m1), axis=-1).reshape(len(pos), n)
+    rows = np.sort(pos.reshape(len(pos), torus.N, m1), axis=-1).reshape(len(pos), n)
     pos = pos[np.lexsort(rows.T[::-1])]
-    return [ParticleConfig(torus, dict(zip(labels, xs))) for xs in pos.tolist()]
+    pos.flags.writeable = False
+    return pos
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,7 @@ def _phi_with_repeated_label(tmp_path):
     ["ctmc", "--L", "4", "--N", "3", "--m1", "3", "--m2", "2", "--q", "0.5", "--T", "1"],
     ["ctmc", "--L", "6", "--N", "5", "--m1", "2", "--m2", "1", "--q", "0.5", "--T", "1"],
     [*_ORACLE, "--q", "1.2"],
+    ["oracle-stationarity", "--L", "4", "--N", "3", "--m1", "3", "--m2", "2"],
     [*_SDE, "--T", "-1"],
     [*_SDE, "--T", "0.1", "--replicas", "0"],
     ["ctmc", *_TORUS, "--q", "0.5", "--T", "1", "--crystalline", "--observe-every", "-1"],
@@ -394,7 +395,7 @@ def _phi_with_repeated_label(tmp_path):
     ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-320"],
     ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-200"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
-        "oracle-q-above-1", "sde-negative-T", "sde-no-replicas",
+        "oracle-q-above-1", "oracle-empty-sector", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
         "gff-zero-delta", "gff-negative-delta", "gff-inf-delta", "gff-delta-squared-overflows",
         "gff-delta-to-the-4-overflows", "cov-finite-without-m2",

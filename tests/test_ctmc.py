@@ -19,8 +19,11 @@ from akpz.sde import ModelParams
 TORUS = TorusParams(L=4, N=3, m1=2, m2=1)
 
 
-def configs():
-    return enumerate_configs(TORUS)
+def configs(torus=TORUS, pos=None):
+    """The states of pos (label-order rows; every enumerated state of torus by
+    default) as ParticleConfig objects."""
+    pos = enumerate_configs(torus) if pos is None else pos
+    return [ParticleConfig(torus, dict(zip(torus.labels(), xs))) for xs in pos.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,7 @@ def test_push_set_trivial_on_crystalline():
 def _configs_with_chain(torus, length):
     """Configs and triggers whose push cascade has the given length."""
     out = []
-    for cfg in enumerate_configs(torus):
+    for cfg in configs(torus):
         for p in torus.labels():
             if len(push_set(cfg, p)) == length and neighbor_distances(cfg, p).b >= 1:
                 out.append((cfg, p))
@@ -104,7 +107,7 @@ def test_push_set_bounded_by_loop_length():
         loop_steps, k = 1, up[0]
         while k != 0:
             loop_steps, k = loop_steps + 1, up[k]
-        for cfg in enumerate_configs(torus)[::7]:
+        for cfg in configs(torus)[::7]:
             for p in torus.labels():
                 assert len(push_set(cfg, p)) < loop_steps + 1
 
@@ -256,9 +259,10 @@ def test_generator_matches_jump_rate_and_apply_jump(torus):
     # matched by occupancy(); the diagonal is minus the row's sum
     q = 0.6
     gen = build_generator(torus, q)
-    index = {cfg.occupancy(): i for i, cfg in enumerate(gen.states)}
+    states = configs(torus, gen.positions)
+    index = {cfg.occupancy(): i for i, cfg in enumerate(states)}
     off = ~np.eye(gen.n, dtype=bool)
-    for i, cfg in enumerate(gen.states):
+    for i, cfg in enumerate(states):
         want = np.zeros(gen.n)
         for p in torus.labels():
             r = jump_rate(cfg, p, q)
@@ -277,8 +281,8 @@ def test_array_rate_and_masked_walk_match_the_scalar_twins():
     for torus in (TORUS, TorusParams(L=4, N=4, m1=2, m2=1), TorusParams(L=6, N=4, m1=3, m2=1),
                   TorusParams(L=8, N=3, m1=2, m2=2)):
         labels, _, nb = label_table(torus)
-        states = [[cfg.positions[p] for p in labels] for cfg in enumerate_configs(torus)]
-        pos = np.array(states)
+        pos = enumerate_configs(torus)
+        states = pos.tolist()
         for q in (0.0, 0.3, 0.6):
             rate = ctmc._rate_kernel(torus, q)
             want = np.array([[rate(xs, k) for k in range(len(labels))] for xs in states])
@@ -297,16 +301,19 @@ def test_array_rate_and_masked_walk_match_the_scalar_twins():
 
 def test_build_generator_enumerates_through_the_ctmc_module(monkeypatch):
     # the benchmark traces ctmc.enumerate_configs; a call that bypasses the
-    # module attribute would leave its metrics at zero
-    calls = []
+    # module attribute would leave its metrics at zero; the generator keeps
+    # the very array it returned, with no copy in another format
+    calls, returned = [], []
 
     def counting(torus):
         calls.append(torus)
-        return enumerate_configs(torus)
+        returned.append(enumerate_configs(torus))
+        return returned[-1]
 
     monkeypatch.setattr(ctmc, "enumerate_configs", counting)
-    build_generator(TORUS, 0.5)
+    gen = build_generator(TORUS, 0.5)
     assert calls == [TORUS]
+    assert gen.positions is returned[0]
 
 
 def test_stationarity_residuals():
@@ -385,7 +392,7 @@ def test_uniform_occupation_at_q_zero():
     # final states of independent runs are multinomial samples of the
     # uniform law; chi-square accepted at the 5% level (fixed seeds)
     torus = TORUS
-    all_cfgs = enumerate_configs(torus)
+    all_cfgs = configs(torus)
     key_to_idx = {c.occupancy(): i for i, c in enumerate(all_cfgs)}
     n = len(all_cfgs)
     runs = 600
@@ -406,11 +413,12 @@ def test_long_run_distribution_matches_gibbs_weights():
     q = 0.5
     gen = build_generator(torus, q)
     pi = stationary_distribution(gen, q)
-    key_to_idx = {c.occupancy(): i for i, c in enumerate(gen.states)}
+    states = configs(torus, gen.positions)
+    key_to_idx = {c.occupancy(): i for i, c in enumerate(states)}
     runs = 600
     counts = np.zeros(gen.n)
     for r in range(runs):
-        traj = simulate(gen.states[r % gen.n], q, 40.0, seed=9000 + r)
+        traj = simulate(states[r % gen.n], q, 40.0, seed=9000 + r)
         counts[key_to_idx[traj.final.occupancy()]] += 1
     expected = runs * pi
     chi_sq = float(np.sum((counts - expected) ** 2 / expected))
@@ -690,7 +698,7 @@ def _reference_simulate(config, q, T, seed=0, observe_every=None):
 @pytest.mark.parametrize("start, q, T, observe_every", [
     (configs()[0], 0.0, 25.0, None),
     (configs()[0], 0.5, 25.0, 2.0),
-    (enumerate_configs(TorusParams(L=6, N=4, m1=3, m2=1))[7], 0.7, 20.0, None),
+    (configs(TorusParams(L=6, N=4, m1=3, m2=1))[7], 0.7, 20.0, None),
     (crystalline(CASCADE_TORUS), 0.7, 5.0, 0.5),
     (crystalline(TorusParams.from_scaling(epsilon=0.01, ell=4.0, m=4, m2=2)),
      math.exp(-0.01), 100.0, None),
@@ -774,7 +782,7 @@ def test_weight_and_rate_match_the_gap_definitions(torus):
     # the weight equals the label-order sum over neighbor_distances with
     # log_q_pochhammer called directly, and the rate vanishes exactly at b = 0
     q = 0.6
-    for cfg in enumerate_configs(torus):
+    for cfg in configs(torus):
         total = 0.0
         for p in torus.labels():
             g = neighbor_distances(cfg, p)

@@ -15,6 +15,12 @@ from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
                           neighbor_distances, neighbor_index, sector, validate)
 
 
+def configs(torus):
+    """Every enumerated state of torus as a ParticleConfig."""
+    return [ParticleConfig(torus, dict(zip(torus.labels(), xs)))
+            for xs in enumerate_configs(torus).tolist()]
+
+
 def orbit(p, m, m2, n, span=3):
     """Brute-force equivalence class of p within a window of shifts."""
     out = set()
@@ -161,7 +167,7 @@ def test_crystalline_rejects_fractional_spacing():
 
 def test_row_gap_telescoping():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    for cfg in enumerate_configs(torus):
+    for cfg in configs(torus):
         for i in range(torus.N):
             total = sum(neighbor_distances(cfg, (j, i)).d + 1 for j in range(torus.m1))
             assert total == torus.L
@@ -169,7 +175,7 @@ def test_row_gap_telescoping():
 
 def test_neighbor_duality():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    for cfg in enumerate_configs(torus)[:10]:
+    for cfg in configs(torus)[:10]:
         for p in torus.labels():
             g = neighbor_distances(cfg, p)
             assert g.a == neighbor_distances(cfg, (p[0] + 1, p[1])).d
@@ -179,15 +185,15 @@ def test_neighbor_duality():
 
 def test_validate_passes_on_enumeration():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    configs = enumerate_configs(torus)
-    assert configs
-    for cfg in configs:
+    cfgs = configs(torus)
+    assert cfgs
+    for cfg in cfgs:
         assert validate(cfg).ok
 
 
 def test_validate_rejects_overlap():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    cfg = enumerate_configs(torus)[0]
+    cfg = configs(torus)[0]
     bad = dict(cfg.positions)
     bad[(0, 0)] = bad[(1, 0)]
     report = validate(ParticleConfig(torus, bad))
@@ -197,7 +203,7 @@ def test_validate_rejects_overlap():
 
 def test_validate_rejects_broken_interlacing():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    cfg = enumerate_configs(torus)[0]
+    cfg = configs(torus)[0]
     bad = dict(cfg.positions)
     # collapse a diagonal partner onto its neighbor: some window breaks
     bad[(0, 1)] = (bad[(0, 1)] + 2) % torus.L
@@ -211,16 +217,16 @@ def test_gap_columns_match_neighbor_distances_for_any_leading_shape():
     small, dense = TorusParams(L=6, N=4, m1=3, m2=1), TorusParams(L=64, N=16, m1=16, m2=4)
     run = simulate(crystalline(dense), 0.7, 2.0, seed=1, observe_every=0.5)
     assert len(run.events) > 100
-    for torus, configs in ((small, enumerate_configs(small)),
-                           (dense, [ParticleConfig(dense, s) for _, s in run.samples])):
+    for torus, cfgs in ((small, configs(small)),
+                        (dense, [ParticleConfig(dense, s) for _, s in run.samples])):
         labels = label_table(torus).labels
-        pos = np.array([[cfg.positions[p] for p in labels] for cfg in configs])
+        pos = np.array([[cfg.positions[p] for p in labels] for cfg in cfgs])
         batch = gap_columns(torus, pos)
         one = gap_columns(torus, pos[-1])
         for col, one_col in zip(batch, one):
             assert col.shape == pos.shape and one_col.shape == (len(labels),)
             assert np.array_equal(one_col, col[-1])
-        for s, cfg in enumerate(configs):
+        for s, cfg in enumerate(cfgs):
             for k, p in enumerate(labels):
                 g = neighbor_distances(cfg, p)
                 assert all(type(v) is int for v in g)
@@ -233,15 +239,15 @@ def test_enumeration_guard():
 
 
 def test_enumeration_empty_when_sector_infeasible():
-    assert enumerate_configs(TorusParams(L=3, N=2, m1=2, m2=1)) == []
+    assert enumerate_configs(TorusParams(L=3, N=2, m1=2, m2=1)).shape == (0, 4)
 
 
 def test_enumeration_no_duplicates_and_sector():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    configs = enumerate_configs(torus)
-    keys = {cfg.occupancy() for cfg in configs}
-    assert len(keys) == len(configs)
-    for cfg in configs:
+    cfgs = configs(torus)
+    keys = {cfg.occupancy() for cfg in cfgs}
+    assert len(keys) == len(cfgs)
+    for cfg in cfgs:
         assert sector(cfg) == torus.m2
 
 
@@ -262,9 +268,14 @@ ENUMERATION_PINS = {
 
 @pytest.mark.parametrize("dims", list(ENUMERATION_PINS), ids=str)
 def test_enumeration_is_pinned(dims):
-    configs = enumerate_configs(TorusParams(*dims))
-    text = repr([list(c.positions.items()) for c in configs])
-    assert (len(configs), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[dims]
+    # one read-only int array of shape (states, n), (0, n) on the empty sector
+    torus = TorusParams(*dims)
+    labels = torus.labels()
+    pos = enumerate_configs(torus)
+    assert pos.shape == (ENUMERATION_PINS[dims][0], len(labels))
+    assert pos.dtype.kind == "i" and not pos.flags.writeable
+    text = repr([list(zip(labels, xs)) for xs in pos.tolist()])
+    assert (len(pos), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[dims]
 
 
 @pytest.mark.parametrize("dims", [(4, 3, 2, 1), (4, 4, 2, 1)], ids=str)
@@ -284,8 +295,7 @@ def test_enumeration_matches_a_brute_force_filter(dims):
     keep &= (np.diff(rows[:, 0], axis=1) > 0).all(axis=1)
     want = sorted(pos[keep].tolist(),
                   key=lambda xs: [sorted(xs[i * m1:(i + 1) * m1]) for i in range(N)])
-    labels = label_table(torus).labels
-    got = [[cfg.positions[p] for p in labels] for cfg in enumerate_configs(torus)]
+    got = enumerate_configs(torus).tolist()
     assert want and got == want
 
 
@@ -316,7 +326,7 @@ def test_up_loop_windings_divide_m1_on_every_enumerable_torus():
 
 def test_sector_start_particle_independent():
     torus = TorusParams(L=6, N=2, m1=2, m2=1)
-    for cfg in enumerate_configs(torus):
+    for cfg in configs(torus):
         secs = {sector(cfg, start_label=p) for p in torus.labels()}
         assert secs == {torus.m2}
 
@@ -376,7 +386,7 @@ def test_fourier_count():
 
 def test_serialization_roundtrip_bit_exact():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
-    cfg = enumerate_configs(torus)[3]
+    cfg = configs(torus)[3]
     text = config_to_text(cfg)
     back = config_from_text(text)
     assert back.positions == cfg.positions
