@@ -172,7 +172,9 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     observe_every records position snapshots on a regular time grid that
     always holds t = 0 and t = T (only these two when observe_every = 0).
     It raises ConfigError on a start that lattice.validate rejects, and when its
-    rate table differs from a recomputation, made each 1024 events and at the end.
+    rate table differs from a recomputation or a kept sum is not the
+    label-order chain acc[k] = acc[k - 1] + rates[k], checked each 1024 events
+    and at the end.
     """
     report = validate(config)
     if not report.ok:
@@ -213,6 +215,11 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
         for i, r in enumerate(rates):
             if r != rate(pos, i):
                 raise ConfigError(f"stale rate of label {labels[i]}, t={t}: {r} != {rate(pos, i)}")
+        # the kept sums are the chain a scan from label 0 builds
+        for k in range(valid):
+            if acc[k] != (acc[k - 1] + rates[k] if k else rates[0]):
+                raise ConfigError(f"running sum of label {labels[k]}, t={t}: {acc[k]} is not "
+                                  f"the label-order sum")
 
     # (trigger index, push length) -> (trigger label, pushed labels, touched
     # indices, lowest touched index).  The touched particles are those whose

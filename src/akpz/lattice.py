@@ -92,8 +92,10 @@ class TorusParams:
 
     @property
     def sector_feasible(self):
-        """Whether m1/L + m2/N < 1, i.e. the configuration space is nonempty."""
-        return self.m1 / self.L + self.m2 / self.N < 1
+        """Whether m1/L + m2/N <= 1, in integers m1*N + m2*L <= L*N, i.e.
+        the configuration space is nonempty.  At equality every state is
+        frozen: each diagonal gap b is 0, so every clock rate is 0."""
+        return self.m1 * self.N + self.m2 * self.L <= self.L * self.N
 
     def canonical(self, p):
         return canonicalize(p, self.m1, self.m2, self.N)
@@ -266,7 +268,8 @@ def crystalline(torus):
     """Equi-spaced configuration with constant gaps; requires the ideal
     spacings L/m1 and L*m2/(m1*N) to be integers."""
     if not torus.sector_feasible:
-        raise ParameterError("m1/L + m2/N >= 1: empty configuration space")
+        raise ParameterError("m1/L + m2/N > 1: empty configuration space "
+                             "(at equality the states exist and are frozen)")
     dd = torus.ideal_spacing_row
     dc = torus.ideal_spacing_up
     if abs(dd - round(dd)) > 1e-9 or abs(dc - round(dc)) > 1e-9:

@@ -11,6 +11,8 @@ where A has the four-point stencil coded in DriftCoeffs and v is the speed.
 """
 
 import math
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,6 +346,18 @@ def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None, noise=Tr
     return [SdeState(xi=snaps[k][0], t=initial.t + k * dt) for k in steps]
 
 
+# the least and the most bytes of a block of noise that euler_maruyama_ensemble
+# draws ahead, unless one step alone is more
+_NOISE_BLOCK_BYTES = (1 << 16, 1 << 20)
+
+
+def _now(fn, *args):
+    """fn(*args) run in this thread, as a finished Future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
 def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
                             replicas=None, noise=True):
     """Vectorized ensemble integrator.
@@ -357,7 +371,15 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     Each step runs in two buffers allocated once per call, in the operation
     order of xi += (diag*xi + d2*xi[br] - d1*xi[l] + d3*xi[b]) * dt followed
     by xi += sig * standard normals, so its outputs are bitwise those of that
-    expression.
+    expression.  Called from the main thread, it draws the normals one block
+    of steps ahead on a second thread, into two buffers that take turns,
+    while the main thread runs the steps; called from any other thread, it
+    draws each block itself before the block's steps.  A block is an eighth
+    of the run, held between 64 KiB and 1 MiB, and at least one step.  The
+    normals fill each block in the order of one standard_normal(out=) call
+    per step, so the stream and every output bit are those of drawing them
+    in the step.  The second thread ends before the call returns or raises,
+    and an error in it is raised in the caller.
     """
     if not 0 < dt < math.inf:
         raise ParameterError(f"dt must be finite and positive, got {dt}")
@@ -388,24 +410,43 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
                        (neighbor_index(m, m, m2, dp) for dp in ((1, -1), (-1, 0), (0, -1))))
     flat = xi.reshape(-1, m * m)
     acc, tmp = np.empty_like(flat), np.empty_like(flat)
+    diag, d1, d2, d3 = coeffs.diag, coeffs.d1, coeffs.d2, coeffs.d3
     rng = np.random.default_rng(seed)
     sig = math.sqrt(params.v * dt)
     # the last snapshot is xi itself, which no step touches after it
     last = max(want)
     out = {0: xi.copy()} if 0 in want and last else {}
+    least, most = (size // max(flat.nbytes, 1) for size in _NOISE_BLOCK_BYTES)
+    k = max(1, min(most, max(least, last // 8), last))
+    blocks = [np.empty((k, *flat.shape)) for _ in range(2)] if noise else None
+
+    def draw(start):
+        # the normals of steps start + 1 .. start + k
+        return rng.standard_normal(out=blocks[start // k % 2][:last - start])
+
     # ndarray.take, not np.take, whose wrapper costs about 1 us a call; mode="clip",
     # because numpy buffers out= under mode="raise".  The flat tables are
     # permutations of range(m*m), so nothing is ever clipped.
-    for step in range(1, last + 1):
-        np.multiply(flat, coeffs.diag, out=acc)
-        acc += np.multiply(flat.take(br, axis=1, out=tmp, mode="clip"), coeffs.d2, out=tmp)
-        acc -= np.multiply(flat.take(left, axis=1, out=tmp, mode="clip"), coeffs.d1, out=tmp)
-        acc += np.multiply(flat.take(below, axis=1, out=tmp, mode="clip"), coeffs.d3, out=tmp)
-        acc *= dt
-        flat += acc
-        if noise:
-            flat += np.multiply(rng.standard_normal(out=tmp), sig, out=tmp)
-        if step in want and step < last:
-            out[step] = xi.copy()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # another thread draws for itself: it runs in a pool such as
+        # cli.thread_map's, which already keeps every CPU busy
+        submit = pool.submit if threading.current_thread() is threading.main_thread() else _now
+        pending = submit(draw, 0) if noise and last else None
+        for start in range(0, last, k):
+            if noise:
+                block = pending.result()
+                if start + k < last:
+                    pending = submit(draw, start + k)
+            for j, step in enumerate(range(start + 1, min(start + k, last) + 1)):
+                np.multiply(flat, diag, out=acc)
+                acc += np.multiply(flat.take(br, axis=1, out=tmp, mode="clip"), d2, out=tmp)
+                acc -= np.multiply(flat.take(left, axis=1, out=tmp, mode="clip"), d1, out=tmp)
+                acc += np.multiply(flat.take(below, axis=1, out=tmp, mode="clip"), d3, out=tmp)
+                acc *= dt
+                flat += acc
+                if noise:
+                    flat += np.multiply(block[j], sig, out=tmp)
+                if step in want and step < last:
+                    out[step] = xi.copy()
     out[last] = xi
     return out

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akpz import lattice
-from akpz.ctmc import simulate
+from akpz.ctmc import check_stationarity, jump_rate, simulate
 from akpz.lattice import (STENCIL, ParameterError, ParticleConfig,
                           StateSpaceError, TorusParams, canonicalize,
                           config_from_text, config_to_text, crystalline,
@@ -242,6 +242,33 @@ def test_enumeration_empty_when_sector_infeasible():
     assert enumerate_configs(TorusParams(L=3, N=2, m1=2, m2=1)).shape == (0, 4)
 
 
+# every torus of at most 24 sites on the boundary m1/L + m2/N = 1 of the sector
+BOUNDARY_TORI = [(L, N, m1, m2) for L in range(3, 25) for N in range(2, 24 // L + 1)
+                 for m1 in range(2, L) for m2 in range(1, N) if m1 * N + m2 * L == L * N]
+
+
+@pytest.mark.parametrize("dims", BOUNDARY_TORI, ids=str)
+def test_boundary_sector_holds_only_frozen_states(dims):
+    # the sector is feasible at equality, and every state there is frozen:
+    # no clock rings, so the Gibbs weights are trivially stationary and a run
+    # from the crystalline state (where its spacings are integers) never moves
+    torus = TorusParams(*dims)
+    assert torus.sector_feasible
+    cfgs = configs(torus)
+    assert cfgs
+    for cfg in cfgs:
+        assert validate(cfg).ok
+        assert all(jump_rate(cfg, p, 0.5) == 0 for p in torus.labels())
+    assert check_stationarity(torus, 0.5) == 0
+    if torus.L % torus.m1 == 0 and torus.L * torus.m2 % (torus.m1 * torus.N) == 0:
+        assert simulate(crystalline(torus), 0.5, 10.0, seed=0).events == []
+
+
+def test_boundary_tori_are_the_thirteen_up_to_24_sites():
+    assert len(BOUNDARY_TORI) == 13
+    assert (3, 3, 2, 1) in BOUNDARY_TORI and (4, 4, 2, 2) in BOUNDARY_TORI
+
+
 def test_enumeration_no_duplicates_and_sector():
     torus = TorusParams(L=4, N=3, m1=2, m2=1)
     cfgs = configs(torus)
@@ -278,7 +305,7 @@ def test_enumeration_is_pinned(dims):
     assert (len(pos), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[dims]
 
 
-@pytest.mark.parametrize("dims", [(4, 3, 2, 1), (4, 4, 2, 1)], ids=str)
+@pytest.mark.parametrize("dims", [(4, 3, 2, 1), (4, 4, 2, 1), (4, 4, 2, 2)], ids=str)
 def test_enumeration_matches_a_brute_force_filter(dims):
     # a second route: every position tuple in range(L)^n that interlaces, has
     # no row collision, winds m2 times and has row 0 increasing (label (0, 0)

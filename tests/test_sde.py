@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -411,3 +414,140 @@ def test_euler_maruyama_ensemble_runs_zero_replicas():
     snaps = euler_maruyama_ensemble(np.zeros((4, 4)), ModelParams(C=0.5, D=1.5), 2, 1e-2, 3,
                                     seed=0, snapshot_steps=[3], replicas=0)
     assert snaps[3].shape == (0, 4, 4)
+
+
+def _reference_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps, replicas=None,
+                        noise=True):
+    # the step loop of euler_maruyama_ensemble as it was before its noise was
+    # drawn ahead on a second thread: one standard_normal(out=) call in each
+    # step; the argument checks are left out
+    xi0 = np.asarray(xi0, dtype=float)
+    xi = np.broadcast_to(xi0, (replicas, *xi0.shape)).copy() if xi0.ndim == 2 else xi0.copy()
+    coeffs = drift_coeffs(params)
+    m = xi.shape[-1]
+    br, left, below = ((i1 * m + i2).ravel() for i1, i2 in
+                       (neighbor_index(m, m, m2, dp) for dp in ((1, -1), (-1, 0), (0, -1))))
+    flat = xi.reshape(-1, m * m)
+    acc, tmp = np.empty_like(flat), np.empty_like(flat)
+    rng = np.random.default_rng(seed)
+    sig = math.sqrt(params.v * dt)
+    want = set(snapshot_steps)
+    last = max(want)
+    out = {0: xi.copy()} if 0 in want and last else {}
+    for step in range(1, last + 1):
+        np.multiply(flat, coeffs.diag, out=acc)
+        acc += np.multiply(flat.take(br, axis=1, out=tmp, mode="clip"), coeffs.d2, out=tmp)
+        acc -= np.multiply(flat.take(left, axis=1, out=tmp, mode="clip"), coeffs.d1, out=tmp)
+        acc += np.multiply(flat.take(below, axis=1, out=tmp, mode="clip"), coeffs.d3, out=tmp)
+        acc *= dt
+        flat += acc
+        if noise:
+            flat += np.multiply(rng.standard_normal(out=tmp), sig, out=tmp)
+        if step in want and step < last:
+            out[step] = xi.copy()
+    out[last] = xi
+    return out
+
+
+def _block_steps(step_bytes, nsteps):
+    # the integrator's rule: an eighth of the run, held between 64 KiB and
+    # 1 MiB, and at least one step
+    least, most = (size // max(step_bytes, 1) for size in (2 ** 16, 2 ** 20))
+    return max(1, min(most, max(least, nsteps // 8), nsteps))
+
+
+# (m, shared field or batch, replicas, nsteps, noise).  With 8-byte sites a
+# 4x4 replica is 128 bytes and a 16x16 one 2 KiB.
+DRAW_AHEAD_CASES = [
+    (4, "shared", 5, 0, True),
+    (4, "shared", 5, 1, True),
+    (4, "shared", 0, 40, True),
+    (4, "shared", 1, 40, True),     # one block of the whole run
+    (4, "shared", 512, 8, True),    # 64 KiB steps: 8 one-step blocks
+    (4, "shared", 64, 576, True),   # 8 KiB steps: 8 whole blocks of 72
+    (4, "shared", 64, 579, True),   # 8 blocks of 72 and a partial one of 3
+    (4, "batch", 256, 37, True),    # 32 KiB steps: 9 blocks of 4 and a partial one of 1
+    (4, "batch", 256, 9, True),     # 64 KiB floor: 4 blocks of 2 and a partial one of 1
+    (6, "batch", 7, 50, False),
+    (16, "shared", 128, 32, True),  # 256 KiB steps, 1 MiB bound: 8 whole blocks of 4
+    (16, "batch", 128, 50, True),   # 12 blocks of 4 and a partial one of 2
+    (16, "shared", 600, 3, True),   # steps above 1 MiB: one step a block
+]
+
+
+@pytest.mark.parametrize("m, start, replicas, nsteps, noise", DRAW_AHEAD_CASES, ids=str)
+def test_draw_ahead_integrator_matches_the_per_step_loop(m, start, replicas, nsteps, noise):
+    params = ModelParams(C=0.5, D=1.5)
+    m2 = m // 2
+    rng = np.random.default_rng(nsteps)
+    shape = (m, m) if start == "shared" else (replicas, m, m)
+    xi0 = rng.normal(size=shape)
+    k = _block_steps(replicas * m * m * 8, nsteps)
+    # every block edge, one step past each, and the end
+    snapshot_steps = sorted({0, nsteps, *(s for e in range(k, nsteps, k) for s in (e, e + 1)
+                                          if s <= nsteps)})
+    got = euler_maruyama_ensemble(xi0, params, m2, 1e-2, nsteps, 21, snapshot_steps,
+                                  replicas=replicas if start == "shared" else None, noise=noise)
+    want = _reference_ensemble(xi0, params, m2, 1e-2, nsteps, 21, snapshot_steps,
+                               replicas=replicas, noise=noise)
+    assert sorted(got) == sorted(want) == snapshot_steps
+    for step in snapshot_steps:
+        assert got[step].shape == (replicas, m, m)
+        assert got[step].tobytes() == want[step].tobytes(), step
+
+
+def test_draw_ahead_keeps_its_bits_under_rapid_thread_switching():
+    # the noise thread fills one buffer while the main thread reads the
+    # other; switching threads every microsecond would expose a block read
+    # before it is filled or overwritten while it is read
+    params, xi0 = ModelParams(C=0.5, D=1.5), np.random.default_rng(8).normal(size=(4, 4))
+    want = _reference_ensemble(xi0, params, 2, 1e-2, 2000, 5, [2000], replicas=256)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        got = euler_maruyama_ensemble(xi0, params, 2, 1e-2, 2000, 5, [2000], replicas=256)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[2000].tobytes() == want[2000].tobytes()  # 62 blocks of 32 steps and one of 16
+
+
+def _record_draws(monkeypatch, fail_on=None):
+    # np.random.default_rng replaced by generators that record the thread of
+    # each standard_normal call and raise on the call numbered fail_on
+    real, drawn_on = np.random.default_rng, []
+
+    class Recorded:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            drawn_on.append(threading.current_thread())
+            if len(drawn_on) == fail_on:
+                raise RuntimeError(f"draw {fail_on} failed")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorded)
+    return drawn_on
+
+
+def test_a_call_from_a_worker_thread_draws_in_that_thread(monkeypatch):
+    # as in cli.thread_map: the worker draws its own blocks, with the same bits
+    params, xi0 = ModelParams(C=0.5, D=1.5), np.random.default_rng(3).normal(size=(4, 4))
+    want = _reference_ensemble(xi0, params, 2, 1e-2, 579, 21, [100, 579], replicas=64)
+    drawn_on = _record_draws(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(threading.current_thread).result(timeout=60)
+        got = pool.submit(euler_maruyama_ensemble, xi0, params, 2, 1e-2, 579, 21, [100, 579],
+                          replicas=64).result(timeout=60)
+    assert len(drawn_on) == 9 and set(drawn_on) == {worker}  # 8 blocks of 72 and one of 3
+    assert all(got[k].tobytes() == want[k].tobytes() for k in (100, 579))
+
+
+def test_a_noise_thread_error_reaches_the_caller_and_no_thread_remains(monkeypatch):
+    drawn_on = _record_draws(monkeypatch, fail_on=3)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="draw 3 failed"):  # 5 blocks of 8 steps
+        euler_maruyama_ensemble(np.zeros((4, 4)), ModelParams(C=0.5, D=1.5), 2, 1e-2, 40,
+                                seed=0, snapshot_steps=[40], replicas=64)
+    assert len(drawn_on) == 3 and threading.current_thread() not in drawn_on
+    assert set(threading.enumerate()) == before
