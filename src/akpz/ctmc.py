@@ -239,7 +239,6 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     grid = _observation_times(T, observe_every) if observe_every is not None else iter(())
     next_obs = next(grid, None)
     t = 0.0
-    events_since_resync = 0
     while True:
         wait = rng.exponential(1.0 / total) if total > 0 else math.inf
         t_next = t + wait
@@ -280,11 +279,9 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
             total += rates[i] - old
         if low < valid:
             valid = low
-        events_since_resync += 1
-        if events_since_resync >= 1024:
+        if len(events) % 1024 == 0:
             check_rates()
             total = sum(rates)
-            events_since_resync = 0
 
     check_rates()
     traj.displacement = dict(zip(labels, displacement))
@@ -320,6 +317,7 @@ def log_stationary_weight(config, q: float) -> float:
 @dataclass(frozen=True)
 class GeneratorMatrix:
     torus: TorusParams
+    q: float
     matrix: np.ndarray
     positions: np.ndarray  # (states, labels), read-only: the states in label order
 
@@ -356,12 +354,12 @@ def build_generator(torus, q) -> GeneratorMatrix:
     for col in rates.T:  # in label order, the rounding of a per-state loop
         diag -= col
     Q[np.diag_indices(n)] = diag
-    return GeneratorMatrix(torus=torus, matrix=Q, positions=pos)
+    return GeneratorMatrix(torus=torus, q=q, matrix=Q, positions=pos)
 
 
-def stationary_distribution(generator, q):
-    """Normalized Gibbs weights over the generator's states."""
-    logs = _log_weights(gap_columns(generator.torus, generator.positions), q)
+def stationary_distribution(generator):
+    """Normalized Gibbs weights over the generator's states, at its q."""
+    logs = _log_weights(gap_columns(generator.torus, generator.positions), generator.q)
     w = np.exp(logs - logs.max())
     return w / w.sum()
 
@@ -370,7 +368,7 @@ def check_stationarity(torus, q) -> float:
     """Max-norm residual of pi^T Q with pi the Gibbs weights; rounding-level
     for the true stationary measure."""
     gen = build_generator(torus, q)
-    pi = stationary_distribution(gen, q)
+    pi = stationary_distribution(gen)
     return float(np.abs(pi @ gen.matrix).max())
 
 

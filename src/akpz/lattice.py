@@ -231,33 +231,33 @@ def validate(config):
     return ValidationReport(True)
 
 
-def sector(config, start_label=(0, 0)):
+def sector(config):
     """Winding-number invariant m1*N_h/N_v of the up-right loop.
 
-    Follows the up neighbours of start_label until the label returns,
-    summing the horizontal steps; independent of the starting particle.
+    Follows the up neighbours of label (0, 0) until the label returns,
+    summing the horizontal steps.  The value does not depend on which
+    particle carries label (0, 0): relabelling a valid configuration so that
+    any other particle does gives the same sector.
     """
-    torus = config.torus
-    start = label_table(torus).index[torus.canonical(start_label)]
-    return int(_up_winding(torus, label_positions(config), start))
+    return int(_up_winding(config.torus, label_positions(config)))
 
 
 @lru_cache(maxsize=64)
-def _up_loop(torus, start):
-    """The indices of the up loop from index start, and of their up neighbours:
-    the two rows of one read-only array."""
-    up, loop = label_table(torus).neighbors.up.tolist(), [start]
-    while up[loop[-1]] != start:
+def _up_loop(torus):
+    """The indices of the up loop from label (0, 0), and of their up
+    neighbours: the two rows of one read-only array."""
+    up, loop = label_table(torus).neighbors.up.tolist(), [0]
+    while up[loop[-1]] != 0:
         loop.append(up[loop[-1]])
     loops = np.array([loop, loop[1:] + loop[:1]])
     loops.flags.writeable = False
     return loops
 
 
-def _up_winding(torus, pos, start=0):
-    """sector for positions pos[..., n] in label order, from the label at index
-    start: an int array of pos's leading shape."""
-    loop, ups = _up_loop(torus, start)
+def _up_winding(torus, pos):
+    """sector for positions pos[..., n] in label order: an int array of pos's
+    leading shape."""
+    loop, ups = _up_loop(torus)
     pos = np.asarray(pos)
     disp = ((pos[..., ups] - pos[..., loop]) % torus.L).sum(axis=-1)
     # the label loop has N_v = m1/gcd(m1, m2) windings, a divisor of m1

@@ -12,7 +12,7 @@ where A has the four-point stencil coded in DriftCoeffs and v is the speed.
 
 import math
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,7 +329,7 @@ def step_count(T, dt, name="T"):
     return nsteps
 
 
-def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None, noise=True):
+def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None):
     """Explicit Euler-Maruyama trajectory of the linear SDE system.
 
     xi(t+dt) = xi(t) + A xi(t) dt + sqrt(v dt) * standard normals.  The step
@@ -342,31 +342,20 @@ def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None, noise=Tr
     stride = step_count(record_every, dt, "record_every") if record_every else max(nsteps, 1)
     steps = sorted({*range(0, nsteps, stride), nsteps})
     snaps = euler_maruyama_ensemble(np.asarray(initial.xi, dtype=float)[None], params, m2,
-                                    dt, nsteps, seed, steps, noise=noise)
+                                    dt, nsteps, seed, steps)
     return [SdeState(xi=snaps[k][0], t=initial.t + k * dt) for k in steps]
 
 
-# the least and the most bytes of a block of noise that euler_maruyama_ensemble
-# draws ahead, unless one step alone is more
-_NOISE_BLOCK_BYTES = (1 << 16, 1 << 20)
-
-
-def _now(fn, *args):
-    """fn(*args) run in this thread, as a finished Future."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
-
-
 def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
-                            replicas=None, noise=True):
+                            replicas=None):
     """Vectorized ensemble integrator.
 
     xi0 is either an (m, m) field shared by `replicas` replicas or an
     (R, m, m) batch, with replicas None or R.  Returns {step: (R, m, m) array}
     for each requested snapshot step in [0, nsteps]; the arrays share no
     memory with xi0, which is not modified, or with each other.  Deterministic
-    for given (seed, replicas).
+    for given (seed, replicas); seed is anything np.random.default_rng takes,
+    and a Generator is used as it is.
 
     Each step runs in two buffers allocated once per call, in the operation
     order of xi += (diag*xi + d2*xi[br] - d1*xi[l] + d3*xi[b]) * dt followed
@@ -375,11 +364,11 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     of steps ahead on a second thread, into two buffers that take turns,
     while the main thread runs the steps; called from any other thread, it
     draws each block itself before the block's steps.  A block is an eighth
-    of the run, held between 64 KiB and 1 MiB, and at least one step.  The
-    normals fill each block in the order of one standard_normal(out=) call
-    per step, so the stream and every output bit are those of drawing them
-    in the step.  The second thread ends before the call returns or raises,
-    and an error in it is raised in the caller.
+    of the run, cut to 1 MiB, and at least one step.  The normals fill each
+    block in the order of one standard_normal(out=) call per step, so the
+    stream and every output bit are those of drawing them in the step.  The
+    second thread ends before the call returns or raises, and an error in it
+    is raised in the caller.
     """
     if not 0 < dt < math.inf:
         raise ParameterError(f"dt must be finite and positive, got {dt}")
@@ -416,9 +405,8 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     # the last snapshot is xi itself, which no step touches after it
     last = max(want)
     out = {0: xi.copy()} if 0 in want and last else {}
-    least, most = (size // max(flat.nbytes, 1) for size in _NOISE_BLOCK_BYTES)
-    k = max(1, min(most, max(least, last // 8), last))
-    blocks = [np.empty((k, *flat.shape)) for _ in range(2)] if noise else None
+    k = max(1, min((1 << 20) // max(flat.nbytes, 1), last // 8))
+    blocks = [np.empty((k, *flat.shape)) for _ in range(2)]
 
     def draw(start):
         # the normals of steps start + 1 .. start + k
@@ -427,16 +415,15 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
     # ndarray.take, not np.take, whose wrapper costs about 1 us a call; mode="clip",
     # because numpy buffers out= under mode="raise".  The flat tables are
     # permutations of range(m*m), so nothing is ever clipped.
+    # Another thread draws for itself: it runs in a pool such as
+    # cli.thread_map's, which already keeps every CPU busy.
+    ahead = threading.current_thread() is threading.main_thread()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        # another thread draws for itself: it runs in a pool such as
-        # cli.thread_map's, which already keeps every CPU busy
-        submit = pool.submit if threading.current_thread() is threading.main_thread() else _now
-        pending = submit(draw, 0) if noise and last else None
+        pending = pool.submit(draw, 0) if ahead and last else None
         for start in range(0, last, k):
-            if noise:
-                block = pending.result()
-                if start + k < last:
-                    pending = submit(draw, start + k)
+            block = pending.result() if pending else draw(start)
+            if ahead and start + k < last:
+                pending = pool.submit(draw, start + k)
             for j, step in enumerate(range(start + 1, min(start + k, last) + 1)):
                 np.multiply(flat, diag, out=acc)
                 acc += np.multiply(flat.take(br, axis=1, out=tmp, mode="clip"), d2, out=tmp)
@@ -444,8 +431,7 @@ def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,
                 acc += np.multiply(flat.take(below, axis=1, out=tmp, mode="clip"), d3, out=tmp)
                 acc *= dt
                 flat += acc
-                if noise:
-                    flat += np.multiply(block[j], sig, out=tmp)
+                flat += np.multiply(block[j], sig, out=tmp)
                 if step in want and step < last:
                     out[step] = xi.copy()
     out[last] = xi

@@ -323,7 +323,7 @@ def test_stationarity_residuals():
 
 def test_stationarity_residual_sensitive_to_perturbation():
     gen = build_generator(TORUS, 0.5)
-    pi = stationary_distribution(gen, 0.5)
+    pi = stationary_distribution(gen)
     pert = pi.copy()
     pert[0] *= 1.01
     pert /= pert.sum()
@@ -412,7 +412,7 @@ def test_long_run_distribution_matches_gibbs_weights():
     torus = TORUS
     q = 0.5
     gen = build_generator(torus, q)
-    pi = stationary_distribution(gen, q)
+    pi = stationary_distribution(gen)
     states = configs(torus, gen.positions)
     key_to_idx = {c.occupancy(): i for i, c in enumerate(states)}
     runs = 600
@@ -771,7 +771,7 @@ def test_oracle_bits_are_pinned(torus, digest):
     for q in (0.0, 0.3, 0.6):
         gen = build_generator(torus, q)
         h.update(gen.matrix.tobytes())
-        h.update(stationary_distribution(gen, q).tobytes())
+        h.update(stationary_distribution(gen).tobytes())
         h.update(repr(check_stationarity(torus, q)).encode())
     assert h.hexdigest() == digest
 

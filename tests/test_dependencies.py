@@ -133,7 +133,7 @@ def _cached_inputs():
     torus, coeffs = TorusParams(L=8, N=3, m1=2, m2=2), drift_coeffs(ModelParams(C=0.75, D=1.5))
     return {
         ("lattice", "label_table"): (torus,),
-        ("lattice", "_up_loop"): (torus, 1),
+        ("lattice", "_up_loop"): (torus,),
         ("ctmc", "_q_powers"): (0.5, 8),
         ("ctmc", "_rate_kernel"): (torus, 0.5),
         ("ctmc", "_log_qpoch"): (0.5, 3),
@@ -161,13 +161,9 @@ ENGINE = ("lattice", "ctmc", "sde", "correlations", "specfun")
 # the defaulted engine parameters that only tests set, each with its reason
 _REFINEMENT = ("tests reach refinement failures and odd-m starts through them, "
                "and criterion 11(b) uses tol=1e-5")
-TEST_ONLY_OPTIONS = {
-    **{(fn, name): _REFINEMENT for fn in ("covariance_quadrature", "stationary_cov_infinite")
-       for name in ("tol", "m_start", "m_max")},
-    ("euler_maruyama", "noise"): ("the pinned no-noise EM digest and "
-                                  "test_euler_maruyama_kills_constants"),
-    ("sector", "start_label"): "the start-independence test",
-}
+TEST_ONLY_OPTIONS = {(fn, name): _REFINEMENT
+                     for fn in ("covariance_quadrature", "stationary_cov_infinite")
+                     for name in ("tol", "m_start", "m_max")}
 
 
 def _defaulted_parameters(tree):

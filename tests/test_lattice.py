@@ -352,10 +352,16 @@ def test_up_loop_windings_divide_m1_on_every_enumerable_torus():
 
 
 def test_sector_start_particle_independent():
-    torus = TorusParams(L=6, N=2, m1=2, m2=1)
-    for cfg in configs(torus):
-        secs = {sector(cfg, start_label=p) for p in torus.labels()}
-        assert secs == {torus.m2}
+    # relabelling so that particle p carries label (0, 0) starts the up loop
+    # at p; the configuration stays valid and its sector stays m2
+    for dims in [(6, 2, 2, 1), (4, 3, 2, 1), (6, 4, 3, 1)]:
+        torus = TorusParams(*dims)
+        for cfg in configs(torus):
+            for p in torus.labels():
+                moved = {q: cfg.positions[torus.canonical((q[0] + p[0], q[1] + p[1]))]
+                         for q in torus.labels()}
+                moved = ParticleConfig(torus, moved)
+                assert validate(moved).ok and sector(moved) == torus.m2, (dims, p)
 
 
 def test_fourier_modes_gram_identity():

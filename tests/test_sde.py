@@ -15,6 +15,19 @@ from akpz.sde import (DriftCoeffs, ModelParams, ModelError, SdeState, appendix_d
                       symbol_Q, symbol_R, symbol_W, validate_symbol_properties)
 
 
+class ZeroNormals(np.random.Generator):
+    """A generator whose standard normals are all zero: passed as seed, it
+    gives a noiseless Euler-Maruyama run (np.random.default_rng hands a
+    Generator back unchanged)."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def standard_normal(self, *args, out, **kwargs):
+        out.fill(0.0)
+        return out
+
+
 def random_params(n, seed=0):
     rng = np.random.default_rng(seed)
     out = []
@@ -209,7 +222,7 @@ def test_shift_field_matches_quotient_arithmetic():
 def test_euler_maruyama_kills_constants():
     params = ModelParams(C=0.5, D=1.5)
     initial = SdeState(xi=np.full((4, 4), 2.25), t=0.0)
-    out = euler_maruyama(initial, params, dt=1e-3, T=0.2, seed=0, m2=2, noise=False)
+    out = euler_maruyama(initial, params, dt=1e-3, T=0.2, seed=ZeroNormals(), m2=2)
     assert np.abs(out[-1].xi - 2.25).max() < 1e-12
 
 
@@ -341,8 +354,8 @@ def _em_case(case):
         return euler_maruyama_ensemble(xi0, params, 8, 1e-2, 25, seed=13,
                                        snapshot_steps=[10, 25], replicas=3)
     xi0 = rng.normal(size=(3, 6, 6))
-    return euler_maruyama_ensemble(xi0, params, 4, 1e-2, 50, seed=14,
-                                   snapshot_steps=[0, 50], noise=False)
+    return euler_maruyama_ensemble(xi0, params, 4, 1e-2, 50, seed=ZeroNormals(),
+                                   snapshot_steps=[0, 50])
 
 
 @pytest.mark.parametrize("case, digest", [
@@ -416,8 +429,7 @@ def test_euler_maruyama_ensemble_runs_zero_replicas():
     assert snaps[3].shape == (0, 4, 4)
 
 
-def _reference_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps, replicas=None,
-                        noise=True):
+def _reference_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps, replicas=None):
     # the step loop of euler_maruyama_ensemble as it was before its noise was
     # drawn ahead on a second thread: one standard_normal(out=) call in each
     # step; the argument checks are left out
@@ -441,8 +453,7 @@ def _reference_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps, repli
         acc += np.multiply(flat.take(below, axis=1, out=tmp, mode="clip"), coeffs.d3, out=tmp)
         acc *= dt
         flat += acc
-        if noise:
-            flat += np.multiply(rng.standard_normal(out=tmp), sig, out=tmp)
+        flat += np.multiply(rng.standard_normal(out=tmp), sig, out=tmp)
         if step in want and step < last:
             out[step] = xi.copy()
     out[last] = xi
@@ -450,24 +461,23 @@ def _reference_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps, repli
 
 
 def _block_steps(step_bytes, nsteps):
-    # the integrator's rule: an eighth of the run, held between 64 KiB and
-    # 1 MiB, and at least one step
-    least, most = (size // max(step_bytes, 1) for size in (2 ** 16, 2 ** 20))
-    return max(1, min(most, max(least, nsteps // 8), nsteps))
+    # the integrator's rule: an eighth of the run, cut to 1 MiB, and at least one step
+    return max(1, min(2 ** 20 // max(step_bytes, 1), nsteps // 8))
 
 
-# (m, shared field or batch, replicas, nsteps, noise).  With 8-byte sites a
-# 4x4 replica is 128 bytes and a 16x16 one 2 KiB.
+# (m, shared field or batch, replicas, nsteps, noise), a run without noise
+# drawing from ZeroNormals.  With 8-byte sites a 4x4 replica is 128 bytes and
+# a 16x16 one 2 KiB.
 DRAW_AHEAD_CASES = [
     (4, "shared", 5, 0, True),
     (4, "shared", 5, 1, True),
     (4, "shared", 0, 40, True),
-    (4, "shared", 1, 40, True),     # one block of the whole run
+    (4, "shared", 1, 40, True),     # 8 blocks of 5
     (4, "shared", 512, 8, True),    # 64 KiB steps: 8 one-step blocks
     (4, "shared", 64, 576, True),   # 8 KiB steps: 8 whole blocks of 72
     (4, "shared", 64, 579, True),   # 8 blocks of 72 and a partial one of 3
     (4, "batch", 256, 37, True),    # 32 KiB steps: 9 blocks of 4 and a partial one of 1
-    (4, "batch", 256, 9, True),     # 64 KiB floor: 4 blocks of 2 and a partial one of 1
+    (4, "batch", 256, 9, True),     # 9 one-step blocks
     (6, "batch", 7, 50, False),
     (16, "shared", 128, 32, True),  # 256 KiB steps, 1 MiB bound: 8 whole blocks of 4
     (16, "batch", 128, 50, True),   # 12 blocks of 4 and a partial one of 2
@@ -486,10 +496,11 @@ def test_draw_ahead_integrator_matches_the_per_step_loop(m, start, replicas, nst
     # every block edge, one step past each, and the end
     snapshot_steps = sorted({0, nsteps, *(s for e in range(k, nsteps, k) for s in (e, e + 1)
                                           if s <= nsteps)})
-    got = euler_maruyama_ensemble(xi0, params, m2, 1e-2, nsteps, 21, snapshot_steps,
-                                  replicas=replicas if start == "shared" else None, noise=noise)
-    want = _reference_ensemble(xi0, params, m2, 1e-2, nsteps, 21, snapshot_steps,
-                               replicas=replicas, noise=noise)
+    seed = 21 if noise else ZeroNormals()
+    got = euler_maruyama_ensemble(xi0, params, m2, 1e-2, nsteps, seed, snapshot_steps,
+                                  replicas=replicas if start == "shared" else None)
+    want = _reference_ensemble(xi0, params, m2, 1e-2, nsteps, seed, snapshot_steps,
+                               replicas=replicas)
     assert sorted(got) == sorted(want) == snapshot_steps
     for step in snapshot_steps:
         assert got[step].shape == (replicas, m, m)
@@ -546,7 +557,7 @@ def test_a_call_from_a_worker_thread_draws_in_that_thread(monkeypatch):
 def test_a_noise_thread_error_reaches_the_caller_and_no_thread_remains(monkeypatch):
     drawn_on = _record_draws(monkeypatch, fail_on=3)
     before = set(threading.enumerate())
-    with pytest.raises(RuntimeError, match="draw 3 failed"):  # 5 blocks of 8 steps
+    with pytest.raises(RuntimeError, match="draw 3 failed"):  # 8 blocks of 5 steps
         euler_maruyama_ensemble(np.zeros((4, 4)), ModelParams(C=0.5, D=1.5), 2, 1e-2, 40,
                                 seed=0, snapshot_steps=[40], replicas=64)
     assert len(drawn_on) == 3 and threading.current_thread() not in drawn_on
