@@ -1,64 +1,4 @@
 """akpz: numerical laboratory for a driven interlaced particle system on the
 2D torus, its Gaussian SDE limit, and the associated space-time covariances."""
 
-from .lattice import (
-    TorusParams,
-    ParticleConfig,
-    FourierModeSet,
-    canonicalize,
-    crystalline,
-    enumerate_configs,
-    fourier_modes,
-    neighbor_distances,
-    sector,
-    validate,
-)
-from .ctmc import (
-    apply_jump,
-    build_generator,
-    check_stationarity,
-    gaussian_log_weight,
-    jump_rate,
-    log_q_pochhammer,
-    log_stationary_weight,
-    push_set,
-    simulate,
-)
-from .sde import (
-    DriftCoeffs,
-    ModelParams,
-    SdeState,
-    SpectralData,
-    drift_coeffs,
-    euler_maruyama,
-    grad_v_check,
-    spectral_data,
-    speed,
-    symbol_A,
-    symbol_Q,
-    symbol_R,
-    symbol_W,
-    validate_symbol_properties,
-)
-from .correlations import (
-    CovarianceQuery,
-    CovarianceResult,
-    FourPointQuery,
-    corollary_regimes,
-    covariance_finite_m,
-    covariance_heat_kernel,
-    covariance_quadrature,
-    four_point_closed_form,
-    gff_smoothed_variance,
-    she_covariance,
-    stationary_cov_finite,
-    stationary_cov_infinite,
-)
-from .specfun import (
-    dilog_sum,
-    exp_integral_E1,
-    heat_time_integral,
-    log_qpoch_asymptotic,
-)
-
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .lattice import fourier_modes
-from .sde import drift_coeffs
+from .sde import drift_coeffs, symbol_R
 from .specfun import EULER_GAMMA, exp_integral_E1, heat_time_integral
 
 
@@ -87,13 +87,9 @@ SpectralGrid = namedtuple("SpectralGrid", "K1 twist K2 weights origin rvals rinv
 
 
 def _spectral_grid(coeffs, K1, twist, K2, weights, origin):
-    """The SpectralGrid of these momenta.  R = symbol_R is written on the
-    separable axes: on the periodic grid cos(K1) and cos(K2) cost O(m) calls,
-    on symbol_R's (m, m, 2) grid O(m^2), which measured about twice the time per
-    call (12.0 vs 5.9 ms at m=256, 195 vs 106-122 ms at m=1024)."""
-    k2 = twist + K2
-    rvals = 2 * (coeffs.diag + coeffs.d2 * np.cos(K1 - k2) - coeffs.d1 * np.cos(K1)
-                 + coeffs.d3 * np.cos(k2))
+    """The SpectralGrid of these momenta, R = symbol_R on the rows K1 and the
+    columns twist + K2."""
+    rvals = symbol_R(K1, twist + K2, coeffs)
     grid = SpectralGrid(K1, twist, K2, weights, origin, rvals, _reciprocal(rvals, origin))
     for a in grid:
         if isinstance(a, np.ndarray):
@@ -447,8 +443,6 @@ def _log_gauss_pair(Y):
     c = float(Y @ Y)
     if c == 0.0:
         return -EULER_GAMMA + 2 * math.log(2.0)
-    if c / 4 > 745.0:
-        return math.log(c)
     return exp_integral_E1(c / 4) + math.log(c)
 
 

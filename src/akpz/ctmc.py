@@ -393,6 +393,6 @@ def gaussian_log_weight(etas, params, m2, mode="direct") -> float:
     if mode == "fourier":
         modes = fourier_modes(m, m2)
         eta_hat = modes.field_transform(etas)
-        qvals = symbol_Q(modes.k, params)
+        qvals = symbol_Q(modes.K1, modes.twist + modes.K2, params).ravel()
         return float(np.sum(np.abs(eta_hat) ** 2 * qvals))
     raise ParameterError(f"unknown mode {mode!r}")

@@ -201,9 +201,6 @@ class ValidationReport:
     ok: bool
     failures: list = field(default_factory=list)
 
-    def __bool__(self):
-        return self.ok
-
 
 def validate(config):
     """Structured validity check: row counts, interlacing windows, sector."""
@@ -339,23 +336,20 @@ class FourierModeSet:
     K2: np.ndarray  # (1, m)
 
     @property
-    def k(self):
-        """The momenta as a new (m*m, 2) array, flattened with r1 slowest."""
-        m = self.m
-        return np.column_stack([np.broadcast_to(self.K1, (m, m)).ravel(),
-                                (self.twist + self.K2).ravel()])
-
-    @property
     def zero_index(self):
-        """Index of k = 0 in k: r1 = r2 = 0 sits at row m//2, column m//2."""
+        """Index of k = 0 among the modes flattened with r1 slowest: r1 = r2 = 0
+        sits at row m//2, column m//2."""
         return (self.m // 2) * (self.m + 1)
 
     def basis_matrix(self):
         """Matrix F[mode, site] = f_k(p) over canonical labels p in [0,m)^2,
-        flattened with p2 fastest: the dense definition of field_transform."""
+        modes flattened with r1 slowest and sites with p2 fastest: the dense
+        definition of field_transform."""
         m = self.m
-        p1, p2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        phase = np.einsum("ki,i...->k...", self.k, np.array([p1, p2]))
+        p = np.arange(m)
+        k1, k2 = np.broadcast_arrays(self.K1, self.twist + self.K2)
+        # phase[r1, r2, p1, p2] = k1 p1 + k2 p2
+        phase = np.multiply.outer(k1, p)[..., None] + np.multiply.outer(k2, p)[:, :, None, :]
         return np.exp(-1j * phase).reshape(m * m, m * m) / m
 
     def field_transform(self, xi):

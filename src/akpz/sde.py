@@ -128,40 +128,33 @@ def drift_coeffs(params) -> DriftCoeffs:
     )
 
 
-def _split_k(k):
-    k = np.asarray(k, dtype=float)
-    return k[..., 0], k[..., 1]
-
-
-def symbol_A(k, coeffs):
-    """Fourier multiplier of the drift: acting on hat(xi)_k with
-    hat(xi)_k = sum_p xi_p e^{-i p.k}/m.  Vanishes at k = 0."""
-    k1, k2 = _split_k(k)
+def symbol_A(k1, k2, coeffs):
+    """Fourier multiplier of the drift at k = (k1, k2), arrays of broadcastable
+    shapes (a mode set's rows K1 and columns twist + K2): acting on hat(xi)_k
+    with hat(xi)_k = sum_p xi_p e^{-i p.k}/m.  Vanishes at k = 0."""
     return (coeffs.diag
             + coeffs.d2 * np.exp(1j * (k1 - k2))
             - coeffs.d1 * np.exp(-1j * k1)
             + coeffs.d3 * np.exp(-1j * k2))
 
 
-def symbol_R(k, coeffs):
-    """Symmetrization A(k) + A(-k): real, non-positive, zero only at k = 0."""
-    k1, k2 = _split_k(k)
+def symbol_R(k1, k2, coeffs):
+    """Symmetrization A(k) + A(-k), k as in symbol_A: real, non-positive,
+    zero only at k = 0."""
     return 2.0 * (coeffs.diag
                   + coeffs.d2 * np.cos(k1 - k2)
                   - coeffs.d1 * np.cos(k1)
                   + coeffs.d3 * np.cos(k2))
 
 
-def symbol_W(k, coeffs):
-    """Quadratic form approximating symbol_R at small k."""
-    k1, k2 = _split_k(k)
+def symbol_W(k1, k2, coeffs):
+    """Quadratic form approximating symbol_R at small k, k as in symbol_A."""
     return -coeffs.d2 * (k1 - k2) ** 2 + coeffs.d1 * k1 ** 2 - coeffs.d3 * k2 ** 2
 
 
-def symbol_Q(k, params):
+def symbol_Q(k1, k2, params):
     """Quadratic-form symbol of the Gibbs weight of near-crystalline
-    configurations; equals symbol_R / (2 v) identically."""
-    k1, k2 = _split_k(k)
+    configurations, k as in symbol_A; equals symbol_R / (2 v) identically."""
     return (_f(params.D) * (1 - np.cos(k1))
             - _f(params.B) * (1 - np.cos(k1 - k2))
             - _f(params.C) * (1 - np.cos(k2)))
@@ -241,12 +234,11 @@ def validate_symbol_properties(params) -> tuple:
     def add(name, worst, tol):
         checks.append(PropertyCheck(name, float(worst), tol))
 
-    add("symbol_A_vanishes_at_zero", abs(symbol_A(np.zeros(2), coeffs)), 1e-14)
+    add("symbol_A_vanishes_at_zero", abs(symbol_A(0.0, 0.0, coeffs)), 1e-14)
 
     grid = 512
     ax = -np.pi + 2 * np.pi * np.arange(grid) / grid
-    kk = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-    rvals = symbol_R(kk, coeffs)
+    rvals = symbol_R(ax[:, None], ax[None, :], coeffs)
     origin = (grid // 2, grid // 2)  # ax[grid//2] == 0
     rvals[origin] = -np.inf
     add("symmetrized_symbol_negative", float(rvals.max()), -1e-15)
@@ -267,8 +259,8 @@ def validate_symbol_properties(params) -> tuple:
 
     add("stationary_point_discriminant", appendix_delta(params), -1e-15)
 
-    ks = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(10000, 2))
-    gibbs_gap = np.abs(symbol_Q(ks, params) - symbol_R(ks, coeffs) / (2 * v))
+    k1, k2 = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(10000, 2)).T
+    gibbs_gap = np.abs(symbol_Q(k1, k2, params) - symbol_R(k1, k2, coeffs) / (2 * v))
     add("gibbs_symbol_is_R_over_2v", float(gibbs_gap.max()), 1e-12)
 
     _, rel = grad_v_check(params)
@@ -282,10 +274,13 @@ def grad_v_check(params):
     (D, C), compared against the characteristic direction U.  Returns
     (U_fd, rel_err) with componentwise relative errors."""
     U = spectral_data(drift_coeffs(params)).U
-    # the step stays inside 0 < g2 < g1
-    g1, g2, step = params.D, params.C, min(1e-5, params.C / 2, params.B / 2)
-    fd1 = (speed_from_slopes(g1 + step, g2) - speed_from_slopes(g1 - step, g2)) / (2 * step)
-    fd2 = (speed_from_slopes(g1, g2 + step) - speed_from_slopes(g1, g2 - step)) / (2 * step)
+    # Each step stays inside 0 < g2 < g1.  The speed is analytic in B = g1 - g2
+    # at 0 but has a pole at g2 = 0, so only the g2 step shrinks with C: its
+    # truncation error grows like (step/C)^2.
+    g1, g2 = params.D, params.C
+    h1, h2 = min(1e-5, params.B / 2), min(1e-5, 2e-5 * g2, params.B / 2)
+    fd1 = (speed_from_slopes(g1 + h1, g2) - speed_from_slopes(g1 - h1, g2)) / (2 * h1)
+    fd2 = (speed_from_slopes(g1, g2 + h2) - speed_from_slopes(g1, g2 - h2)) / (2 * h2)
     u_fd = np.array([fd1, fd2])
     rel = np.abs(u_fd - U) / np.abs(U)
     return u_fd, rel

@@ -67,11 +67,7 @@ def heat_time_integral(c_sq: float, a_lo: float, a_hi: float) -> float:
         return 0.0
     if c_sq == 0.0:
         return math.log(a_hi / a_lo)
-    x_hi = c_sq / (4.0 * a_hi)
-    if x_hi > 745.0:
-        # both exponential integrals underflow
-        return 0.0
-    return exp_integral_E1(x_hi) - exp_integral_E1(c_sq / (4.0 * a_lo))
+    return exp_integral_E1(c_sq / (4.0 * a_hi)) - exp_integral_E1(c_sq / (4.0 * a_lo))
 
 
 def _dilog_sum_terms(b: float):

@@ -96,9 +96,9 @@ def test_criterion_02_symbol_identities():
     for params in random_draws(100, seed=2):
         co = drift_coeffs(params)
         sp = spectral_data(co)
-        worst_zero = max(worst_zero, abs(symbol_A(np.zeros(2), co)))
-        ks = rng.uniform(-np.pi, np.pi, size=(10000, 2))
-        gap = np.abs(symbol_Q(ks, params) - symbol_R(ks, co) / (2 * params.v))
+        worst_zero = max(worst_zero, abs(symbol_A(0.0, 0.0, co)))
+        k1, k2 = rng.uniform(-np.pi, np.pi, size=(10000, 2)).T
+        gap = np.abs(symbol_Q(k1, k2, params) - symbol_R(k1, k2, co) / (2 * params.v))
         worst_prop = max(worst_prop, float(gap.max()))
         wsq = det_hessian_closed_form(params)
         worst_det = max(worst_det, abs(float(np.linalg.det(sp.whess)) - wsq) / wsq)
@@ -117,8 +117,7 @@ def test_criterion_03_negativity():
     params = ModelParams(C=0.5, D=1.5)
     co = drift_coeffs(params)
     ax = -np.pi + 2 * np.pi * np.arange(512) / 512
-    kk = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-    vals = symbol_R(kk, co)
+    vals = symbol_R(ax[:, None], ax[None, :], co)
     vals[256, 256] = -np.inf
     worst_grid = float(vals.max())
     worst_delta = max(appendix_delta(p) for p in random_draws(100, seed=3))

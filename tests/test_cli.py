@@ -560,7 +560,7 @@ def test_she_check_and_run_cor3_she_are_one_path(tmp_path, capsys):
 # the symbol-properties rows that fail at C near 0 and at D near C
 FAILING_NEAR_C_0 = ["symbol_A_vanishes_at_zero", "symmetrized_symbol_negative",
                     "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
-                    "gibbs_symbol_is_R_over_2v", "speed_gradient_matches_U"]
+                    "gibbs_symbol_is_R_over_2v"]
 FAILING_NEAR_D_C = ["symmetrized_symbol_negative", "hessian_negative_definite",
                     "hessian_det_closed_form", "speed_ratio_sqrt_expD_minus_1",
                     "V_normalizes_hessian", "gibbs_symbol_is_R_over_2v"]
@@ -577,6 +577,7 @@ ALIAS_RUNS = [
     (["gff", "--m", "64", "--delta", "0.125", "--tol", "1e-3"],
      "m = 64\ndelta = 0.125\ntol = 1e-3", ["lattice vs continuum variance"], 1),
     (["validate"], "", [], 9),
+    (["validate", "--C", "0.001", "--D", "1"], "C = 0.001\nD = 1", [], 9),
     (["validate", "--C", "1e-6", "--D", "1"], "C = 1e-6\nD = 1", FAILING_NEAR_C_0, 9),
     (["validate", "--C", "1", "--D", "1.000001"], "C = 1\nD = 1.000001", FAILING_NEAR_D_C, 9),
 ]

@@ -239,6 +239,22 @@ def test_four_point_closed_form_antisymmetric_in_swap():
     assert a == pytest.approx(-b, rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [700.0, 744.5, 745.5, 1e4, 1e300])
+def test_e1_callers_agree_on_each_side_of_its_underflow(x):
+    # E1 returns exactly 0.0 once e^-x/x underflows, so its callers need no cut
+    # of their own: past x = 745 the heat integral is 0.0 and the log pair log c
+    from akpz.correlations import _log_gauss_pair
+    from akpz.specfun import exp_integral_E1, heat_time_integral
+    Y = np.array([2 * math.sqrt(x), 0.0])
+    c = float(Y @ Y)
+    e1 = exp_integral_E1(c / 4)
+    assert heat_time_integral(c, 0.5, 1.0) == e1 - exp_integral_E1(c / 2)
+    assert _log_gauss_pair(Y) == e1 + math.log(c)
+    if x > 745:
+        assert e1 == 0.0 and heat_time_integral(c, 0.5, 1.0) == 0.0
+        assert _log_gauss_pair(Y) == math.log(c)
+
+
 def test_four_point_remainder_envelope():
     # difference against quadrature decays like 1/separation with a bounded
     # envelope constant
@@ -343,7 +359,8 @@ def test_smoothed_transform_matches_definition(m, m2):
     phi = np.random.default_rng(m).normal(size=(m, m))
     p1, p2 = np.meshgrid(np.arange(m) - m // 2, np.arange(m) - m // 2, indexing="ij")
     p = np.stack([p1.ravel(), p2.ravel()])
-    direct = delta ** 2 * ((np.exp(1j * modes.k @ p) - 1) @ phi.ravel())
+    k = np.stack(np.broadcast_arrays(modes.K1, modes.twist + modes.K2), axis=-1).reshape(-1, 2)
+    direct = delta ** 2 * ((np.exp(1j * k @ p) - 1) @ phi.ravel())
     fast = _smoothed_transform(phi, delta, modes)
     assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
 
@@ -389,25 +406,19 @@ def test_gff_routes_reject_a_grid_spacing_out_of_range(delta):
 
 
 def test_gff_continuum_value_from_direct_double_sum():
-    # the FFT correlation path must agree with a direct double loop
+    # the FFT correlation path must agree with a direct sum over all label pairs
     m, delta = 24, 0.25
     rng = np.random.default_rng(8)
     phi = _random_sparse_mean_zero(m, rng)
     fast = gff_continuum_variance(phi, delta, SPECTRAL, PARAMS)
     from akpz.correlations import _log_kernel_cell_average
-    cell0 = _log_kernel_cell_average(delta, SPECTRAL.V)
-    total = 0.0
-    for a1 in range(m):
-        for a2 in range(m):
-            if phi[a1, a2] == 0:
-                continue
-            for b1 in range(m):
-                for b2 in range(m):
-                    if phi[b1, b2] == 0:
-                        continue
-                    dz = SPECTRAL.V @ (delta * np.array([a1 - b1, a2 - b2], dtype=float))
-                    kern = cell0 if (a1 == b1 and a2 == b2) else math.log(np.linalg.norm(dz))
-                    total += phi[a1, a2] * phi[b1, b2] * kern
+    labels = np.indices((m, m)).reshape(2, -1).T
+    dz = (delta * (labels[:, None, :] - labels[None, :, :])) @ SPECTRAL.V.T  # V dz, pairwise
+    dist = np.linalg.norm(dz, axis=-1)
+    np.fill_diagonal(dist, 1.0)  # the diagonal gets the cell average below
+    kern = np.log(dist)
+    np.fill_diagonal(kern, _log_kernel_cell_average(delta, SPECTRAL.V))
+    total = phi.ravel() @ kern @ phi.ravel()
     direct = -PARAMS.v / (2 * math.pi * SPECTRAL.w) * delta ** 4 * total
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -514,7 +525,7 @@ def test_cached_spectral_tables_are_read_only():
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     fresh = fourier_modes(8, 3)  # the public builder is not shared
-    assert all(a.flags.writeable for a in (fresh.K1, fresh.twist, fresh.K2, fresh.k))
+    assert all(a.flags.writeable for a in (fresh.K1, fresh.twist, fresh.K2))
 
 
 def test_stationary_quadrature_leaves_the_shared_grid_untouched():

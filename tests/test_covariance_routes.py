@@ -444,7 +444,7 @@ def test_twisted_rows_are_the_fourier_modes(m, m2):
     assert (grid.K1.shape, grid.twist.shape, grid.K2.shape) == ((m, 1), (m, 1), (1, m))
     assert grid.origin == (m // 2, m // 2) and grid.weights == 1.0
     r1, r2 = np.meshgrid(np.arange(m) - m // 2, np.arange(m) - m // 2, indexing="ij")
-    k = modes.k.reshape(m, m, 2)
+    k = np.stack(np.broadcast_arrays(modes.K1, modes.twist + modes.K2), axis=-1)
     assert np.abs(k[..., 0] - 2 * np.pi * r1 / m).max() <= 1e-14
     assert np.abs(k[..., 1] - 2 * np.pi * (m2 * r1 / m + r2) / m).max() <= 1e-14
 

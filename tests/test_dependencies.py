@@ -225,8 +225,7 @@ TEST_REFERENCES = {
 
 def test_every_engine_member_has_a_program_reader():
     # a member that no program reads is dead code; a name counts when src/akpz
-    # (bar the re-exports of __init__) or bench names it as a variable, an
-    # attribute or an import
+    # or bench names it as a variable, an attribute or an import
     paths = sorted((ROOT / "src" / "akpz").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     named, members = set(), set()
     for path in paths:
@@ -235,8 +234,6 @@ def test_every_engine_member_has_a_program_reader():
             members.update(node.name for node in ast.walk(tree)
                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                            and not node.name.startswith("__"))
-        if path.stem == "__init__":
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)

@@ -398,23 +398,25 @@ def test_fourier_modes_well_defined_on_quotient():
     modes = fourier_modes(m, m2)
     # f_k(p) must agree on equivalent labels p and p + (m - m2, m)
     shift = np.array([m - m2, m], dtype=float)
-    phase = modes.k @ shift
+    phase = np.stack(np.broadcast_arrays(modes.K1, modes.twist + modes.K2), axis=-1) @ shift
     assert np.abs(np.exp(-1j * phase) - 1).max() < 1e-12
 
 
 def test_fourier_modes_closed_under_negation():
     for m, m2 in [(2, 1), (4, 2), (5, 2)]:
         modes = fourier_modes(m, m2)
-        kset = {tuple(np.round(np.mod(k, 2 * np.pi), 9)) for k in modes.k}
-        negs = {tuple(np.round(np.mod(-k, 2 * np.pi), 9)) for k in modes.k}
+        ks = np.stack(np.broadcast_arrays(modes.K1, modes.twist + modes.K2), axis=-1).reshape(-1, 2)
+        kset = {tuple(np.round(np.mod(k, 2 * np.pi), 9)) for k in ks}
+        negs = {tuple(np.round(np.mod(-k, 2 * np.pi), 9)) for k in ks}
         assert kset == negs
 
 
 def test_fourier_count():
     for m, m2 in [(5, 2), (4, 2), (6, 1), (7, 3)]:
         modes = fourier_modes(m, m2)
-        assert len(modes.k) == m * m
-        assert np.flatnonzero(~modes.k.any(axis=1)).tolist() == [modes.zero_index]
+        ks = np.stack(np.broadcast_arrays(modes.K1, modes.twist + modes.K2), axis=-1).reshape(-1, 2)
+        assert len(ks) == m * m
+        assert np.flatnonzero(~ks.any(axis=1)).tolist() == [modes.zero_index]
 
 
 def test_serialization_roundtrip_bit_exact():
