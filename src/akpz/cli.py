@@ -88,6 +88,7 @@ _RANGES = {
     "q": lambda v: 0 <= v < 1,
     "eps": lambda v: v > 0,
     "dt": lambda v: v > 0,
+    "m": lambda v: v >= 2,
     "replicas": lambda v: v >= 1,
     "delta": lambda v: v > 0,
     "delta_list": lambda v: len(v) > 0 and min(v) > 0 and all(a > b for a, b in zip(v, v[1:])),
@@ -302,7 +303,9 @@ def recipe_cor2_characteristic(C: float = 0.5, D: float = 1.5, t: float = 400.0,
     gap = t - s
     s = t - gap  # t - s == gap exactly, the lag y_char uses; s moves by an ulp when s < t/2
     y_char = tuple(int(a) for a in np.floor(spectral.U * gap))
-    target = params.v / (4 * math.pi * spectral.w) * math.log((t + s) / (t - s))
+    # the characteristic regime of covariance_asymptotic, which applies at y_char
+    target = corr.covariance_asymptotic(corr.CovarianceQuery(y=y_char, t=t, s=s),
+                                        spectral, params).value
     rng = np.random.default_rng(seed)
     y_off = []
     for _ in range(8):
@@ -336,6 +339,9 @@ def recipe_cor3_she(C: float = 0.5, D: float = 1.5, t: float = 4.0, s: float = 2
     spectral = spectral_data(drift_coeffs(params))
     x, y = (1.0, 0.0), (0.0, 0.0)
     she = corr.she_covariance(x, y, t, s)
+    if she == 0:
+        raise ParameterError(f"the SHE covariance at t={t}, s={s} is 0, so the relative "
+                             f"error is undefined")
     rels = []
     rows = []
     for d in delta_list:
@@ -434,11 +440,6 @@ _RECIPES = {
 EXPERIMENTS = tuple(_RECIPES)
 
 
-def _recipe_keys(name):
-    """The config keys the recipe `name` takes: its keyword parameters."""
-    return inspect.signature(_RECIPES[name]).parameters.keys()
-
-
 _SCHEMA = {"experiment": str, **{key: param.annotation for recipe in _RECIPES.values()
                                  for key, param in inspect.signature(recipe).parameters.items()}}
 
@@ -448,7 +449,8 @@ def run_experiment(config) -> ComparisonReport:
     A key the recipe does not take is a ConfigError, raised before any work."""
     if config.experiment not in _RECIPES:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    unused = sorted(config.values.keys() - _recipe_keys(config.experiment))
+    unused = sorted(config.values.keys()
+                    - inspect.signature(_RECIPES[config.experiment]).parameters.keys())
     if unused:
         raise ConfigError(f"experiment {config.experiment!r} does not take "
                           f"{', '.join(map(repr, unused))}")
@@ -574,11 +576,6 @@ def _run_printed(config):
     return 0 if report.passed else 1
 
 
-def cmd_alias(args):
-    name = _ALIASES[args.command]
-    return _run_printed(ExperimentConfig(name, _flag_values(args, _RECIPES[name])))
-
-
 def cmd_run(args):
     return _run_printed(parse_config(_read_text(args.config)))
 
@@ -609,10 +606,12 @@ def build_parser():
         doc = inspect.getdoc(fn)
         p = sub.add_parser(command, help=doc.splitlines()[0], description=doc)
         _add_flags(p, fn)
+        p.set_defaults(func=lambda args, fn=fn: fn(**_flag_values(args, fn)))
     for alias, name in _ALIASES.items():
         p = sub.add_parser(alias, help=f"run recipe {name}, its keys as flags")
         _add_flags(p, _RECIPES[name])
-        p.set_defaults(func=cmd_alias)
+        p.set_defaults(func=lambda args, name=name: _run_printed(
+            ExperimentConfig(name, _flag_values(args, _RECIPES[name]))))
 
     p = sub.add_parser("run", help="run a recipe from a config file")
     p.add_argument("config")
@@ -626,9 +625,6 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _COMMANDS:
-            fn = _COMMANDS[args.command]
-            return fn(**_flag_values(args, fn))
         return args.func(args)
     except (AkpzError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -70,15 +70,6 @@ def _growth_factor(rvals, s, origin):
     return out
 
 
-def _reciprocal(rvals, origin):
-    """1/R with 0 at the origin k = 0, which the stationary sums leave out."""
-    rinv = rvals.copy()
-    rinv[origin] = 1.0
-    np.divide(1.0, rinv, out=rinv)
-    rinv[origin] = 0.0
-    return rinv
-
-
 # Momenta k = (K1, twist + K2): rows K1 (rows, 1), each with its twist (a
 # (rows, 1) column, or 0.0), and columns K2 (1, m); the weight of each row (a
 # (rows,) array, or 1.0); the index origin of k = 0; and R and 1/R, 0 at the
@@ -88,9 +79,18 @@ SpectralGrid = namedtuple("SpectralGrid", "K1 twist K2 weights origin rvals rinv
 
 def _spectral_grid(coeffs, K1, twist, K2, weights, origin):
     """The SpectralGrid of these momenta, R = symbol_R on the rows K1 and the
-    columns twist + K2."""
+    columns twist + K2, and 1/R, 0 at the origin k = 0, which the stationary
+    sums leave out.  A ParameterError if 1/R is not finite at another mode."""
     rvals = symbol_R(K1, twist + K2, coeffs)
-    grid = SpectralGrid(K1, twist, K2, weights, origin, rvals, _reciprocal(rvals, origin))
+    rinv = rvals.copy()
+    rinv[origin] = 1.0
+    with np.errstate(divide="ignore", over="ignore"):  # rejected below
+        np.divide(1.0, rinv, out=rinv)
+    if not -math.inf < rinv.min() <= rinv.max() < math.inf:  # no m^2 temporary
+        raise ParameterError(f"R rounds to 0 at a nonzero mode: d1, d2, d3 = {coeffs.d1:.6g}, "
+                             f"{coeffs.d2:.6g}, {coeffs.d3:.6g} differ too much in scale")
+    rinv[origin] = 0.0
+    grid = SpectralGrid(K1, twist, K2, weights, origin, rvals, rinv)
     for a in grid:
         if isinstance(a, np.ndarray):
             a.flags.writeable = False

@@ -289,10 +289,6 @@ def simulate(config, q, T, seed=0, observe_every=None) -> Trajectory:
     return traj
 
 
-# log_q_pochhammer(q, n) computed once per (q, n) for the Gibbs weight
-_log_qpoch = lru_cache(maxsize=4096)(log_q_pochhammer)
-
-
 def _log_weights(g, q):
     """Unnormalized log Gibbs weights of the states whose gap columns (from
     lattice.gap_columns) are g.  One label column at a time, in label order,
@@ -302,7 +298,7 @@ def _log_weights(g, q):
     # log (q;q)_n only for the gap counts that occur: L can be large
     seen = np.unique(g[:3])
     lq = np.zeros(seen[-1] + 1)
-    lq[seen] = [_log_qpoch(q, int(n)) for n in seen]
+    lq[seen] = [log_q_pochhammer(q, int(n)) for n in seen]
     return sum(np.moveaxis((lq[g.a] - lq[g.b]) - lq[g.c], -1, 0))
 
 

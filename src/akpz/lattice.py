@@ -26,12 +26,10 @@ import numpy as np
 from .errors import ConfigError, ParameterError, StateSpaceError
 
 
-def canonicalize(p, m, m2, n=None):
+def canonicalize(p, m, m2, n):
     """Canonical representative of label p: first coordinate in [0, m),
-    second in [0, n).  n defaults to m (square quotient).  The coordinates of p
-    may be ints or integer arrays of one shape, wrapped elementwise."""
-    if n is None:
-        n = m
+    second in [0, n).  The coordinates of p may be ints or integer arrays of
+    one shape, wrapped elementwise."""
     if m < 2 or not 0 < m2 < n:
         raise ParameterError(f"need m >= 2 and 0 < m2 < n, got m={m}, m2={m2}, n={n}")
     p1, p2 = p

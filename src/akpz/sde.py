@@ -47,7 +47,8 @@ class ModelParams:
 
     @property
     def v(self):
-        return speed(self)
+        """Deterministic particle speed (1-e^-B)(1-e^-D)/(1-e^-C)."""
+        return speed_from_slopes(self.D, self.C)
 
     @classmethod
     def from_torus(cls, torus):
@@ -56,11 +57,6 @@ class ModelParams:
         D = torus.ell / torus.m1
         C = D * torus.m2 / torus.m1
         return cls(C=C, D=D)
-
-
-def speed(params) -> float:
-    """Deterministic particle speed (1-e^-B)(1-e^-D)/(1-e^-C)."""
-    return speed_from_slopes(params.D, params.C)
 
 
 def _f(x):
@@ -84,7 +80,7 @@ def finite_eps_speed(params, eps: float) -> float:
     (crystalline start, horizon 1/eps) run +0.98%, +0.48% and +0.23% of v
     above this speed at eps = 0.02, 0.01 and 0.005.
     """
-    return speed(params) * (1 - eps * (_f(params.B) + _f(params.C)))
+    return params.v * (1 - eps * (_f(params.B) + _f(params.C)))
 
 
 def speed_from_slopes(g1: float, g2: float) -> float:
@@ -206,10 +202,18 @@ def appendix_delta(params) -> float:
     """Discriminant whose negativity excludes nontrivial stationary points
     of the symmetrized symbol."""
     C, D = params.C, params.D
-    eC, eD = math.exp(C), math.exp(D)
-    num = (1 + eC) * (eC + eD) * (-3 * eC + eC ** 2 + eD + eC * eD)
-    den = (1 - eC) ** 2 * (eC - eD) ** 2 * (1 - eD) ** 4
-    return -num / den
+    try:
+        eC, eD = math.exp(C), math.exp(D)
+        num = (1 + eC) * (eC + eD) * (-3 * eC + eC ** 2 + eD + eC * eD)
+        den = (1 - eC) ** 2 * (eC - eD) ** 2 * (1 - eD) ** 4
+        if den < math.inf:
+            return -num / den
+    except OverflowError:
+        pass
+    # where a power of e^D overflows: the same value in a = e^-C, b = e^-B, d = e^-D
+    a, b, d = math.exp(-C), math.exp(-params.B), math.exp(-D)
+    return (-d ** 4 * (1 + a) * (1 + b) * (1 + a + b - 3 * d)
+            / (math.expm1(-C) ** 2 * math.expm1(-params.B) ** 2 * math.expm1(-D) ** 4))
 
 
 @dataclass(frozen=True)
@@ -318,6 +322,8 @@ def step_count(T, dt, name="T"):
         raise ParameterError(f"dt must be finite and positive, got {dt}")
     if not 0 <= T < math.inf:
         raise ParameterError(f"{name} must be finite and >= 0, got {T}")
+    if not T / dt < math.inf:
+        raise ParameterError(f"{name}/dt = {T}/{dt} is not finite")
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * T:
         raise ParameterError(f"{name} = {T} is not an integer multiple of dt = {dt}")

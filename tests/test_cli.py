@@ -3,14 +3,20 @@ import ast
 import functools
 import hashlib
 import inspect
+import io
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import akpz
 from akpz import cli, errors
@@ -157,6 +163,14 @@ def test_cli_validate_near_the_slope_boundary_reports(C, D, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out and "speed_gradient_matches_U" in captured.out
     assert captured.err == ""
+
+
+def test_cli_validate_where_e_to_the_D_overflows_reports_its_nine_rows(capsys):
+    # ModelParams accepts D = 700; the discriminant underflows to -0.0 there,
+    # which fails its absolute bound
+    assert main(["validate", "--D", "700"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 9 and captured.err == ""
 
 
 def test_cli_oracle_stationarity(capsys):
@@ -318,6 +332,18 @@ _GFF_OVERFLOWS = [["gff", "--delta", "1.15e77", "--m", "16"],
                   ["gff", "--delta", "1.15e77", "--m", "16", "--phi", "PHI"]]
 
 
+# inputs that once ended in a traceback or printed a RuntimeWarning first
+_BROKE_THE_CONTRACT = [
+    ["she-check", "--C", "1.5", "--D", "3", "--t", "700", "--s", "1e-300"],
+    ["sde", "--C", "0.5", "--D", "2", "--m", "-1", "--m2", "6", "--dt", "0.01", "--T", "0.02",
+     "--replicas", "2"],
+    ["sde", "--C", "0.5", "--D", "1", "--m", "4", "--m2", "2", "--dt", "1e-300", "--T", "1e300"],
+    ["gff", "--C", "1e-8"],
+    ["cov", "--C", "1.5", "--D", "700", "--t", "1.5", "--s", "1.5", "--y1", "5", "--y2", "8",
+     "--method", "quad"],
+]
+
+
 def _two_point_phi(tmp_path):
     phi = tmp_path / "phi.txt"
     phi.write_text("0 0 1\n1 0 -1\n")
@@ -394,6 +420,7 @@ def _phi_with_repeated_label(tmp_path):
     ["validate", "--C", "0.5", "--D", "1e300"],
     ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-320"],
     ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-200"],
+    *_BROKE_THE_CONTRACT,
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "oracle-empty-sector", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -410,7 +437,8 @@ def _phi_with_repeated_label(tmp_path):
         "run-non-utf8-config", "gff-non-utf8-phi", "ctmc-non-utf8-start",
         "ctmc-start-repeated-label", "gff-phi-repeated-label", "validate-C-squared-underflows",
         "validate-d1-underflows", "validate-huge-D", "she-nan-coordinate",
-        "she-coordinate-above-2-53"])
+        "she-coordinate-above-2-53", "she-reference-0", "sde-negative-m",
+        "sde-steps-not-finite", "gff-R-rounds-to-0", "cov-quad-R-rounds-to-0"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     files = {"PHI": _two_point_phi, "BAD": _non_utf8_file,
@@ -463,6 +491,101 @@ def test_cli_cov_at_a_huge_time_prints_one_error_line_and_no_warning():
         assert done.stdout == ""
         if tail == ["quad"]:
             assert done.stderr == "error: quadrature value nan at m=128 is not finite\n"
+
+
+# Generated input for the exit-code contract.  Flag values come from fixed
+# lists, and _small keeps every size an example can set small: m <= 16,
+# L*N <= 24, replicas <= 4, at most 10^4 EM steps and 10 recorded times, and
+# ctmc T <= 10 (drift-check's horizon 1/eps too).  The quadrature refines up
+# to m = 4096 whatever the flags, so `cov` draws no quad and `run` neither
+# cor1-log-growth nor cor2-characteristic; `all` takes no input.
+_ODD_FLOATS = ("0.5", "1.5", "3", "0.01", "1e-8", "700", "1e-300", "1e300", "0", "-0.5", "-1",
+               "inf", "nan")
+_SMALL_INTS = ("2", "3", "4", "1", "16", "0", "-1")
+_VALUES = {float: _ODD_FLOATS, int: _SMALL_INTS, "replicas": ("2", "1", "4", "0", "-1"),
+           "method": ("finite", "kernel", "asymptotic", "bogus")}
+# a value that works, drawn about half the time so that runs get past their first checks
+_TYPICAL = {"C": "0.5", "D": "1.5", "m": "16", "m2": "2", "dt": "0.01", "T": "0.1", "t": "2",
+            "s": "1", "y1": "1", "y2": "0", "q": "0.5", "L": "6", "N": "3", "m1": "2",
+            "delta": "1.5", "method": "finite"}
+# keys always given: these two because their defaults (gff's m = 256, sde-vs-exact's
+# replicas = 10^4) are large, and every key with a typical value and no default
+_ALWAYS = {"m", "replicas"}
+_RUN = [name for name in cli.EXPERIMENTS if name not in ("cor1-log-growth", "cor2-characteristic")]
+
+
+def _small(values):
+    """Whether the flag values, strings keyed by parameter, set only small sizes."""
+    def num(key):
+        return float(values.get(key, "nan"))
+
+    def ratio(a, b):  # a/b when both are finite and positive; the program rejects the rest
+        return num(a) / num(b) if 0 < num(a) < math.inf and 0 < num(b) < math.inf else 0.0
+
+    return not (num("L") * num("N") > 24 or ratio("T" if "T" in values else "t", "dt") > 1e4
+                or ratio("T", "observe_every") > 10 or ("dt" not in values and num("T") > 10)
+                or 0 < num("eps") < 0.1)
+
+
+@st.composite
+def _generated_argv(draw):
+    """`command --key=value ...`, or for `run` the config lines as argv[1:];
+    OUT stands for an output file."""
+    command = draw(st.sampled_from([*cli._COMMANDS, *cli._ALIASES, "run"]))
+    name = draw(st.sampled_from(_RUN)) if command == "run" else cli._ALIASES.get(command)
+    fn = cli._RECIPES[name] if name else cli._COMMANDS[command]
+    values = {}
+    for key, param in inspect.signature(fn).parameters.items():
+        if key == "out":
+            values[key] = "OUT"
+        elif (key in _ALWAYS or param.default in (param.empty, None) and key in _TYPICAL
+              or draw(st.booleans())):
+            if param.annotation is bool:
+                values[key] = True
+            elif param.annotation is tuple:
+                values[key] = " ".join(draw(st.lists(st.sampled_from(_ODD_FLOATS),
+                                                     min_size=1, max_size=3)))
+            elif key in _VALUES or param.annotation in _VALUES:
+                odd = st.sampled_from(_VALUES.get(key, _VALUES.get(param.annotation)))
+                values[key] = draw(st.one_of(st.just(_TYPICAL[key]), odd) if key in _TYPICAL
+                                   else odd)
+    defaults = {key: str(p.default) for key, p in inspect.signature(fn).parameters.items()
+                if isinstance(p.default, (int, float)) and not isinstance(p.default, bool)}
+    assume(_small({**defaults, **values}))
+    if command == "run":
+        return ["run", f"experiment = {name}", *(f"{k} = {v}" for k, v in values.items())]
+    return [command, *(f"--{k.replace('_', '-')}" if v is True else
+                       f"--{k.replace('_', '-')}={v}" for k, v in values.items())]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(argv=_generated_argv())
+@example(argv=["validate", "--D", "700"])
+@example(argv=[*_BROKE_THE_CONTRACT[0], "--out", "OUT"])
+@example(argv=[*_BROKE_THE_CONTRACT[1], "--out", "OUT"])
+@example(argv=[*_BROKE_THE_CONTRACT[2], "--out", "OUT"])
+@example(argv=_BROKE_THE_CONTRACT[3])
+@example(argv=_BROKE_THE_CONTRACT[4])
+def test_cli_exit_code_contract_under_generated_input(argv):
+    # 0 with no FAIL line, 1 with one, or 2 with exactly one `error:` line; no
+    # traceback and no warning (each warning is raised as an error here)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("OUT", os.path.join(tmp, "out.csv")) for a in argv]
+        if argv[0] == "run":
+            config = Path(tmp) / "x.cfg"
+            config.write_text("\n".join(argv[1:]) + "\n")
+            argv = ["run", str(config)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    fails = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
+        assert bool(fails) == (code == 1)
 
 
 _NUMPY_OOM = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data "
@@ -759,7 +882,8 @@ def test_cli_run_rejects_a_negative_seed_before_the_recipe(tmp_path, monkeypatch
 
 
 def test_every_config_key_is_a_recipe_parameter():
-    taken = set().union(*(cli._recipe_keys(name) for name in cli.EXPERIMENTS))
+    taken = set().union(*(inspect.signature(cli._RECIPES[name]).parameters
+                           for name in cli.EXPERIMENTS))
     assert set(cli._SCHEMA) - {"experiment"} <= taken
     # each key has one type, the annotation it carries in every recipe that takes it
     for name in cli.EXPERIMENTS:
@@ -784,7 +908,8 @@ def test_readme_lists_the_config_keys_of_each_recipe():
         cells = row.split("|")
         if len(cells) == 4 and cells[1].strip(" `") in cli.EXPERIMENTS:
             listed[cells[1].strip(" `")] = set(cells[2].split("(")[0].strip(" `").split())
-    assert listed == {name: set(cli._recipe_keys(name)) & set(cli._SCHEMA) - {"out"}
+    assert listed == {name: set(inspect.signature(cli._RECIPES[name]).parameters)
+                             & set(cli._SCHEMA) - {"out"}
                       for name in cli.EXPERIMENTS}
 
 

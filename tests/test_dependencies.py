@@ -136,7 +136,6 @@ def _cached_inputs():
         ("lattice", "_up_loop"): (torus,),
         ("ctmc", "_q_powers"): (0.5, 8),
         ("ctmc", "_rate_kernel"): (torus, 0.5),
-        ("ctmc", "_log_qpoch"): (0.5, 3),
         ("correlations", "_mode_table"): (8, 3, coeffs),
         ("correlations", "_riemann_grid"): (coeffs, 16),
     }

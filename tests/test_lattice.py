@@ -31,12 +31,12 @@ def orbit(p, m, m2, n, span=3):
 
 
 def test_canonicalize_identity_on_canonical():
-    assert canonicalize((0, 0), 4, 2) == (0, 0)
+    assert canonicalize((0, 0), 4, 2, 4) == (0, 0)
 
 
 def test_canonicalize_examples_against_orbit_oracle():
     for p, expected in [((0, 4), (2, 0)), ((5, 1), (1, 1))]:
-        got = canonicalize(p, 4, 2)
+        got = canonicalize(p, 4, 2, 4)
         assert got == expected
         assert got in orbit(p, 4, 2, 4)
         assert 0 <= got[0] < 4 and 0 <= got[1] < 4
@@ -44,8 +44,8 @@ def test_canonicalize_examples_against_orbit_oracle():
 
 def test_canonicalize_idempotent():
     for p in [(-7, 13), (0, 4), (5, 1), (3, -9)]:
-        c = canonicalize(p, 4, 2)
-        assert canonicalize(c, 4, 2) == c
+        c = canonicalize(p, 4, 2, 4)
+        assert canonicalize(c, 4, 2, 4) == c
 
 
 @given(m=st.integers(2, 6), p1=st.integers(-20, 20), p2=st.integers(-20, 20),
@@ -56,14 +56,14 @@ def test_canonicalize_constant_on_orbits(m, p1, p2, data):
     j1 = data.draw(st.integers(-3, 3))
     j2 = data.draw(st.integers(-3, 3))
     shifted = (p1 + j1 * m - j2 * m2, p2 + j2 * m)
-    assert canonicalize((p1, p2), m, m2) == canonicalize(shifted, m, m2)
+    assert canonicalize((p1, p2), m, m2, m) == canonicalize(shifted, m, m2, m)
 
 
 @given(m=st.integers(2, 5), data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_canonicalize_partitions_box_into_m_squared_classes(m, data):
     m2 = data.draw(st.integers(1, m - 1))
-    classes = {canonicalize((a, b), m, m2)
+    classes = {canonicalize((a, b), m, m2, m)
                for a in range(-m, 2 * m) for b in range(-m, 2 * m)}
     assert len(classes) == m * m
 

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 import sys
@@ -11,7 +12,7 @@ from akpz.lattice import (ParameterError, TorusParams, crystalline, fourier_mode
                           neighbor_distances, neighbor_index)
 from akpz.sde import (DriftCoeffs, ModelParams, ModelError, SdeState, appendix_delta,
                       drift_coeffs, euler_maruyama, euler_maruyama_ensemble,
-                      grad_v_check, shift_field, spectral_data, speed, step_count, symbol_A,
+                      grad_v_check, shift_field, spectral_data, step_count, symbol_A,
                       symbol_Q, symbol_R, symbol_W, validate_symbol_properties)
 
 
@@ -41,18 +42,18 @@ def random_params(n, seed=0):
 def test_speed_cancellation_when_B_equals_C():
     # D = 2C makes B = C and the ratio collapses
     p = ModelParams(C=0.7, D=1.4)
-    assert speed(p) == pytest.approx(1 - math.exp(-1.4), rel=1e-14)
+    assert p.v == pytest.approx(1 - math.exp(-1.4), rel=1e-14)
 
 
 def test_speed_direct_value():
     p = ModelParams(C=0.5, D=1.5)
     expected = (1 - math.exp(-1.0)) * (1 - math.exp(-1.5)) / (1 - math.exp(-0.5))
-    assert speed(p) == pytest.approx(expected, rel=1e-15)
+    assert p.v == pytest.approx(expected, rel=1e-15)
 
 
 def test_speed_large_D_limit():
     c = 0.5
-    vals = [speed(ModelParams(C=c, D=d)) for d in (5.0, 10.0, 20.0)]
+    vals = [ModelParams(C=c, D=d).v for d in (5.0, 10.0, 20.0)]
     target = 1 / (1 - math.exp(-c))
     assert abs(vals[2] - target) < abs(vals[0] - target)
     assert vals[2] == pytest.approx(target, rel=1e-8)
@@ -190,6 +191,20 @@ def test_appendix_discriminant_negative():
         assert appendix_delta(p) < 0
 
 
+@pytest.mark.parametrize("C, D", [(0.5, 1.5), (0.5, 118.0), (0.5, 119.0), (1e-5, 125.0),
+                                  (0.5, 177.0), (0.5, 178.0), (2.0, 710.0)])
+def test_appendix_discriminant_matches_50_digits_on_both_sides_of_the_overflow(C, D):
+    # the e^{+C}, e^{+D} expression overflows past D of about 118 (0.5, 119 on),
+    # and past 709.8 so does e^D itself; the 50-digit value is the same expression
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        eC, eD = decimal.Decimal(C).exp(), decimal.Decimal(D).exp()
+        num = (1 + eC) * (eC + eD) * (-3 * eC + eC ** 2 + eD + eC * eD)
+        den = (1 - eC) ** 2 * (eC - eD) ** 2 * (1 - eD) ** 4
+        exact = float(-num / den)
+    assert appendix_delta(ModelParams(C=C, D=D)) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 def test_validate_symbol_properties_all_pass():
     checks = validate_symbol_properties(ModelParams(C=0.5, D=1.5))
     assert len(checks) == 9
@@ -214,7 +229,7 @@ def test_shift_field_matches_quotient_arithmetic():
         shifted = shift_field(xi, dp, m2)
         for p1 in range(m):
             for p2 in range(m):
-                q1, q2 = canonicalize((p1 + dp[0], p2 + dp[1]), m, m2)
+                q1, q2 = canonicalize((p1 + dp[0], p2 + dp[1]), m, m2, m)
                 assert shifted[p1, p2] == xi[q1, q2]
 
 
