@@ -467,9 +467,15 @@ def cmd_ctmc(*, L: int = None, N: int = None, m1: int = None, m2: int = None, q:
 
     It starts on the torus --L/--N/--m1/--m2 from the first enumerated (or
     with --crystalline the crystalline) configuration, or from a --start file
-    ('L N m1 m2' header, 'p1 p2 x' rows); --dump-final writes the final
+    ('L N m1 m2' header, 'p1 p2 x' rows), which sets the torus and takes
+    none of those flags nor --crystalline; --dump-final writes the final
     configuration in the same text format."""
     if start:
+        given = [flag for flag, value in {"--L": L, "--N": N, "--m1": m1, "--m2": m2}.items()
+                 if value is not None] + ["--crystalline"] * crystalline
+        if given:
+            raise ConfigError(f"--start sets the torus and the start; it takes no "
+                              f"{', '.join(given)}")
         initial = lattice.config_from_text(_read_text(start))
     else:
         if None in (L, N, m1, m2):
@@ -505,12 +511,11 @@ def cmd_sde(*, C: float, D: float, m: int, m2: int, dt: float, T: float, replica
     lines = []
     seeds = np.random.SeedSequence(seed).spawn(replicas)
     for rep in range(replicas):
-        initial = sde.SdeState(xi=np.zeros((m, m)), t=0.0)
-        states = sde.euler_maruyama(initial, params, dt, T, seeds[rep], m2=m2,
+        states = sde.euler_maruyama(np.zeros((m, m)), params, dt, T, seeds[rep], m2=m2,
                                     record_every=observe_every or T)
-        for st in states:  # one 'replica,t,p1,p2,xi' line per site, as write_csv formats it
-            head = f"{rep},{st.t:.17g},"
-            lines += [f"{head}{site},{x:.17g}\n" for site, x in zip(sites, st.xi.ravel().tolist())]
+        for t, xi in states:  # one 'replica,t,p1,p2,xi' line per site, as write_csv formats it
+            head = f"{rep},{t:.17g},"
+            lines += [f"{head}{site},{x:.17g}\n" for site, x in zip(sites, xi.ravel().tolist())]
     with open(out, "w", newline="\n") as fh:
         fh.write("replica,t,p1,p2,xi\n")
         fh.writelines(lines)

@@ -51,8 +51,15 @@ def log_q_pochhammer(q: float, n: int) -> float:
 
 @lru_cache(maxsize=64)
 def _q_powers(q, L):
-    """q^0, ..., q^L, read-only: the one table of q-powers that every rate reads."""
+    """q^0, ..., q^L, read-only: the one table of q-powers that every rate reads.
+
+    L is at most 10^6 (an 8 MB table, and a list of as many floats in
+    _rate_kernel), checked before anything is allocated; tests and benchmarks
+    run periods up to 2 * 10^4."""
     _check_q(q)
+    if L > 10 ** 6:
+        raise ParameterError(f"period L = {L} is above 10^6, the longest whose q-power table "
+                             f"the rates are built on")
     qp = np.array([q ** k for k in range(L + 1)], dtype=float)
     qp.flags.writeable = False
     return qp

@@ -17,6 +17,7 @@ The exact oracle's states are one read-only (S, n) pos: enumerate_configs(torus)
 """
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,16 +57,15 @@ class TorusParams:
     """Dimensions of the discrete torus and the particle sector.
 
     L, N are the horizontal and vertical periods, m1 the number of particles
-    per row and m2 the winding sector.  epsilon and ell are optional scaling
-    parameters tying the torus to its continuum limit via L = ell/epsilon
-    with N = m1.
+    per row and m2 the winding sector.  ell, when set, is the continuum
+    length of a row: from_scaling builds the torus L = ell/epsilon, N = m1
+    of the q -> 1 limit, whose model ModelParams.from_torus reads off ell.
     """
 
     L: int
     N: int
     m1: int
     m2: int
-    epsilon: float = None
     ell: float = None
 
     def __post_init__(self):
@@ -73,20 +73,16 @@ class TorusParams:
             raise ParameterError(f"need 1 < m1 < L, got m1={self.m1}, L={self.L}")
         if not 1 <= self.m2 < self.N:
             raise ParameterError(f"need 1 <= m2 < N, got m2={self.m2}, N={self.N}")
-        if self.epsilon is not None:
-            if self.epsilon <= 0:
-                raise ParameterError("epsilon must be positive")
-            if self.N != self.m1:
-                raise ParameterError("scaling regime requires N == m1")
-            if self.ell is None or abs(self.L * self.epsilon - self.ell) > 1e-9:
-                raise ParameterError("scaling regime requires L = ell/epsilon")
 
     @classmethod
     def from_scaling(cls, epsilon, ell, m, m2):
+        if not (epsilon > 0 and ell / epsilon < math.inf):
+            raise ParameterError(f"need epsilon > 0 and a finite ell/epsilon, "
+                                 f"got epsilon={epsilon}, ell={ell}")
         L = ell / epsilon
         if abs(L - round(L)) > 1e-9:
             raise ParameterError(f"ell/epsilon = {L} is not an integer")
-        return cls(L=int(round(L)), N=m, m1=m, m2=m2, epsilon=epsilon, ell=ell)
+        return cls(L=int(round(L)), N=m, m1=m, m2=m2, ell=ell)
 
     @property
     def sector_feasible(self):
@@ -100,16 +96,6 @@ class TorusParams:
 
     def labels(self):
         return [(j, i) for i in range(self.N) for j in range(self.m1)]
-
-    @property
-    def ideal_spacing_row(self):
-        """Ideal same-row spacing L/m1 (the average of D_p + 1)."""
-        return self.L / self.m1
-
-    @property
-    def ideal_spacing_up(self):
-        """Ideal up-shift L*m2/(m1*N) (the average of C_p)."""
-        return self.L * self.m2 / (self.m1 * self.N)
 
 
 @dataclass(frozen=True)
@@ -261,12 +247,13 @@ def _up_winding(torus, pos):
 
 def crystalline(torus):
     """Equi-spaced configuration with constant gaps; requires the ideal
-    spacings L/m1 and L*m2/(m1*N) to be integers."""
+    spacings, the row spacing L/m1 (the average of D_p + 1) and the up-shift
+    L*m2/(m1*N) (the average of C_p), to be integers."""
     if not torus.sector_feasible:
         raise ParameterError("m1/L + m2/N > 1: empty configuration space "
                              "(at equality the states exist and are frozen)")
-    dd = torus.ideal_spacing_row
-    dc = torus.ideal_spacing_up
+    dd = torus.L / torus.m1
+    dc = torus.L * torus.m2 / (torus.m1 * torus.N)
     if abs(dd - round(dd)) > 1e-9 or abs(dc - round(dc)) > 1e-9:
         raise ParameterError(
             f"ideal spacings ({dd}, {dc}) must be integers; adjust the parameter grid"
@@ -328,7 +315,6 @@ class FourierModeSet:
     """
 
     m: int
-    m2: int
     K1: np.ndarray  # (m, 1)
     twist: np.ndarray  # (m, 1)
     K2: np.ndarray  # (1, m)
@@ -367,7 +353,7 @@ def fourier_modes(m, m2):
         raise ParameterError(f"need m >= 2 and 0 < m2 < m, got m={m}, m2={m2}")
     r = np.arange(-(m // 2), m - m // 2)
     r1 = r[:, None]
-    return FourierModeSet(m=m, m2=m2, K1=2 * np.pi * r1 / m, twist=2 * np.pi * m2 * r1 / m ** 2,
+    return FourierModeSet(m=m, K1=2 * np.pi * r1 / m, twist=2 * np.pi * m2 * r1 / m ** 2,
                           K2=2 * np.pi * r[None, :] / m)
 
 

@@ -52,8 +52,9 @@ class ModelParams:
 
     @classmethod
     def from_torus(cls, torus):
-        if torus.epsilon is None:
-            raise ParameterError("torus carries no scaling parameters")
+        """The limit model of a scaling torus (ell set, N = m1): D = ell/m1."""
+        if torus.ell is None or torus.N != torus.m1:
+            raise ParameterError(f"need a scaling torus with ell set and N == m1, got {torus}")
         D = torus.ell / torus.m1
         C = D * torus.m2 / torus.m1
         return cls(C=C, D=D)
@@ -307,14 +308,6 @@ def _square_fields(xi):
     return xi
 
 
-@dataclass
-class SdeState:
-    """Fluctuation field indexed [p1, p2] plus the current time."""
-
-    xi: np.ndarray
-    t: float
-
-
 def step_count(T, dt, name="T"):
     """The number of steps of size dt in the time T, which must be finite and
     an integer multiple of dt within 1e-9 relative."""
@@ -330,21 +323,21 @@ def step_count(T, dt, name="T"):
     return nsteps
 
 
-def euler_maruyama(initial, params, dt, T, seed, m2, record_every=None):
-    """Explicit Euler-Maruyama trajectory of the linear SDE system.
+def euler_maruyama(xi0, params, dt, T, seed, m2, record_every=None):
+    """Explicit Euler-Maruyama trajectory of the linear SDE system from the
+    (m, m) field xi0.
 
     xi(t+dt) = xi(t) + A xi(t) dt + sqrt(v dt) * standard normals.  The step
     must satisfy dt * ||A||_inf < 0.1.  Deterministic for a given seed.
     T and record_every are integer multiples of dt (see step_count).
-    Returns the list of recorded SdeStates (always including the final one),
-    from the one-replica case of euler_maruyama_ensemble.
+    Returns the recorded (t, xi) pairs, t = k*dt at step k (always including
+    the final one), from the one-replica case of euler_maruyama_ensemble.
     """
     nsteps = step_count(T, dt)
     stride = step_count(record_every, dt, "record_every") if record_every else max(nsteps, 1)
     steps = sorted({*range(0, nsteps, stride), nsteps})
-    snaps = euler_maruyama_ensemble(np.asarray(initial.xi, dtype=float)[None], params, m2,
-                                    dt, nsteps, seed, steps)
-    return [SdeState(xi=snaps[k][0], t=initial.t + k * dt) for k in steps]
+    snaps = euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, steps, replicas=1)
+    return [(k * dt, snaps[k][0]) for k in steps]
 
 
 def euler_maruyama_ensemble(xi0, params, m2, dt, nsteps, seed, snapshot_steps,

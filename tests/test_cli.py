@@ -363,6 +363,13 @@ def _start_with_repeated_label(tmp_path):
     return str(start)
 
 
+def _valid_start(tmp_path):
+    # the first enumerated 4x3 state
+    start = tmp_path / "start.txt"
+    start.write_text("4 3 2 1\n0 0 0\n0 1 0\n0 2 1\n1 0 1\n1 1 2\n1 2 2\n")
+    return str(start)
+
+
 def _phi_with_repeated_label(tmp_path):
     phi = tmp_path / "phi.txt"
     phi.write_text("0 0 1\n0 0 1\n1 0 -1\n")
@@ -421,6 +428,10 @@ def _phi_with_repeated_label(tmp_path):
     ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-320"],
     ["she-check", "--t", "4", "--s", "2", "--delta-list", "1e-200"],
     *_BROKE_THE_CONTRACT,
+    ["ctmc", "--start", "START", "--L", "9", "--N", "9", "--m1", "3", "--m2", "1",
+     "--crystalline", "--q", "0.5", "--T", "1"],
+    ["ctmc", "--L", "100000000000000000000000", "--N", "3", "--m1", "2", "--m2", "1",
+     "--q", "0.5", "--T", "1", "--crystalline"],
 ], ids=["q-above-1", "q-negative", "empty-sector", "too-large-to-enumerate",
         "oracle-q-above-1", "oracle-empty-sector", "sde-negative-T", "sde-no-replicas",
         "ctmc-negative-observe-every", "sde-negative-observe-every",
@@ -438,10 +449,11 @@ def _phi_with_repeated_label(tmp_path):
         "ctmc-start-repeated-label", "gff-phi-repeated-label", "validate-C-squared-underflows",
         "validate-d1-underflows", "validate-huge-D", "she-nan-coordinate",
         "she-coordinate-above-2-53", "she-reference-0", "sde-negative-m",
-        "sde-steps-not-finite", "gff-R-rounds-to-0", "cov-quad-R-rounds-to-0"])
+        "sde-steps-not-finite", "gff-R-rounds-to-0", "cov-quad-R-rounds-to-0",
+        "ctmc-start-with-torus-flags", "ctmc-q-power-table-too-long"])
 def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    files = {"PHI": _two_point_phi, "BAD": _non_utf8_file,
+    files = {"PHI": _two_point_phi, "BAD": _non_utf8_file, "START": _valid_start,
              "DUPSTART": _start_with_repeated_label, "DUPPHI": _phi_with_repeated_label}
     paths = {a: files[a](tmp_path) for a in argv if a in files}
     argv = [paths.get(a, a) for a in argv]
@@ -459,6 +471,8 @@ def test_cli_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
         assert "repeated label (0, 0)" in lines[0] and "'0 0 0'" in lines[0]
     if "DUPPHI" in paths:
         assert paths["DUPPHI"] in lines[0] and "line 2" in lines[0]
+    if "START" in paths:  # every flag that --start would ignore
+        assert all(flag in lines[0] for flag in ("--L", "--N", "--m1", "--m2", "--crystalline"))
     assert not out.exists()
 
 
@@ -567,6 +581,9 @@ def _generated_argv(draw):
 @example(argv=[*_BROKE_THE_CONTRACT[2], "--out", "OUT"])
 @example(argv=_BROKE_THE_CONTRACT[3])
 @example(argv=_BROKE_THE_CONTRACT[4])
+@example(argv=["run", "experiment = drift-check", "D = inf"])
+@example(argv=["run", "experiment = drift-check", "eps = 0.5", "D = 1e308"])
+@example(argv=["run", "experiment = drift-check", "eps = 1e-320"])
 def test_cli_exit_code_contract_under_generated_input(argv):
     # 0 with no FAIL line, 1 with one, or 2 with exactly one `error:` line; no
     # traceback and no warning (each warning is raised as an error here)

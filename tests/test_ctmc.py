@@ -299,6 +299,12 @@ def test_array_rate_and_masked_walk_match_the_scalar_twins():
     assert longest == {(4, 3): 2, (4, 4): 3, (6, 4): 3, (8, 3): 1}
 
 
+def test_q_powers_refuse_a_period_above_10_to_the_6():
+    # refused before the table is built; a regression builds 10^6 + 2 entries, not 10^23
+    with pytest.raises(ParameterError, match="above 10\\^6"):
+        ctmc._q_powers(0.5, 10 ** 6 + 1)
+
+
 def test_build_generator_enumerates_through_the_ctmc_module(monkeypatch):
     # the benchmark traces ctmc.enumerate_configs; a call that bypasses the
     # module attribute would leave its metrics at zero; the generator keeps

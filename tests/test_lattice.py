@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,23 @@ def test_torus_params_ranges():
     # feasibility of the sector is a predicate, not a construction error
     t = TorusParams(L=3, N=2, m1=2, m2=1)
     assert not t.sector_feasible
+
+
+def test_from_scaling_builds_the_torus_ell_over_epsilon_and_keeps_ell():
+    assert (TorusParams.from_scaling(epsilon=0.25, ell=2.0, m=2, m2=1)
+            == TorusParams(L=8, N=2, m1=2, m2=1, ell=2.0))
+    with pytest.raises(ParameterError, match="not an integer"):
+        TorusParams.from_scaling(epsilon=0.3, ell=2.0, m=2, m2=1)
+
+
+@pytest.mark.parametrize("epsilon, ell", [
+    (0.0, 2.0), (-0.25, 2.0), (math.nan, 2.0), (0.25, math.nan), (0.25, math.inf),
+    (1e-320, 4.0), (0.5, 1.7e308)],
+    ids=["eps-0", "eps-negative", "eps-nan", "ell-nan", "ell-inf", "eps-subnormal",
+         "ell-over-eps-overflows"])
+def test_from_scaling_rejects_a_scale_without_a_finite_period(epsilon, ell):
+    with pytest.raises(ParameterError):
+        TorusParams.from_scaling(epsilon=epsilon, ell=ell, m=4, m2=2)
 
 
 def test_crystalline_scaling_example():

@@ -10,7 +10,7 @@ import pytest
 
 from akpz.lattice import (ParameterError, TorusParams, crystalline, fourier_modes,
                           neighbor_distances, neighbor_index)
-from akpz.sde import (DriftCoeffs, ModelParams, ModelError, SdeState, appendix_delta,
+from akpz.sde import (DriftCoeffs, ModelParams, ModelError, appendix_delta,
                       drift_coeffs, euler_maruyama, euler_maruyama_ensemble,
                       grad_v_check, shift_field, spectral_data, step_count, symbol_A,
                       symbol_Q, symbol_R, symbol_W, validate_symbol_properties)
@@ -70,6 +70,16 @@ def test_model_params_domain():
                  (700.0, 800.0), (0.5, 1e300)):
         with pytest.raises(ParameterError):
             ModelParams(C=C, D=D)
+
+
+def test_from_torus_reads_a_scaling_torus_only():
+    # D = ell/m1 and C = D*m2/m1 on a torus with ell set and N = m1
+    torus = TorusParams.from_scaling(epsilon=0.25, ell=6.0, m=4, m2=2)
+    assert ModelParams.from_torus(torus) == ModelParams(C=0.75, D=1.5)
+    with pytest.raises(ParameterError):
+        ModelParams.from_torus(TorusParams(L=24, N=4, m1=4, m2=2))
+    with pytest.raises(ParameterError):
+        ModelParams.from_torus(TorusParams(L=24, N=3, m1=4, m2=2, ell=6.0))
 
 
 def test_drift_row_sums_vanish():
@@ -235,23 +245,22 @@ def test_shift_field_matches_quotient_arithmetic():
 
 def test_euler_maruyama_kills_constants():
     params = ModelParams(C=0.5, D=1.5)
-    initial = SdeState(xi=np.full((4, 4), 2.25), t=0.0)
-    out = euler_maruyama(initial, params, dt=1e-3, T=0.2, seed=ZeroNormals(), m2=2)
-    assert np.abs(out[-1].xi - 2.25).max() < 1e-12
+    out = euler_maruyama(np.full((4, 4), 2.25), params, dt=1e-3, T=0.2, seed=ZeroNormals(), m2=2)
+    assert np.abs(out[-1][1] - 2.25).max() < 1e-12
 
 
 def test_euler_maruyama_stability_guard():
     params = ModelParams(C=0.5, D=1.5)
-    initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
+    xi0 = np.zeros((4, 4))
     with pytest.raises(ParameterError):
-        euler_maruyama(initial, params, dt=0.5, T=1.0, seed=0, m2=2)
+        euler_maruyama(xi0, params, dt=0.5, T=1.0, seed=0, m2=2)
     with pytest.raises(ParameterError):
-        euler_maruyama(initial, params, dt=-1e-3, T=1.0, seed=0, m2=2)
+        euler_maruyama(xi0, params, dt=-1e-3, T=1.0, seed=0, m2=2)
     with pytest.raises(ParameterError):
-        euler_maruyama_ensemble(initial.xi, params, 2, -1e-3, 10, seed=0,
+        euler_maruyama_ensemble(xi0, params, 2, -1e-3, 10, seed=0,
                                 snapshot_steps=[10], replicas=1)
     with pytest.raises(ParameterError):
-        euler_maruyama_ensemble(initial.xi, params, 2, 1e-3, -10, seed=0,
+        euler_maruyama_ensemble(xi0, params, 2, 1e-3, -10, seed=0,
                                 snapshot_steps=[-10], replicas=1)
 
 
@@ -260,12 +269,12 @@ def test_euler_maruyama_stability_guard():
     (1e-3, math.inf, None), (1e-3, 1.0, math.nan), (1e-3, 1.0, math.inf)])
 def test_euler_maruyama_rejects_non_finite(dt, T, record_every):
     params = ModelParams(C=0.5, D=1.5)
-    initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
+    xi0 = np.zeros((4, 4))
     with pytest.raises(ParameterError):
-        euler_maruyama(initial, params, dt=dt, T=T, seed=0, m2=2, record_every=record_every)
+        euler_maruyama(xi0, params, dt=dt, T=T, seed=0, m2=2, record_every=record_every)
     if math.isnan(dt):
         with pytest.raises(ParameterError):
-            euler_maruyama_ensemble(initial.xi, params, 2, dt, 10, seed=0,
+            euler_maruyama_ensemble(xi0, params, 2, dt, 10, seed=0,
                                     snapshot_steps=[10], replicas=1)
 
 
@@ -273,9 +282,9 @@ def test_euler_maruyama_rejects_non_finite(dt, T, record_every):
 def test_euler_maruyama_rejects_times_off_the_step_grid(T, record_every):
     # round(T/dt) steps would put the last snapshot at t=0.02, past T=0.015
     params = ModelParams(C=0.5, D=1.5)
-    initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
     with pytest.raises(ParameterError, match="integer multiple of dt"):
-        euler_maruyama(initial, params, dt=0.01, T=T, seed=0, m2=2, record_every=record_every)
+        euler_maruyama(np.zeros((4, 4)), params, dt=0.01, T=T, seed=0, m2=2,
+                       record_every=record_every)
 
 
 def test_step_count_takes_multiples_within_rounding():
@@ -289,22 +298,20 @@ def test_step_count_takes_multiples_within_rounding():
 def test_euler_maruyama_is_the_one_replica_ensemble():
     params = ModelParams(C=0.5, D=1.5)
     xi0 = np.random.default_rng(1).normal(size=(4, 4))
-    states = euler_maruyama(SdeState(xi=xi0, t=0.5), params, dt=1e-2, T=0.37, seed=9, m2=2,
-                            record_every=0.05)
+    states = euler_maruyama(xi0, params, dt=1e-2, T=0.37, seed=9, m2=2, record_every=0.05)
     steps = [0, 5, 10, 15, 20, 25, 30, 35, 37]
     snaps = euler_maruyama_ensemble(xi0, params, 2, 1e-2, 37, seed=9, snapshot_steps=steps,
                                     replicas=1)
-    assert [st.t for st in states] == [0.5 + k * 1e-2 for k in steps]
-    for st, k in zip(states, steps):
-        assert st.xi.tobytes() == snaps[k][0].tobytes()
+    assert [t for t, _ in states] == [k * 1e-2 for k in steps]
+    for (_, xi), k in zip(states, steps):
+        assert xi.tobytes() == snaps[k][0].tobytes()
 
 
 def test_euler_maruyama_deterministic_per_seed():
     params = ModelParams(C=0.5, D=1.5)
-    initial = SdeState(xi=np.zeros((4, 4)), t=0.0)
-    a = euler_maruyama(initial, params, dt=1e-2, T=0.5, seed=42, m2=2)
-    b = euler_maruyama(initial, params, dt=1e-2, T=0.5, seed=42, m2=2)
-    assert np.array_equal(a[-1].xi, b[-1].xi)
+    a = euler_maruyama(np.zeros((4, 4)), params, dt=1e-2, T=0.5, seed=42, m2=2)
+    b = euler_maruyama(np.zeros((4, 4)), params, dt=1e-2, T=0.5, seed=42, m2=2)
+    assert np.array_equal(a[-1][1], b[-1][1])
 
 
 def test_mean_propagation_matches_fourier_multiplier():
